@@ -1,30 +1,25 @@
-"""Costing-engine throughput: suitebatch vs compiled vs legacy.
+"""Costing throughput of ``Processor.execute``, gated on per-op parity.
 
 The workload is the one the repo actually repeats: cost every registered
 trace — the 13 NCAR kernels plus the three applications — on the
 calibrated SX-4, the way every table regeneration and parameter sweep
-does.  Three engines cost it:
+does.  ``Processor.execute`` has one costing path: it lowers each trace
+to structure-of-arrays columns once and memoises the machine-dependent
+per-op cost vectors, so steady-state re-costing collapses to a handful
+of NumPy expressions per trace.
 
-* ``legacy`` walks every op in Python — the reference;
-* ``compiled`` lowers each trace to structure-of-arrays columns once
-  and memoises the machine-dependent per-op cost vectors, so
-  steady-state re-costing collapses to a handful of NumPy expressions
-  per trace;
-* ``suitebatch`` stacks all 16 traces' columns into one ragged tensor
-  and costs the whole suite in a single kernel pass, segment-reducing
-  back to per-trace reports — the per-trace Python loop disappears.
-
-This benchmark measures all three in steady state (caches warm — the
-sweep regime), asserts the engines agree *exactly* first, and records
+Before timing, the benchmark asserts that ``execute`` agrees *exactly*
+with the per-op oracle (the ``math.fsum`` of
+``Processor.per_op_cycles``) on every canonical machine, then records
 the result in ``BENCH_engine.json``.
 
-Standalone (writes the JSON report, exit 1 on parity drift or a missed
-speedup gate)::
+Standalone (writes the JSON report, exit 1 on parity drift or a
+regression against a baseline)::
 
     python benchmarks/bench_costing_throughput.py \\
-        --min-speedup 10 --min-suitebatch-speedup 3
+        --baseline BENCH_engine.json --max-slowdown 0.25
 
-Under pytest the parity gates run as ordinary tests::
+Under pytest the parity gate runs as an ordinary test::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_costing_throughput.py
 """
@@ -33,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -41,25 +37,19 @@ from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
 from repro.machine.operations import Trace
 from repro.machine.presets import canonical_machines, sx4_processor
 from repro.machine.processor import Processor
-from repro.machine.suitebatch import SuiteColumns, cost_suite_batch
 
 __all__ = [
     "build_suite",
     "parity_machines",
     "check_parity",
-    "measure_engine",
-    "measure_suitebatch",
+    "measure_execute",
     "run_benchmark",
     "main",
 ]
 
-#: Exactly-compared ExecutionReport quantities (name -> getter).
-PARITY_FIELDS = (
-    ("cycles", lambda r: r.cycles),
-    ("seconds", lambda r: r.seconds),
-    ("mflops", lambda r: r.mflops),
-    ("bandwidth_bytes_per_s", lambda r: r.bandwidth_bytes_per_s),
-)
+#: Exactly-compared quantities: the oracle defines cycles, and seconds
+#: follow through the machine's clock.
+PARITY_FIELDS = ("cycles", "seconds")
 
 
 def build_suite() -> list[tuple[str, Trace]]:
@@ -77,88 +67,52 @@ def check_parity(
     machines: list[Processor],
     dilations: tuple[float, ...] = (1.0, 1.37),
 ) -> list[str]:
-    """Exact three-way comparison; returns mismatch descriptions.
+    """``execute`` vs the per-op oracle; returns mismatch descriptions.
 
-    Legacy vs compiled per trace, then the whole stacked suite through
-    :func:`cost_suite_batch` vs compiled — every field compared with
-    ``==``, never a tolerance.
+    Every field is compared with ``==``, never a tolerance.
     """
     mismatches: list[str] = []
-    stacked = SuiteColumns.from_traces(suite)
     for processor in machines:
         for dilation in dilations:
-            batch = cost_suite_batch(processor, stacked, dilation)
-            for position, (trace_id, trace) in enumerate(suite):
-                legacy = processor.execute(trace, dilation, engine="legacy")
-                compiled = processor.execute(trace, dilation, engine="compiled")
-                for field, get in PARITY_FIELDS:
-                    lhs, rhs = get(legacy), get(compiled)
-                    if lhs != rhs:
+            for trace_id, trace in suite:
+                report = processor.execute(trace, dilation)
+                cycles = math.fsum(processor.per_op_cycles(trace, dilation))
+                oracle = {"cycles": cycles, "seconds": processor.clock.seconds(cycles)}
+                for field in PARITY_FIELDS:
+                    got = getattr(report, field)
+                    if got != oracle[field]:
                         mismatches.append(
                             f"{processor.name} / {trace_id} / dilation {dilation}: "
-                            f"{field} legacy={lhs!r} compiled={rhs!r}"
-                        )
-                    suitebatched = get(batch[position])
-                    if suitebatched != rhs:
-                        mismatches.append(
-                            f"{processor.name} / {trace_id} / dilation {dilation}: "
-                            f"{field} suitebatch={suitebatched!r} compiled={rhs!r}"
+                            f"{field} execute={got!r} oracle={oracle[field]!r}"
                         )
     return mismatches
 
 
-def _cost_suite(processor: Processor, suite: list[tuple[str, Trace]], engine: str) -> float:
+def _cost_suite(processor: Processor, suite: list[tuple[str, Trace]]) -> float:
     total = 0.0
     for _, trace in suite:
-        total += processor.execute(trace, engine=engine).seconds
+        total += processor.execute(trace).seconds
     return total
 
 
-def measure_engine(
+def measure_execute(
     processor: Processor,
     suite: list[tuple[str, Trace]],
-    engine: str,
     rounds: int = 5,
     repeats: int = 20,
 ) -> float:
     """Best-of-``rounds`` seconds for one steady-state full-suite costing.
 
-    One untimed pass first: for the compiled engine it populates the
-    per-trace columns and the machine-cached cost vectors, which is the
-    regime every sweep after the first point runs in.
+    One untimed pass first populates the per-trace columns and the
+    machine-cached cost vectors, which is the regime every sweep after
+    the first point runs in.
     """
-    _cost_suite(processor, suite, engine)
+    _cost_suite(processor, suite)
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
         for _ in range(repeats):
-            _cost_suite(processor, suite, engine)
-        best = min(best, (time.perf_counter() - start) / repeats)
-    return best
-
-
-def measure_suitebatch(
-    processor: Processor,
-    stacked: SuiteColumns,
-    rounds: int = 5,
-    repeats: int = 20,
-) -> float:
-    """Best-of-``rounds`` seconds for one fused full-suite costing.
-
-    Same warm-cache regime as :func:`measure_engine`: the untimed pass
-    populates the stacked cost columns and the per-trace report memo,
-    after which a suite costing is one cache probe plus a list copy —
-    the per-trace Python loop is gone entirely.
-    """
-    cost_suite_batch(processor, stacked)
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            reports = cost_suite_batch(processor, stacked)
-            total = 0.0
-            for report in reports:
-                total += report.seconds
+            _cost_suite(processor, suite)
         best = min(best, (time.perf_counter() - start) / repeats)
     return best
 
@@ -169,25 +123,15 @@ def run_benchmark(rounds: int = 5, repeats: int = 20) -> dict:
     mismatches = check_parity(suite, parity_machines())
     processor = sx4_processor()
 
-    # Cold compiled pass on fresh traces: compile + first costing, the
-    # price a one-shot run pays before the caches exist.
+    # Cold pass on fresh traces: compile + first costing, the price a
+    # one-shot run pays before the caches exist.
     cold_suite = build_suite()
     start = time.perf_counter()
-    _cost_suite(processor, cold_suite, "compiled")
-    compiled_cold_s = time.perf_counter() - start
+    _cost_suite(processor, cold_suite)
+    execute_cold_s = time.perf_counter() - start
 
-    # Cold suitebatch pass: stack + first fused costing on fresh traces.
-    cold_stack_suite = build_suite()
-    start = time.perf_counter()
-    cost_suite_batch(processor, SuiteColumns.from_traces(cold_stack_suite))
-    suitebatch_cold_s = time.perf_counter() - start
-
-    legacy_s = measure_engine(processor, suite, "legacy", rounds, repeats)
-    compiled_s = measure_engine(processor, suite, "compiled", rounds, repeats)
-    stacked = SuiteColumns.from_traces(suite)
-    suitebatch_s = measure_suitebatch(processor, stacked, rounds, repeats)
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "benchmark": "costing_throughput",
         "machine": processor.name,
         "workload": "cost all registered traces once (steady state, caches warm)",
@@ -195,18 +139,11 @@ def run_benchmark(rounds: int = 5, repeats: int = 20) -> dict:
         "ops": sum(len(trace) for _, trace in suite),
         "rounds": rounds,
         "repeats": repeats,
-        "legacy_s_per_suite": legacy_s,
-        "compiled_s_per_suite": compiled_s,
-        "compiled_cold_s": compiled_cold_s,
-        "suitebatch_s_per_suite": suitebatch_s,
-        "suitebatch_cold_s": suitebatch_cold_s,
-        "speedup": legacy_s / compiled_s if compiled_s > 0 else float("inf"),
-        "suitebatch_speedup_vs_compiled": (
-            compiled_s / suitebatch_s if suitebatch_s > 0 else float("inf")
-        ),
+        "execute_s_per_suite": measure_execute(processor, suite, rounds, repeats),
+        "execute_cold_s": execute_cold_s,
         "parity": {
-            "fields": [field for field, _ in PARITY_FIELDS],
-            "engines": ["legacy", "compiled", "suitebatch"],
+            "fields": list(PARITY_FIELDS),
+            "oracle": "math.fsum of Processor.per_op_cycles",
             "machines_checked": len(parity_machines()),
             "traces_checked": len(suite),
             "exact": not mismatches,
@@ -215,39 +152,28 @@ def run_benchmark(rounds: int = 5, repeats: int = 20) -> dict:
     }
 
 
-def test_engines_agree_exactly():
-    """Pytest face of the parity gate: zero drift on every machine/trace,
-    across all three engines (legacy, compiled, suitebatch)."""
+def test_execute_matches_the_per_op_oracle():
+    """Pytest face of the parity gate: zero drift on every machine/trace."""
     assert check_parity(build_suite(), parity_machines()) == []
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark suitebatch/compiled/legacy trace costing; "
-                    "write BENCH_engine.json."
+        description="Benchmark Processor.execute trace costing; write BENCH_engine.json."
     )
     parser.add_argument("--rounds", type=int, default=5,
-                        help="timing rounds per engine (best is kept)")
+                        help="timing rounds (best is kept)")
     parser.add_argument("--repeats", type=int, default=20,
                         help="suite costings per round")
     parser.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
                                              / "BENCH_engine.json"),
                         help="report path (default: repo-root BENCH_engine.json)")
-    parser.add_argument("--min-speedup", type=float, default=None, metavar="X",
-                        help="fail unless compiled is at least X times faster "
-                             "than legacy")
-    parser.add_argument("--min-suitebatch-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail unless the fused suitebatch costing is at "
-                             "least X times faster than compiled (same-run "
-                             "ratio, machine-independent)")
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="committed BENCH_engine.json to regress against")
     parser.add_argument("--max-slowdown", type=float, default=0.25, metavar="F",
-                        help="fail when compiled_s_per_suite (or, when the "
-                             "baseline records it, suitebatch_s_per_suite) "
-                             "exceeds the baseline by more than this "
-                             "fraction (default: 0.25)")
+                        help="fail when execute_s_per_suite exceeds the "
+                             "baseline by more than this fraction "
+                             "(default: 0.25)")
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
 
     payload = run_benchmark(rounds=args.rounds, repeats=args.repeats)
@@ -255,53 +181,30 @@ def main(argv: list[str] | None = None) -> int:
 
     parity = payload["parity"]
     print(f"traces: {payload['traces']} ({payload['ops']} ops) on {payload['machine']}")
-    print(f"legacy:     {payload['legacy_s_per_suite'] * 1e3:8.3f} ms / suite")
-    print(f"compiled:   {payload['compiled_s_per_suite'] * 1e3:8.3f} ms / suite "
-          f"(cold first pass {payload['compiled_cold_s'] * 1e3:.3f} ms)")
-    print(f"suitebatch: {payload['suitebatch_s_per_suite'] * 1e3:8.3f} ms / suite "
-          f"(cold stack + cost {payload['suitebatch_cold_s'] * 1e3:.3f} ms)")
-    print(f"speedup:  {payload['speedup']:.1f}x compiled vs legacy, "
-          f"{payload['suitebatch_speedup_vs_compiled']:.1f}x suitebatch "
-          f"vs compiled")
-    print(f"parity:   {'exact' if parity['exact'] else 'DRIFT'} over "
-          f"{parity['machines_checked']} machines x {parity['traces_checked']} "
-          f"traces x {len(parity['engines'])} engines")
+    print(f"execute:  {payload['execute_s_per_suite'] * 1e3:8.3f} ms / suite "
+          f"(cold first pass {payload['execute_cold_s'] * 1e3:.3f} ms)")
+    print(f"parity:   {'exact' if parity['exact'] else 'DRIFT'} vs the per-op "
+          f"oracle over {parity['machines_checked']} machines x "
+          f"{parity['traces_checked']} traces")
     print(f"report:   {args.out}")
 
     if not parity["exact"]:
         for line in parity["mismatches"][:20]:
             print(f"  parity drift: {line}", file=sys.stderr)
         return 1
-    if args.min_speedup is not None and payload["speedup"] < args.min_speedup:
-        print(f"error: speedup {payload['speedup']:.1f}x below required "
-              f"{args.min_speedup:g}x", file=sys.stderr)
-        return 1
-    if (
-        args.min_suitebatch_speedup is not None
-        and payload["suitebatch_speedup_vs_compiled"] < args.min_suitebatch_speedup
-    ):
-        print(f"error: suitebatch speedup "
-              f"{payload['suitebatch_speedup_vs_compiled']:.1f}x below "
-              f"required {args.min_suitebatch_speedup:g}x", file=sys.stderr)
-        return 1
     if args.baseline is not None:
         baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-        gates = [("compiled_s_per_suite", "compiled")]
-        if "suitebatch_s_per_suite" in baseline:
-            gates.append(("suitebatch_s_per_suite", "suitebatch"))
-        for key, label in gates:
-            reference = float(baseline[key])
-            measured = payload[key]
-            slowdown = measured / reference - 1.0
-            print(f"baseline: {label} {reference * 1e3:8.3f} ms / suite "
-                  f"({args.baseline}); slowdown {slowdown:+.1%} "
-                  f"(gate {args.max_slowdown:+.0%})")
-            if slowdown > args.max_slowdown:
-                print(f"error: {label} costing regressed {slowdown:+.1%} vs "
-                      f"baseline (allowed {args.max_slowdown:+.0%}): "
-                      f"{measured * 1e3:.3f} ms vs {reference * 1e3:.3f} ms",
-                      file=sys.stderr)
-                return 1
+        reference = float(baseline["execute_s_per_suite"])
+        measured = payload["execute_s_per_suite"]
+        slowdown = measured / reference - 1.0
+        print(f"baseline: {reference * 1e3:8.3f} ms / suite ({args.baseline}); "
+              f"slowdown {slowdown:+.1%} (gate {args.max_slowdown:+.0%})")
+        if slowdown > args.max_slowdown:
+            print(f"error: costing regressed {slowdown:+.1%} vs baseline "
+                  f"(allowed {args.max_slowdown:+.0%}): "
+                  f"{measured * 1e3:.3f} ms vs {reference * 1e3:.3f} ms",
+                  file=sys.stderr)
+            return 1
     return 0
 
 

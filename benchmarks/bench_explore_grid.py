@@ -6,8 +6,8 @@ at the calibrated SX-4 (clock x pipes x banks), with the six canonical
 presets embedded as the parity anchor.  The grid path prices all
 machines in one broadcasted pass per trace; the loop baseline
 materializes each grid row as a :class:`Processor` and executes the
-suite per machine on the compiled engine — the best the repo could do
-before :mod:`repro.machine.grid`.
+suite per machine through ``Processor.execute`` — the best the repo
+could do before :mod:`repro.machine.grid`.
 
 The parity gate runs first and is exact: every canonical preset's
 embedded grid column must equal its per-machine compiled report
@@ -98,7 +98,7 @@ def check_grid_parity(grid: MachineGrid) -> list[str]:
                 from repro.machine.grid import cost_trace_grid
 
                 cost = cost_trace_grid(trace, grid)
-            report = processor.execute(trace, engine="compiled")
+            report = processor.execute(trace)
             for field, get, column in PARITY_FIELDS:
                 lhs, rhs = get(report), float(getattr(cost, column)[j])
                 if lhs != rhs:
@@ -139,7 +139,7 @@ def measure_loop(grid: MachineGrid, sample: int = LOOP_SAMPLE_MACHINES) -> tuple
     start = time.perf_counter()
     for processor in processors:
         for trace in suite:
-            processor.execute(trace, engine="compiled")
+            processor.execute(trace)
     elapsed = time.perf_counter() - start
     return elapsed / sample, sample
 

@@ -40,15 +40,6 @@ REPO010   CLI entry modules honor the uniform exit-code contract:
           integer is rejected — richer failure taxonomies (like
           ``engine run``'s 3/4/5 failure kinds) must flow through a
           named, documented code map, never inline magic numbers
-REPO011   public ``*_cycles_batch`` kernels are segment-safe: the
-          suite-batch engine evaluates them once over columns stacked
-          from many traces, so their bodies must be elementwise NumPy —
-          no Python ``while`` loops, no ``for`` loops or comprehensions
-          over data rows (constant-trip loops over the intrinsic
-          vocabulary and ``np.unique`` results are allowed), and no
-          scalarisation of column entries (``.item()``/``.tolist()``/
-          ``float(column_arg)``), which would silently break when rows
-          from different traces interleave
 REPO012   ``except`` clauses in :mod:`repro.service` that name
           ``TimeoutError``/``OSError`` (or a subclass — the connection
           family) must re-raise, log, or count what they caught: a
@@ -597,138 +588,6 @@ def _check_fault_sites(rel: str, tree: ast.Module) -> list[Diagnostic]:
     return found
 
 
-#: Names a ``*_cycles_batch`` loop may draw its iterable from (REPO011):
-#: loops over the fixed intrinsic vocabulary (or builtins wrapping it)
-#: run a constant number of vectorised column operations regardless of
-#: which rows are stacked — loops over the data columns do not.
-SEGMENT_SAFE_ITERABLE_NAMES = frozenset(
-    {"enumerate", "sorted", "range", "len", "zip", "INTRINSICS", "SORTED_INTRINSICS"}
-)
-
-
-def _check_segment_safety(rel: str, tree: ast.Module) -> list[Diagnostic]:
-    """REPO011: public ``*_cycles_batch`` kernels stay segment-safe.
-
-    The suite-batch engine (:mod:`repro.machine.suitebatch`) calls these
-    kernels once over columns stacked from many traces and segment-
-    reduces the result, so a kernel is only eligible if its output row
-    ``i`` depends on input row ``i`` alone.  Elementwise NumPy has that
-    property by construction; three things break it silently:
-
-    * Python loops over the rows (``while``, or ``for``/comprehensions
-      whose iterable involves the data columns) — loop trip counts then
-      depend on which traces were stacked;
-    * loops over the constant intrinsic vocabulary are fine
-      (``sorted(INTRINSICS)``), as are loops over ``np.unique`` results
-      mapped back through the inverse: both are value-dependent, never
-      row-identity-dependent;
-    * scalarising a column entry (``.item()``, ``.tolist()``,
-      ``float(<column arg>)``) — the hidden float round-trip can differ
-      from the vectorised code path the rest of the rows take.
-    """
-    found = []
-
-    def flag(lineno: int, message: str) -> None:
-        found.append(
-            Diagnostic(
-                rule_id="REPO011",
-                severity=Severity.ERROR,
-                location=f"{rel}:{lineno}",
-                message=message,
-            )
-        )
-
-    def unique_locals(method: ast.FunctionDef) -> set[str]:
-        """Local names bound (possibly tuple-unpacked) from np.unique."""
-        names: set[str] = set()
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
-                continue
-            func = node.value.func
-            attr = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if attr != "unique":
-                continue
-            for target in node.targets:
-                elts = target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
-                names.update(e.id for e in elts if isinstance(e, ast.Name))
-        return names
-
-    def iterable_ok(expr: ast.expr, allowed: set[str]) -> bool:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and node.id not in allowed:
-                return False
-            if isinstance(node, ast.Attribute) and node.attr != "unique":
-                return False
-        return True
-
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for method in cls.body:
-            if not isinstance(method, ast.FunctionDef):
-                continue
-            name = method.name
-            if not name.endswith("_cycles_batch") or name.startswith("_"):
-                continue
-            params = {a.arg for a in method.args.args} - {"self"}
-            allowed = SEGMENT_SAFE_ITERABLE_NAMES | unique_locals(method)
-            label = f"{cls.name}.{name}"
-            for node in ast.walk(method):
-                if isinstance(node, ast.While):
-                    flag(
-                        node.lineno,
-                        f"batch kernel {label} contains a Python while loop; "
-                        f"segment-safe kernels are elementwise NumPy over the "
-                        f"stacked columns (suite-batch eligibility)",
-                    )
-                elif isinstance(node, ast.For):
-                    if not iterable_ok(node.iter, allowed):
-                        flag(
-                            node.lineno,
-                            f"batch kernel {label} loops over data rows in "
-                            f"Python; only constant-trip loops (the intrinsic "
-                            f"vocabulary, np.unique results) keep the kernel "
-                            f"segment-safe for suite-batch stacking",
-                        )
-                elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                       ast.GeneratorExp)):
-                    for generator in node.generators:
-                        if not iterable_ok(generator.iter, allowed):
-                            flag(
-                                node.lineno,
-                                f"batch kernel {label} iterates data rows in a "
-                                f"comprehension; segment-safe kernels stay "
-                                f"elementwise over the stacked columns",
-                            )
-                elif isinstance(node, ast.Call):
-                    func = node.func
-                    if isinstance(func, ast.Attribute) and func.attr in ("item", "tolist"):
-                        flag(
-                            node.lineno,
-                            f"batch kernel {label} scalarises a column via "
-                            f".{func.attr}(); the hidden per-row Python float "
-                            f"path breaks bit-parity once rows from different "
-                            f"traces interleave",
-                        )
-                    elif (
-                        isinstance(func, ast.Name)
-                        and func.id == "float"
-                        and any(
-                            isinstance(n, ast.Name) and n.id in params
-                            for arg in node.args
-                            for n in ast.walk(arg)
-                        )
-                    ):
-                        flag(
-                            node.lineno,
-                            f"batch kernel {label} forces a column argument "
-                            f"through float(); scalarising stacked columns is "
-                            f"not segment-safe (machine scalars like "
-                            f"float(self.<attr>) are fine)",
-                        )
-    return found
-
-
 #: Exit codes every ``repro.*`` CLI may use as inline literals.  The
 #: shared contract — 0 success, 1 failure, 2 usage — is what lets shell
 #: scripts and CI treat the tools uniformly; anything finer-grained
@@ -986,7 +845,6 @@ def lint_file(path: Path, root: Path) -> list[Diagnostic]:
     if _in_src(rel_parts):
         found.extend(_check_batch_siblings(rel, tree))
         found.extend(_check_grid_siblings(rel, tree))
-        found.extend(_check_segment_safety(rel, tree))
         found.extend(_check_fault_sites(rel, tree))
     if _is_service_module(rel_parts):
         found.extend(_check_swallowed_timeouts(rel, tree))

@@ -44,8 +44,6 @@ from repro.kernels import (
 from repro.machine.operations import Trace
 from repro.machine.presets import sx4_processor
 from repro.machine.processor import Processor
-from repro.machine.suitebatch import SuiteColumns
-from repro.perfmon.collector import record as perfmon_record
 
 __all__ = [
     "MAX_FINDINGS_PER_RULE",
@@ -53,7 +51,6 @@ __all__ = [
     "TRACE_BUILDERS",
     "EXPERIMENT_TRACE_IDS",
     "build_registered_trace",
-    "build_suite_columns",
     "analyze_benchmark",
     "experiment_summaries",
 ]
@@ -215,29 +212,6 @@ def build_registered_trace(trace_id: str) -> Trace:
         known = ", ".join(sorted(TRACE_BUILDERS))
         raise KeyError(f"unknown benchmark id {trace_id!r}; known ids: {known}") from None
     return builder()
-
-
-def build_suite_columns(trace_ids=None) -> SuiteColumns:
-    """Build and stack the registered trace suite (all 16 by default).
-
-    This is the *derive* path of the suitebatch engine — the cost a
-    fresh process pays when no shared column segment is available to
-    attach to (counted under ``suitebatch.derives``).  It lives here
-    rather than in :mod:`repro.machine.suitebatch` because only the
-    analysis layer knows the trace registry: the machine layer keeps
-    no edge to it, so kernel dependency closures stay per-kernel.
-    """
-    ids = tuple(TRACE_BUILDERS) if trace_ids is None else tuple(trace_ids)
-    unknown = [trace_id for trace_id in ids if trace_id not in TRACE_BUILDERS]
-    if unknown:
-        raise ValueError(
-            f"unknown trace ids {unknown!r} (known: {list(TRACE_BUILDERS)})"
-        )
-    suite = SuiteColumns.from_traces(
-        (trace_id, build_registered_trace(trace_id)) for trace_id in ids
-    )
-    perfmon_record("suitebatch", {"derives": 1.0})
-    return suite
 
 
 def analyze_benchmark(

@@ -14,14 +14,6 @@ isolation contract:
 * in every case the remaining jobs keep running and results come back
   in the order the ids were requested — never completion order.
 
-Pool workers share the suite's stacked costing columns: the parent
-packs the registered traces once (:mod:`repro.machine.suitebatch`),
-publishes the bytes through a :class:`~repro.engine.store.ColumnCache`
-(shared memory, file fallback), and each worker's initializer attaches
-and registers the suite instead of re-deriving it per process.  The
-segment is released when the pool winds down; ``engine gc`` sweeps
-segments orphaned by killed publishers.
-
 ``run_engine`` is the orchestrator the CLI and the suite runner call:
 plan against the store, execute only stale/missing experiments,
 persist what ran, and splice cache hits back in.  Given a
@@ -42,7 +34,6 @@ deterministic, and this asserts it.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import multiprocessing
 import os
 import time
@@ -54,7 +45,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.deps import ExperimentDigest
 from repro.engine.plan import HIT, ExecutionPlan, plan_suite
-from repro.engine.store import ColumnCache, ResultStore, canonical_bytes
+from repro.engine.store import ResultStore, canonical_bytes
 from repro.perfmon.collector import record as perfmon_record
 from repro.perfmon.collector import span as perfmon_span
 from repro.perfmon.counters import declare_counters
@@ -218,65 +209,6 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-#: Parent-only memo of the packed suite columns: ``(key, payload)``.
-#: The stack depends only on the trace registry, so one pack serves
-#: every pool this process creates.
-_PACKED_SUITE: tuple[str, bytes] | None = None
-
-
-def _publish_suite_columns(cache: ColumnCache) -> str | None:
-    """Pack the registered-trace suite once and publish it for workers.
-
-    Runs in the parent, before any pool exists — the registry write in
-    :func:`repro.machine.suitebatch.register_suite` stays off the worker
-    call graph (the purity contract DET005 enforces).  Returns the
-    content key workers attach under, or None when publishing failed
-    (workers then derive their own columns; slower, never wrong).
-    """
-    global _PACKED_SUITE
-    from repro.analysis.traces import build_suite_columns
-    from repro.machine import suitebatch
-
-    if _PACKED_SUITE is None:
-        suite = build_suite_columns()
-        payload = suitebatch.pack_suite(suite)
-        key = hashlib.sha256(payload).hexdigest()
-        # Register in the parent too: forked workers inherit the suite
-        # directly and skip the attach in their initializer.
-        suitebatch.register_suite(suite, key=key)
-        _PACKED_SUITE = (key, payload)
-    key, payload = _PACKED_SUITE
-    try:
-        published = cache.publish(payload)
-    except OSError:
-        return None
-    return published
-
-
-def _attach_suite_columns(cache_root: str, key: str) -> None:
-    """Pool-worker initializer: adopt the parent's published columns.
-
-    Forked workers arrive with the parent's suite already registered
-    and return immediately; spawned workers attach to the shared
-    segment, unpack, and register.  A failed attach is silent — the
-    worker falls back to deriving columns itself.  This runs once per
-    worker process, outside :func:`_execute_job`'s call graph, so the
-    registry write does not violate worker purity (DET005).
-    """
-    from repro.machine import suitebatch
-
-    if suitebatch.registered_suite_key() == key:
-        return
-    payload = ColumnCache(cache_root).attach(key)
-    if payload is None:
-        return
-    try:
-        suite = suitebatch.unpack_suite(payload)
-    except ValueError:
-        return
-    suitebatch.register_suite(suite, key=key)
-
-
 def _finish_span(span, outcome: JobResult | JobFailure, queue_s: float | None = None):
     """Annotate an engine:job span with how the job went (span may be
     None when no profile is active)."""
@@ -307,7 +239,6 @@ def execute_jobs(
     timeout_s: float | None = None,
     cache_status: dict[str, str] | None = None,
     injector=None,
-    column_cache: ColumnCache | None = None,
 ) -> list[JobResult | JobFailure]:
     """Run builders, ``jobs`` at a time; results in request order.
 
@@ -319,11 +250,6 @@ def execute_jobs(
     ``injector`` (a :class:`~repro.faults.inject.FaultInjector`)
     threads planned faults into submissions; decisions happen here in
     the parent, in request order, so runs replay identically.
-    ``column_cache`` (a :class:`~repro.engine.store.ColumnCache`)
-    shares the suite's stacked columns with pool workers: the parent
-    publishes once, each worker's initializer attaches instead of
-    re-deriving; released when the pool winds down.  Ignored when
-    ``jobs=1`` (no pool to share with).
 
     When a :mod:`repro.perfmon` profile is active, every job gets an
     ``engine:job:<exp_id>`` host span with cache/status/queue/execute
@@ -357,18 +283,7 @@ def execute_jobs(
         return results
 
     results = []
-    shared_key = None
-    pool_kwargs = {}
-    if column_cache is not None:
-        shared_key = _publish_suite_columns(column_cache)
-        if shared_key is not None:
-            pool_kwargs = {
-                "initializer": _attach_suite_columns,
-                "initargs": (str(column_cache.root), shared_key),
-            }
-    pool = ProcessPoolExecutor(
-        max_workers=min(jobs, len(ids)), mp_context=_pool_context(), **pool_kwargs
-    )
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(ids)), mp_context=_pool_context())
     try:
         submitted = time.perf_counter()
         futures = [
@@ -418,8 +333,6 @@ def execute_jobs(
             results.append(outcome)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-        if shared_key is not None:
-            column_cache.release(shared_key)
     return results
 
 
@@ -557,15 +470,11 @@ def run_engine(
             run_ids.append(entry.exp_id)
 
     attempts: dict[str, int] = {exp_id: 0 for exp_id in run_ids}
-    # Pool rounds share the suite's stacked columns through the store
-    # root; serial rounds (and the serial fallback) never touch it.
-    column_cache = ColumnCache(store.root) if jobs > 1 else None
 
     def run_round(ids: list[str], round_jobs: int) -> list[JobResult | JobFailure]:
         outcomes = execute_jobs(
             ids, jobs=round_jobs, timeout_s=timeout_s,
             cache_status=cache_status, injector=injector,
-            column_cache=column_cache,
         )
         for outcome in outcomes:
             attempts[outcome.exp_id] += 1

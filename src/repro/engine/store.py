@@ -511,10 +511,11 @@ class ColumnSegment:
 class ColumnCache:
     """Publish-once, attach-many binary column segments for pool workers.
 
-    The engine's pool workers need the suite's stacked columns
-    (:func:`repro.machine.suitebatch.pack_suite` payloads); deriving
-    them is pure but costs a registry walk plus compilation per
-    process.  The parent publishes the payload once and workers attach:
+    The engine no longer publishes anything: pool workers cost traces
+    themselves.  The class stays so ``engine gc``, the service drain
+    and CI can sweep segments that earlier versions left in stores and
+    ``/dev/shm``; it goes once nothing needs that sweep.  A publisher
+    writes a payload once and workers attach:
 
     * preferred transport is ``multiprocessing.shared_memory`` — one
       copy of the bytes in the page cache no matter how many workers

@@ -16,7 +16,7 @@ This package models both halves of that claim:
     plus the pool-to-serial graceful-degradation policy;
 ``degraded``
     any machine preset with pipes, banks, IXS lanes or IOPs offline —
-    still priced bit-identically by both costing engines;
+    still priced bit-identically to the per-op oracle;
 ``recovery``
     checkpoint/restart harnesses asserting kill-and-restore
     integrations finish bit-identical to uninterrupted ones;

@@ -12,9 +12,10 @@ One :func:`run_chaos` call is the whole resilience story end to end:
 3. **Store recovery** — a warm re-run over the store the chaos run
    corrupted: every damaged entry must be quarantined (not silently
    overwritten) and recomputed, archives again byte-identical.
-4. **Degraded parity** — presets × degradations × kernel traces, the
-   ``legacy`` and ``compiled`` costing engines must agree bit-exactly
-   on every degraded machine.
+4. **Degraded parity** — presets × degradations × kernel traces,
+   ``Processor.execute`` must agree bit-exactly with the per-op oracle
+   (:meth:`~repro.machine.processor.Processor.per_op_cycles`) on every
+   degraded machine.
 5. **Recovery** — CCM2/MOM/POP killed at a seeded step and restored
    from checkpoint finish bit-identical to uninterrupted integrations;
    conservation diagnostics stay healthy.
@@ -37,6 +38,7 @@ run-dependent.
 
 from __future__ import annotations
 
+import math
 import random
 import shutil
 import tempfile
@@ -224,7 +226,7 @@ def _engine_stages(chaos: ChaosReport, workdir: Path) -> None:
 
 
 def _degraded_stage(chaos: ChaosReport) -> None:
-    """Stage 4: legacy/compiled bit-parity on every degraded machine."""
+    """Stage 4: execute/per-op-oracle bit-parity on every degraded machine."""
     from repro.analysis.traces import build_registered_trace
     from repro.faults.degraded import PRESETS, DegradedMachine, standard_degradations
 
@@ -237,11 +239,11 @@ def _degraded_stage(chaos: ChaosReport) -> None:
         for degradation in standard_degradations(preset):
             processor = DegradedMachine(preset, degradation).processor()
             for trace_id, trace in traces.items():
-                legacy = processor.execute(trace, engine="legacy")
-                compiled = processor.execute(trace, engine="compiled")
+                report = processor.execute(trace)
+                oracle = math.fsum(processor.per_op_cycles(trace))
                 cases += 1
-                if (legacy.cycles != compiled.cycles
-                        or legacy.seconds != compiled.seconds):
+                if (report.cycles != oracle
+                        or report.seconds != processor.clock.seconds(oracle)):
                     mismatches.append(f"{preset}/{degradation.name}/{trace_id}")
     chaos.check(
         "degraded_costing_parity_bit_exact", not mismatches,

@@ -11,9 +11,9 @@ rebuild the component with the survivors.
 Nothing here adds new cost formulas — a degraded machine is an
 ordinary machine with smaller parameters, so fewer banks raise
 conflict factors through :class:`~repro.machine.memory.BankedMemory`'s
-existing gcd arithmetic, and both costing engines (``legacy`` and
-``compiled``) price it bit-identically because they are handed the
-same component instances (asserted in ``tests/faults``).
+existing gcd arithmetic, and ``Processor.execute`` prices it
+bit-identically to the per-op oracle because both are handed the same
+component instances (asserted in ``tests/faults``).
 """
 
 from __future__ import annotations

@@ -26,12 +26,7 @@ Calibrated machine instances live in :mod:`~repro.machine.presets`.
 """
 
 from repro.machine.clock import Clock
-from repro.machine.compiled import (
-    CompiledTrace,
-    compile_trace,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.machine.compiled import CompiledTrace, compile_trace
 from repro.machine.operations import (
     INTRINSIC_FLOP_EQUIV,
     INTRINSICS,
@@ -40,12 +35,7 @@ from repro.machine.operations import (
     VectorOp,
 )
 from repro.machine.processor import ExecutionReport, Processor
-from repro.machine.suitebatch import (
-    SuiteColumns,
-    cost_suite_batch,
-    register_suite,
-    registered_suite,
-)
+from repro.machine.suitebatch import SuiteColumns
 from repro.machine.node import Node, ParallelReport
 from repro.machine.memory import BankedMemory
 from repro.machine.vector_unit import VectorUnit
@@ -69,12 +59,7 @@ __all__ = [
     "ExecutionReport",
     "CompiledTrace",
     "compile_trace",
-    "get_default_engine",
-    "set_default_engine",
     "SuiteColumns",
-    "cost_suite_batch",
-    "register_suite",
-    "registered_suite",
     "Node",
     "ParallelReport",
     "BankedMemory",

@@ -11,19 +11,21 @@ descriptor field plus an ``n_vector_ops x 6`` intrinsic-call matrix —
 and the machine components gain ``*_cycles_batch`` methods that cost
 every op of a trace in a handful of NumPy expressions.
 
-The contract with the per-op ("legacy") path is **exact parity**:
+The contract with the per-op methods is **exact parity**:
 
 * every column expression reproduces the corresponding scalar property
   arithmetic operation-for-operation (same IEEE-754 double ops, same
   association, same accumulation order over the sorted intrinsic
   names), so per-op cycle counts are bit-identical;
-* aggregates on both paths go through :func:`math.fsum`, whose result
-  is the correctly-rounded exact sum and therefore independent of
-  summation order — so totals are bit-identical too.
+* aggregates go through :func:`math.fsum`, whose result is the
+  correctly-rounded exact sum and therefore independent of summation
+  order — so totals are bit-identical too.
 
-The repo linter's REPO007 rule keeps the pairing closed under
-extension: any new ``*_cycles_batch`` method must sit next to the
-matching per-op ``*_cycles`` method, which is what the parity suite
+The per-op ``*_cycles`` methods are the test oracle
+(:meth:`repro.machine.processor.Processor.per_op_cycles`).  The repo
+linter's REPO007 rule keeps the pairing closed under extension: any new
+``*_cycles_batch`` method must sit next to the matching per-op
+``*_cycles`` method, which is what the parity suite
 (tests/machine/test_compiled*.py) exercises.
 
 Caching is two-level.  A trace caches its own ``CompiledTrace``
@@ -53,17 +55,12 @@ from repro.machine.operations import (
 
 __all__ = [
     "SORTED_INTRINSICS",
-    "ENGINES",
-    "DEFAULT_ENGINE",
     "VectorColumns",
     "ScalarColumns",
     "CompiledTrace",
     "compile_trace",
     "fsum",
     "fsum_columns",
-    "get_default_engine",
-    "set_default_engine",
-    "resolve_engine",
 ]
 
 #: Intrinsic column order of the compiled intrinsic matrix.  Sorted by
@@ -73,53 +70,13 @@ __all__ = [
 #: is one of the two pillars of the bit-parity guarantee.
 SORTED_INTRINSICS: tuple[str, ...] = tuple(sorted(INTRINSICS))
 
-#: The selectable costing engines.  ``suitebatch`` costs a registered
-#: whole-suite column stack in one fused pass (see
-#: :mod:`repro.machine.suitebatch`) and falls back to ``compiled`` for
-#: traces outside the registered suite — reports are bit-identical on
-#: every path.
-ENGINES = ("compiled", "legacy", "suitebatch")
-
-#: Process-wide default engine for ``Processor.execute(engine=None)``.
-DEFAULT_ENGINE = "compiled"
-
-_default_engine = DEFAULT_ENGINE
-
-
-def get_default_engine() -> str:
-    """The engine ``Processor.execute`` uses when none is requested."""
-    return _default_engine
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default costing engine; returns the old one.
-
-    ``python -m repro.suite --costing legacy`` routes through this so a
-    whole suite run can be re-costed on the reference path.
-    """
-    global _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Validate an explicit engine choice or fall back to the default."""
-    if engine is None:
-        return _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return engine
-
 
 def fsum(values) -> float:
     """Exactly-rounded sum of a NumPy array or iterable of floats.
 
     ``math.fsum`` tracks exact partial sums, so its result does not
     depend on operand order — the property that makes the batched
-    aggregate reductions bit-identical to the per-op path's.
+    aggregate reductions bit-identical to the per-op oracle's.
     """
     if isinstance(values, np.ndarray):
         return math.fsum(values.tolist())
@@ -145,18 +102,10 @@ def _concat_column_fields(cls, parts):
 
     Concatenation copies raw float64 bit patterns, so every row of the
     stacked columns is bit-identical to its source row — the property
-    the suite-batch engine's exactness proof rests on.
+    the machine grid's stacked suite pass rests on.
     """
     return cls(**{
         f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in dataclass_fields(cls)
-    })
-
-
-def _slice_column_fields(cls, columns, start, stop):
-    """Field-wise row slice ``[start:stop]`` (NumPy views, no copies)."""
-    return cls(**{
-        f.name: getattr(columns, f.name)[start:stop]
         for f in dataclass_fields(cls)
     })
 
@@ -255,17 +204,13 @@ class VectorColumns:
         Row values (including the precomputed derived columns) are
         preserved bit-exactly; ``index`` keeps each row's within-trace
         position so a segment slice scatters back into its own trace's
-        op order.  The suite-batch engine stacks all registered traces
-        this way and runs every ``*_cycles_batch`` kernel once over the
-        result.
+        op order.  :class:`~repro.machine.suitebatch.SuiteColumns`
+        stacks a trace suite this way for the machine grid's one-pass
+        suite costing.
         """
         if not parts:
             return cls.from_ops([], [])
         return _concat_column_fields(cls, parts)
-
-    def slice_rows(self, start: int, stop: int) -> "VectorColumns":
-        """One segment of a stacked column set, as zero-copy views."""
-        return _slice_column_fields(type(self), self, start, stop)
 
 
 @dataclass(frozen=True)
@@ -308,10 +253,6 @@ class ScalarColumns:
         if not parts:
             return cls.from_ops([], [])
         return _concat_column_fields(cls, parts)
-
-    def slice_rows(self, start: int, stop: int) -> "ScalarColumns":
-        """One segment of a stacked column set, as zero-copy views."""
-        return _slice_column_fields(type(self), self, start, stop)
 
 
 @dataclass

@@ -9,8 +9,8 @@ entry per machine — so one broadcasted NumPy pass of shape
 ``(n_ops, n_machines)`` prices a whole trace against a whole design
 space.
 
-The correctness story is the same exact-parity contract the compiled
-engine holds against the legacy per-op path, one level up:
+The correctness story is the same exact-parity contract the columnar
+path holds against the per-op oracle, one level up:
 
 * every grid kernel evaluates the *exact expression* of its per-machine
   ``*_cycles_batch`` sibling, with op columns broadcast as ``(n, 1)``
@@ -25,8 +25,8 @@ engine holds against the legacy per-op path, one level up:
   (exactly-rounded column sums), matching the per-machine ``fsum``.
 
 ``tests/machine/test_grid*.py`` pins the contract down: every
-:class:`GridTraceCost` field equals the per-machine compiled (and hence
-legacy) report bit-for-bit on all registered traces across the six
+:class:`GridTraceCost` field equals the per-machine report (and hence
+the per-op oracle) bit-for-bit on all registered traces across the six
 canonical presets, and on hypothesis-random machines and traces.
 
 REPO009 (:mod:`repro.analysis.repolint`) keeps the pairing closed under
@@ -462,7 +462,7 @@ class MachineGrid:
     # per-op ``*_cycles`` methods (REPO007).
     def vector_op_cycles(self, op, index: int, memory_dilation: float = 1.0) -> float:
         """Per-op reference for one row: the materialized processor's
-        legacy path."""
+        per-op oracle."""
         return self.materialize(index).vector_op_cycles(op, memory_dilation)
 
     def vector_op_cycles_batch(
@@ -481,7 +481,7 @@ class MachineGrid:
         trace keyed by this grid, exactly as the per-machine path
         memoises its cost columns per component set.
         """
-        if memory_dilation < 1.0:
+        if not memory_dilation >= 1.0:  # also rejects NaN
             raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
         v = compiled.vector
         cache = compiled.machine_cache(self)
@@ -567,7 +567,6 @@ class GridTraceCost:
             raw_flops=self.raw_flops,
             flop_equivalents=self.flop_equivalents,
             words_moved=self.words_moved,
-            engine="grid",
         )
 
 
@@ -576,8 +575,8 @@ def cost_trace_grid(
 ) -> GridTraceCost:
     """Cost one trace against every machine of a grid in one pass.
 
-    Bit-exact with executing the trace per machine on the compiled
-    engine: the per-op matrices come from the grid kernels (exact
+    Bit-exact with executing the trace per machine through
+    ``Processor.execute``: the per-op matrices come from the grid kernels (exact
     mirrors of the batch kernels), per-machine totals are exactly-
     rounded column sums, and the derived fields replicate the report
     expressions.  The combined cycles vector is memoised on the

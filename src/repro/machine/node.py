@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.machine.compiled import resolve_engine
 from repro.machine.operations import Trace
 from repro.machine.processor import ExecutionReport, Processor
 from repro.units import MEGA
@@ -74,20 +73,12 @@ class ParallelReport:
 
 @dataclass
 class Node:
-    """A shared-memory node of ``cpu_count`` identical processors.
-
-    ``costing`` pins the costing engine every CPU's execute routes
-    through (``compiled``/``legacy``/``suitebatch``); ``None`` follows
-    the process default.  All engines cost bit-identically, so the knob
-    exists for bisection and for serving node sweeps from a registered
-    suite stack, not for accuracy trade-offs.
-    """
+    """A shared-memory node of ``cpu_count`` identical processors."""
 
     processor: Processor
     cpu_count: int = 32
     sync_base_cycles: float = 300.0
     sync_per_cpu_cycles: float = 40.0
-    costing: str | None = None
 
     def __post_init__(self) -> None:
         if self.cpu_count < 1:
@@ -96,8 +87,6 @@ class Node:
             raise ValueError("node model requires a vector processor with banked memory")
         if self.sync_base_cycles < 0 or self.sync_per_cpu_cycles < 0:
             raise ValueError("synchronisation costs cannot be negative")
-        if self.costing is not None:
-            resolve_engine(self.costing)  # raises on unknown engines
 
     @property
     def name(self) -> str:
@@ -160,15 +149,10 @@ class Node:
         # machine-cached cost vectors; only the dilation-dependent scale
         # is recomputed per CPU count.
         per_cpu = [
-            self.processor.time(trace, memory_dilation=dilation, engine=self.costing)
-            for trace in cpu_traces
+            self.processor.time(trace, memory_dilation=dilation) for trace in cpu_traces
         ]
         parallel_seconds = max(per_cpu)
-        serial_seconds = (
-            self.processor.time(serial, engine=self.costing)
-            if serial is not None
-            else 0.0
-        )
+        serial_seconds = self.processor.time(serial) if serial is not None else 0.0
         sync = self.sync_seconds(cpus, regions)
         total = parallel_seconds + serial_seconds + sync
         raw = math.fsum(trace.raw_flops for trace in cpu_traces) + (
@@ -203,4 +187,4 @@ class Node:
 
     def run_serial(self, trace: Trace) -> ExecutionReport:
         """Single-CPU execution on an otherwise idle node."""
-        return self.processor.execute(trace, engine=self.costing)
+        return self.processor.execute(trace)

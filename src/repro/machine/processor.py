@@ -7,30 +7,25 @@ machines, a vector unit and a banked-memory port.  ``execute`` walks a
 Cray-equivalent), and sustained memory bandwidth — the three quantities
 the paper's tables and figures report.
 
-Two costing engines produce that report:
-
-* ``"compiled"`` (the default) lowers the trace to structure-of-arrays
-  columns (:mod:`repro.machine.compiled`) and costs every op with the
-  components' ``*_cycles_batch`` methods — a handful of NumPy
-  expressions regardless of trace length;
-* ``"legacy"`` walks the trace one descriptor at a time through the
-  per-op methods — the reference the batched path is verified against.
-
-Both engines compute bit-identical per-op cycle counts (the batched
-expressions replicate the per-op arithmetic exactly) and both reduce
-totals with :func:`math.fsum`, so the resulting reports are equal, not
-merely close.
+There is one costing path.  ``execute`` lowers the trace to
+structure-of-arrays columns (:mod:`repro.machine.compiled`) and costs
+every op with the components' ``*_cycles_batch`` methods — a handful of
+NumPy expressions regardless of trace length.  The per-op methods
+(``vector_op_cycles``/``scalar_op_cycles``) stay as the test oracle:
+:meth:`Processor.per_op_cycles` walks a trace through them, and the
+``math.fsum`` of that list is bit-identical to ``execute``'s total (the
+batched expressions replicate the per-op arithmetic exactly, and both
+sides reduce with :func:`math.fsum`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.machine.clock import Clock
-from repro.machine.compiled import CompiledTrace, compile_trace, fsum, resolve_engine
+from repro.machine.compiled import CompiledTrace, compile_trace, fsum
 from repro.machine.memory import BankedMemory
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.scalar_unit import ScalarUnit
@@ -65,7 +60,7 @@ class ExecutionReport:
 
     ``op_names``/``op_cycles`` carry the per-op cycle columns in trace
     order (``op_names`` is shared with the compiled trace, ``op_cycles``
-    is the engine's cycle vector), so :meth:`dominant_op` is an argmax
+    is the costed cycle vector), so :meth:`dominant_op` is an argmax
     over a column rather than a walk over Python tuples.  The
     ``breakdown`` list of ``(name, cycles)`` pairs is only materialised
     when ``execute(..., breakdown=True)`` asked for it — sweeps that
@@ -79,9 +74,8 @@ class ExecutionReport:
     raw_flops: float
     flop_equivalents: float
     words_moved: float
-    engine: str = field(default="legacy", compare=False)
     op_names: tuple[str, ...] = field(default=(), repr=False, compare=False)
-    #: per-op cycles in trace order (ndarray or tuple), parallel to op_names.
+    #: per-op cycles in trace order (ndarray), parallel to op_names.
     op_cycles: object = field(default=(), repr=False, compare=False)
     has_breakdown: bool = field(default=False, repr=False, compare=False)
 
@@ -126,13 +120,9 @@ class ExecutionReport:
         Works from the cycle column regardless of whether the
         ``breakdown`` list was requested.
         """
-        n = len(self.op_names)
-        if n == 0:
+        if not self.op_names:
             return "<empty>"
-        cycles = self.op_cycles
-        if isinstance(cycles, np.ndarray):
-            return self.op_names[int(np.argmax(cycles))]
-        return self.op_names[max(range(n), key=cycles.__getitem__)]
+        return self.op_names[int(np.argmax(self.op_cycles))]
 
 
 @dataclass
@@ -178,7 +168,7 @@ class Processor:
     # -- per-op timing ------------------------------------------------------
     def vector_op_cycles(self, op: VectorOp, memory_dilation: float = 1.0) -> float:
         """Total cycles for all ``count`` executions of a vector loop."""
-        if memory_dilation < 1.0:
+        if not memory_dilation >= 1.0:  # also rejects NaN
             raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
         if self.vector is not None and self.memory is not None:
             arithmetic = self.vector.arithmetic_cycles(op)
@@ -192,6 +182,20 @@ class Processor:
         """Total cycles for all ``count`` executions of a scalar op."""
         return self.scalar.scalar_op_cycles(op) * op.count
 
+    def per_op_cycles(self, trace: Trace, memory_dilation: float = 1.0) -> list[float]:
+        """Each op's cycles in trace order, through the per-op methods.
+
+        The test oracle of :meth:`execute`: its ``op_cycles`` equal this
+        list and its ``cycles`` equal the list's :func:`math.fsum`, bit
+        for bit.
+        """
+        return [
+            self.vector_op_cycles(op, memory_dilation)
+            if isinstance(op, VectorOp)
+            else self.scalar_op_cycles(op)
+            for op in trace
+        ]
+
     # -- batched (columnar) timing ------------------------------------------
     def vector_op_cycles_batch(
         self, compiled: CompiledTrace, memory_dilation: float = 1.0
@@ -203,7 +207,7 @@ class Processor:
         component set, so a dilation sweep recomputes only one scale and
         one elementwise max per point.
         """
-        if memory_dilation < 1.0:
+        if not memory_dilation >= 1.0:  # also rejects NaN
             raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
         v = compiled.vector
         if self.vector is not None and self.memory is not None:
@@ -233,39 +237,6 @@ class Processor:
         return per_execution * s.count
 
     # -- perfmon instrumentation --------------------------------------------
-    def _record_op(self, op: VectorOp | ScalarOp, cycles: float, dilation: float) -> None:
-        """Populate the active profile's counters for one executed op.
-
-        Each component contributes its own increments; the processor
-        adds the totals PROGINF reads directly (op/cycle/second counts).
-        """
-        if isinstance(op, VectorOp):
-            if self.vector is not None and self.memory is not None:
-                perfmon_record("vector_unit", self.vector.perfmon_counters(op))
-                perfmon_record("memory", self.memory.perfmon_counters(op, dilation))
-            else:
-                scalar, cache = self.scalar.perfmon_vector_counters(op)
-                perfmon_record("scalar_unit", scalar)
-                perfmon_record("cache", cache)
-            kind = "vector_cycles"
-            kind_ops = "vector_ops"
-        else:
-            scalar, cache = self.scalar.perfmon_scalar_counters(op)
-            perfmon_record("scalar_unit", scalar)
-            perfmon_record("cache", cache)
-            kind = "scalar_cycles"
-            kind_ops = "scalar_ops"
-        perfmon_record(
-            "processor",
-            {
-                "ops": 1.0,
-                kind_ops: 1.0,
-                "cycles": cycles,
-                kind: cycles,
-                "seconds": self.clock.seconds(cycles),
-            },
-        )
-
     def _record_trace_batch(
         self,
         compiled: CompiledTrace,
@@ -276,9 +247,10 @@ class Processor:
     ) -> None:
         """Populate the active profile's counters from column reductions.
 
-        Produces the same totals as calling :meth:`_record_op` for every
-        op (modulo exactly-rounded vs sequential accumulation), with one
-        record per component instead of one per op.
+        Produces the same totals as recording each op's per-op
+        ``perfmon_counters*`` (modulo exactly-rounded vs sequential
+        accumulation), with one record per component instead of one per
+        op.
         """
         v, s = compiled.vector, compiled.scalar
         if v.n:
@@ -293,8 +265,8 @@ class Processor:
             scalar, cache = self.scalar.perfmon_scalar_counters_batch(s)
             perfmon_record("scalar_unit", scalar)
             perfmon_record("cache", cache)
-        # Record only the op kinds that occurred, matching the key set the
-        # per-op path produces (profile diffs compare dict shapes too).
+        # Record only the op kinds that occurred, matching the key set
+        # per-op recording produces (profile diffs compare dict shapes too).
         increments = {
             "ops": float(compiled.n_ops),
             "cycles": fsum(op_cycles),
@@ -310,83 +282,17 @@ class Processor:
 
     # -- trace execution ------------------------------------------------------
     def execute(
-        self,
-        trace: Trace,
-        memory_dilation: float = 1.0,
-        *,
-        engine: str | None = None,
-        breakdown: bool = False,
+        self, trace: Trace, memory_dilation: float = 1.0, *, breakdown: bool = False
     ) -> ExecutionReport:
         """Run a trace to completion and report time and rates.
 
-        ``engine`` selects the costing path: ``"compiled"`` (columnar,
-        the process default), ``"legacy"`` (per-op reference), or
-        ``"suitebatch"`` (serve member traces from the registered
-        whole-suite fused pass, compiled fallback otherwise); all
-        return equal reports.  ``breakdown=True`` additionally
-        materialises the per-op ``(name, cycles)`` list.
+        ``breakdown=True`` additionally materialises the per-op
+        ``(name, cycles)`` list.
 
         When a :mod:`repro.perfmon` profile is active, every component
         that times an op also populates its counters — this is the
         "counter emulation" layer of the observability subsystem.
         """
-        engine = resolve_engine(engine)
-        if engine == "compiled":
-            return self._execute_compiled(trace, memory_dilation, breakdown)
-        if engine == "suitebatch":
-            return self._execute_suitebatch(trace, memory_dilation, breakdown)
-        return self._execute_legacy(trace, memory_dilation, breakdown)
-
-    def _execute_suitebatch(
-        self, trace: Trace, memory_dilation: float, breakdown: bool
-    ) -> ExecutionReport:
-        """Serve a member trace from the fused whole-suite pass.
-
-        If ``trace`` belongs to the process-registered
-        :class:`~repro.machine.suitebatch.SuiteColumns` stack, the whole
-        suite is costed in one batched kernel pass (memoised per
-        machine and dilation) and this trace's segment becomes the
-        report.  Non-member traces fall back to the compiled path —
-        reports are bit-identical either way, the fallback's ``engine``
-        field just says which path actually ran.  The registry is only
-        *read* here: the engine's pool-worker job path must not mutate
-        module globals (DET005), so workers adopt shared stacks in the
-        pool initializer instead.
-        """
-        from repro.machine import suitebatch
-
-        suite = suitebatch.registered_suite()
-        position = None if suite is None else suite.position_of(trace)
-        if position is None:
-            return self._execute_compiled(trace, memory_dilation, breakdown)
-        vector_cycles, scalar_cycles, op_cycles, total_cycles = (
-            suitebatch.trace_cycles(self, suite, position, memory_dilation)
-        )
-        view = suite.trace_view(position)
-        if perfmon_active() is not None:
-            perfmon_record("processor", {"traces": 1.0})
-            if view.n_ops:
-                self._record_trace_batch(
-                    view, op_cycles, vector_cycles, scalar_cycles, memory_dilation
-                )
-        raw_flops, flop_equivalents, words_moved = suite.trace_totals(position)
-        return ExecutionReport(
-            machine=self.name,
-            trace_name=trace.name,
-            cycles=total_cycles,
-            seconds=self.clock.seconds(total_cycles),
-            raw_flops=raw_flops,
-            flop_equivalents=flop_equivalents,
-            words_moved=words_moved,
-            engine="suitebatch",
-            op_names=view.names,
-            op_cycles=op_cycles,
-            has_breakdown=breakdown,
-        )
-
-    def _execute_compiled(
-        self, trace: Trace, memory_dilation: float, breakdown: bool
-    ) -> ExecutionReport:
         compiled = compile_trace(trace)
         v, s = compiled.vector, compiled.scalar
         # The fully-combined cost columns are themselves memoised per
@@ -428,46 +334,11 @@ class Processor:
             raw_flops=compiled.raw_flops_total(),
             flop_equivalents=compiled.flop_equivalents_total(),
             words_moved=compiled.words_moved_total(),
-            engine="compiled",
             op_names=compiled.names,
             op_cycles=op_cycles,
             has_breakdown=breakdown,
         )
 
-    def _execute_legacy(
-        self, trace: Trace, memory_dilation: float, breakdown: bool
-    ) -> ExecutionReport:
-        op_names: list[str] = []
-        op_cycles: list[float] = []
-        profiling = perfmon_active() is not None
-        if profiling:
-            perfmon_record("processor", {"traces": 1.0})
-        for op in trace:
-            if isinstance(op, VectorOp):
-                cycles = self.vector_op_cycles(op, memory_dilation)
-            else:
-                cycles = self.scalar_op_cycles(op)
-            if profiling:
-                self._record_op(op, cycles, memory_dilation)
-            op_names.append(op.name)
-            op_cycles.append(cycles)
-        total_cycles = math.fsum(op_cycles)
-        return ExecutionReport(
-            machine=self.name,
-            trace_name=trace.name,
-            cycles=total_cycles,
-            seconds=self.clock.seconds(total_cycles),
-            raw_flops=trace.raw_flops,
-            flop_equivalents=trace.flop_equivalents,
-            words_moved=trace.words_moved,
-            engine="legacy",
-            op_names=tuple(op_names),
-            op_cycles=tuple(op_cycles),
-            has_breakdown=breakdown,
-        )
-
-    def time(
-        self, trace: Trace, memory_dilation: float = 1.0, *, engine: str | None = None
-    ) -> float:
+    def time(self, trace: Trace, memory_dilation: float = 1.0) -> float:
         """Shorthand: wall-clock seconds for a trace."""
-        return self.execute(trace, memory_dilation, engine=engine).seconds
+        return self.execute(trace, memory_dilation).seconds

@@ -1,133 +1,30 @@
-"""Fused suite-batch costing: one NumPy pass for a whole trace suite.
+"""Suite stacking: a whole trace suite as one ragged column set.
 
-The compiled engine (:mod:`repro.machine.compiled`) removed the per-op
-interpreter bound, but a full-suite costing still loops over the 16
-registered traces one ``CompiledTrace`` at a time — 16 engine
-dispatches, 16 cache probes, 16 report constructions per sweep point.
-This module removes that bound too: :class:`SuiteColumns` concatenates
-every trace's ``VectorColumns``/``ScalarColumns`` into one ragged
-stack (segment offsets plus a per-op trace-index column over the
-concatenated rows), and :func:`cost_suite_batch` evaluates every
-``*_cycles_batch`` kernel **once** over the stacked columns, then
-segment-reduces back to per-trace :class:`ExecutionReport`\\ s.
+:class:`SuiteColumns` concatenates every trace's
+``VectorColumns``/``ScalarColumns`` into one ragged stack, with segment
+offsets delimiting each trace's rows.  The machine grid's
+:func:`~repro.machine.grid.cost_suite_trace_grid` costs the stack
+against every machine in a single ``(n_ops, n_machines)`` broadcast
+pass, then reduces each trace's segment on its own.
 
-Exactness is inherited, not re-proven: every batch kernel is
-elementwise per row (the repo linter's REPO011 rule keeps it that
-way), so a stacked row costs to the same double as the same row costed
-through its own trace; and the per-segment reductions go through
-:func:`math.fsum`, whose exactly-rounded result is independent of
-operand order.  Reports are therefore ``==`` to the compiled per-trace
-path — asserted on all 16 traces x 6 canonical presets in
-``tests/machine/test_suitebatch.py`` and on hypothesis-random subsets.
-
-The stack is also the unit of sharing.  :func:`pack_suite` serialises
-a ``SuiteColumns`` to one contiguous byte payload (JSON header + raw
-little-endian column bytes, bit-exact round-trip) that the engine's
-:class:`~repro.engine.store.ColumnCache` publishes through
-``multiprocessing.shared_memory`` (mmap-file fallback) so pool workers
-attach to precomputed columns instead of re-deriving them per process.
-Worker adoption happens in the pool *initializer* — never on the job
-path, which must not mutate module globals (DET005).
-
-``np.add.reduceat`` over the segment offsets (:func:`segment_sums`)
-is the fast float reduction over the same ragged layout; the costing
-paths use :func:`fsum_segments` because parity demands exact rounding.
+Exactness is inherited, not re-proven: stacking copies raw float64
+rows, every grid kernel is elementwise per row, and the per-segment
+reductions go through :func:`math.fsum`, whose exactly-rounded result
+is independent of operand order.  A stacked trace therefore costs to
+the same doubles as the same trace costed alone — pinned in
+``tests/machine/test_suitebatch.py``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
-from dataclasses import fields as dataclass_fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.machine.compiled import (
-    CompiledTrace,
-    ScalarColumns,
-    VectorColumns,
-    compile_trace,
-)
-from repro.machine.operations import Trace
-from repro.machine.processor import ExecutionReport, Processor
-from repro.perfmon.collector import active as perfmon_active
-from repro.perfmon.collector import record as perfmon_record
-from repro.perfmon.counters import declare_counters
+from repro.machine.compiled import ScalarColumns, VectorColumns, compile_trace
 
-__all__ = [
-    "PACK_SCHEMA",
-    "SuiteColumns",
-    "cost_suite_batch",
-    "fsum_segments",
-    "segment_sums",
-    "trace_cycles",
-    "pack_suite",
-    "unpack_suite",
-    "register_suite",
-    "registered_suite",
-    "registered_suite_key",
-    "clear_registered_suite",
-]
-
-declare_counters(
-    "suitebatch",
-    (
-        "suites",  # cost_suite_batch invocations
-        "suite_traces",  # traces per invocation
-        "costings",  # fused kernel passes actually computed
-        "memo_hits",  # invocations served from the (machine, dilation) memo
-        # suite stacks built from scratch — recorded by the registry's
-        # analysis.traces.build_suite_columns, the derive path a fresh
-        # process pays when no shared segment is attachable.
-        "derives",
-    ),
-)
-
-#: Serialization schema of :func:`pack_suite` payloads.
-PACK_SCHEMA = 1
-
-_PACK_MAGIC = b"RSBC"
-
-_EMPTY_CYCLES = np.zeros(0, dtype=np.float64)
-
-
-def fsum_segments(values: np.ndarray, offsets: np.ndarray) -> list[float]:
-    """Exactly-rounded per-segment sums of a stacked column.
-
-    Segment ``i`` spans ``values[offsets[i]:offsets[i + 1]]``; empty
-    segments sum to an exact ``0.0``.  Because ``math.fsum`` tracks
-    exact partial sums, each result is independent of row order — the
-    property that makes the suite-batch totals bit-identical to the
-    per-trace compiled totals.
-    """
-    return [
-        math.fsum(values[offsets[i]:offsets[i + 1]].tolist())
-        for i in range(len(offsets) - 1)
-    ]
-
-
-def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Fast per-segment sums via ``np.add.reduceat`` (ordinary doubles).
-
-    The vectorised face of the same ragged layout, for consumers that
-    want throughput over exact rounding.  Empty segments sum to 0.0
-    (``reduceat``'s repeated-index quirk is masked out).  The costing
-    paths use :func:`fsum_segments` instead: parity with the compiled
-    engine requires exactly-rounded totals.
-    """
-    n = len(offsets) - 1
-    out = np.zeros(n, dtype=np.float64)
-    if values.shape[0] == 0 or n == 0:
-        return out
-    starts = np.asarray(offsets[:-1], dtype=np.intp)
-    nonempty = np.flatnonzero(offsets[1:] > offsets[:-1])
-    if nonempty.size:
-        # Consecutive non-empty starts bound exactly one segment each
-        # (empty segments contribute no rows in between), so reducing at
-        # the non-empty starts alone reconstructs every segment sum.
-        out[nonempty] = np.add.reduceat(values, starts[nonempty])
-    return out
+__all__ = ["SuiteColumns"]
 
 
 @dataclass
@@ -137,78 +34,48 @@ class SuiteColumns:
     ``vector``/``scalar`` are ordinary column sets over the
     *concatenation* of every member trace's rows (each row bit-identical
     to its source, ``index`` still holding within-trace positions), so
-    the machine components' ``*_cycles_batch`` kernels — and the grid's
-    ``*_cycles_grid`` kernels — accept a ``SuiteColumns`` anywhere they
-    accept a ``CompiledTrace``.  ``vector_offsets``/``scalar_offsets``
-    delimit each trace's segment; ``vector_trace``/``scalar_trace`` map
-    each stacked row to its owning trace index.
+    the grid's ``*_cycles_grid`` kernels accept a ``SuiteColumns``
+    anywhere they accept a ``CompiledTrace``.  ``vector_offsets``/
+    ``scalar_offsets`` delimit each trace's segment.
 
-    Like :class:`CompiledTrace`, machine-dependent cost columns are
-    memoised per component set in :meth:`machine_cache` — one stack
-    costs on any processor, and a dilation sweep recomputes only the
-    dilation-dependent max.
+    Like :class:`~repro.machine.compiled.CompiledTrace`,
+    machine-dependent cost columns are memoised per component set in
+    :meth:`machine_cache`.
     """
 
     trace_ids: tuple[str, ...]
     trace_names: tuple[str, ...]
-    names: tuple[tuple[str, ...], ...]  # per-trace op names, trace order
     vector: VectorColumns
     scalar: ScalarColumns
     vector_offsets: np.ndarray  # (n_traces + 1,) intp segment bounds
     scalar_offsets: np.ndarray
-    vector_trace: np.ndarray  # (n_vector_rows,) intp owning-trace index
-    scalar_trace: np.ndarray
     _machine_caches: dict = field(default_factory=dict, repr=False)
     #: strong refs pinning cached components so their ids stay unique.
     _pins: list[tuple] = field(default_factory=list, repr=False)
     #: machine-independent per-trace totals, computed once per stack.
     _totals: dict[str, list[float]] = field(default_factory=dict, repr=False)
-    #: lazily-built per-trace CompiledTrace views over the stack.
-    _views: list = field(default_factory=list, repr=False)
-    #: id(trace) -> position for member traces (identity matching).
-    _member_positions: dict[int, int] = field(default_factory=dict, repr=False)
-    #: strong refs pinning member traces so their ids stay unique.
-    _member_pins: tuple = field(default=(), repr=False)
 
     @property
     def n_traces(self) -> int:
         return len(self.trace_ids)
-
-    @property
-    def n_ops(self) -> int:
-        """Total stacked rows across every member trace."""
-        return self.vector.n + self.scalar.n
 
     @classmethod
     def from_traces(cls, traces) -> "SuiteColumns":
         """Stack ``(trace_id, Trace)`` pairs into one suite column set.
 
         Each trace is compiled (or fetched from its compile cache) and
-        its columns concatenated bit-exactly.  The source trace objects
-        are pinned for identity matching: ``Processor.execute(...,
-        engine="suitebatch")`` serves member traces from the fused pass.
+        its columns concatenated bit-exactly.
         """
         pairs = list(traces)
         compiled = [compile_trace(trace) for _, trace in pairs]
-        n = len(pairs)
-        v_counts = [c.vector.n for c in compiled]
-        s_counts = [c.scalar.n for c in compiled]
-        suite = cls(
+        return cls(
             trace_ids=tuple(trace_id for trace_id, _ in pairs),
             trace_names=tuple(trace.name for _, trace in pairs),
-            names=tuple(c.names for c in compiled),
             vector=VectorColumns.stack([c.vector for c in compiled]),
             scalar=ScalarColumns.stack([c.scalar for c in compiled]),
-            vector_offsets=_offsets(v_counts),
-            scalar_offsets=_offsets(s_counts),
-            vector_trace=np.repeat(np.arange(n, dtype=np.intp), v_counts),
-            scalar_trace=np.repeat(np.arange(n, dtype=np.intp), s_counts),
+            vector_offsets=_offsets([c.vector.n for c in compiled]),
+            scalar_offsets=_offsets([c.scalar.n for c in compiled]),
         )
-        suite._member_positions = {
-            id(trace): i for i, (_, trace) in enumerate(pairs)
-        }
-        suite._member_pins = tuple(trace for _, trace in pairs)
-        return suite
 
     def machine_cache(self, *components) -> dict:
         """Per-component-set memo dict (same contract as CompiledTrace)."""
@@ -219,38 +86,6 @@ class SuiteColumns:
             self._machine_caches[key] = cache
             self._pins.append(components)
         return cache
-
-    def position_of(self, trace: Trace) -> int | None:
-        """This trace's suite position, or None if it is not a member.
-
-        Matching is by object identity (the stack pins its members); a
-        trace mutated since stacking (``append``/``extend``) no longer
-        matches, so callers fall back to compiling it fresh.
-        """
-        i = self._member_positions.get(id(trace))
-        if i is None or len(trace.ops) != len(self.names[i]):
-            return None
-        return i
-
-    def trace_view(self, i: int) -> CompiledTrace:
-        """Trace ``i``'s segment of the stack, as a ``CompiledTrace``.
-
-        The view's columns are zero-copy slices of the stacked arrays,
-        so its rows are *the same doubles* the fused pass costs; it
-        exists to reuse ``scatter_cycles`` and the perfmon column
-        reductions per trace.  Views are memoised per stack.
-        """
-        if not self._views:
-            self._views = [None] * self.n_traces
-        view = self._views[i]
-        if view is None:
-            vo, so = self.vector_offsets, self.scalar_offsets
-            view = self._views[i] = CompiledTrace(
-                names=self.names[i],
-                vector=self.vector.slice_rows(int(vo[i]), int(vo[i + 1])),
-                scalar=self.scalar.slice_rows(int(so[i]), int(so[i + 1])),
-            )
-        return view
 
     # -- aggregate accounting (exact: fsum over each trace's segment) ------
     def _segment_totals(
@@ -292,266 +127,3 @@ def _offsets(counts: list[int]) -> np.ndarray:
     out = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=out[1:])
     return out
-
-
-# -- process-wide registration (read on the hot path, written only from
-# -- main/initializer paths: the engine's job path must stay free of
-# -- module-global mutation, which DET005 enforces) ----------------------
-_registered: SuiteColumns | None = None
-_registered_key: str | None = None
-
-
-def register_suite(suite: SuiteColumns, key: str | None = None) -> SuiteColumns:
-    """Install the process-wide suite the ``suitebatch`` engine serves.
-
-    ``key`` (the content hash of the packed payload, when known) lets a
-    pool worker recognise an already-adopted stack without re-reading
-    the shared segment.
-    """
-    global _registered, _registered_key
-    _registered = suite
-    _registered_key = key
-    return suite
-
-
-def registered_suite() -> SuiteColumns | None:
-    """The installed suite stack, if any (read-only on the job path)."""
-    return _registered
-
-
-def registered_suite_key() -> str | None:
-    """Content key the installed stack was adopted under, if any."""
-    return _registered_key
-
-
-def clear_registered_suite() -> None:
-    """Uninstall the process-wide suite (tests and teardown)."""
-    global _registered, _registered_key
-    _registered = None
-    _registered_key = None
-
-
-# -- the fused costing pass ---------------------------------------------
-def _suite_cycles(
-    processor: Processor, suite: SuiteColumns, memory_dilation: float
-) -> tuple[tuple, bool]:
-    """Per-trace cycle segments for one (machine, dilation) point.
-
-    Runs each ``*_cycles_batch`` kernel once over the stacked columns,
-    then slices per-trace segments and fsums each — memoised on the
-    stack per (components, dilation) exactly like the compiled path's
-    ``cost@`` entries, so sweep steady state is a dictionary lookup.
-    Returns ``(entries, hit)`` with ``entries[i] = (vector_segment,
-    scalar_segment, op_cycles_in_trace_order, total_cycles)``.
-    """
-    cache = suite.machine_cache(processor.vector, processor.memory, processor.scalar)
-    key = f"suite_cost@{float(memory_dilation)!r}"
-    entries = cache.get(key)
-    if entries is not None:
-        return entries, True
-    vector_cycles = (
-        processor.vector_op_cycles_batch(suite, memory_dilation)
-        if suite.vector.n
-        else _EMPTY_CYCLES
-    )
-    scalar_cycles = (
-        processor.scalar_op_cycles_batch(suite) if suite.scalar.n else _EMPTY_CYCLES
-    )
-    vo, so = suite.vector_offsets, suite.scalar_offsets
-    built = []
-    for i in range(suite.n_traces):
-        vector_segment = vector_cycles[vo[i]:vo[i + 1]]
-        scalar_segment = scalar_cycles[so[i]:so[i + 1]]
-        op_cycles = suite.trace_view(i).scatter_cycles(vector_segment, scalar_segment)
-        built.append((
-            vector_segment,
-            scalar_segment,
-            op_cycles,
-            # fsum over the two segments: the same multiset of per-op
-            # cycles the compiled path fsums for this trace alone.
-            math.fsum(vector_segment.tolist() + scalar_segment.tolist()),
-        ))
-    entries = cache[key] = tuple(built)
-    return entries, False
-
-
-def trace_cycles(
-    processor: Processor,
-    suite: SuiteColumns,
-    position: int,
-    memory_dilation: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """One member trace's cycle data from the (memoised) fused pass."""
-    entries, _ = _suite_cycles(processor, suite, memory_dilation)
-    return entries[position]
-
-
-def cost_suite_batch(
-    processor: Processor,
-    suite: SuiteColumns,
-    memory_dilation: float = 1.0,
-    *,
-    breakdown: bool = False,
-) -> list[ExecutionReport]:
-    """Cost every suite trace on one machine in a single fused pass.
-
-    Returns per-trace reports in suite order, each ``==`` to what
-    ``processor.execute(trace, memory_dilation, engine="compiled")``
-    returns for the same trace.  The report list is memoised with the
-    cycle columns: steady state (the sweep regime) is one cache probe
-    plus a list copy, so a full-suite re-costing is no longer bounded
-    by 16 per-trace engine dispatches.  The report objects and their
-    cycle arrays are shared across calls — treat them as read-only.
-    """
-    entries, hit = _suite_cycles(processor, suite, memory_dilation)
-    cache = suite.machine_cache(processor.vector, processor.memory, processor.scalar)
-    reports_key = f"suite_reports@{float(memory_dilation)!r}"
-    reports = cache.get(reports_key)
-    if reports is None:
-        reports = cache[reports_key] = [
-            ExecutionReport(
-                machine=processor.name,
-                trace_name=suite.trace_names[i],
-                cycles=entries[i][3],
-                seconds=processor.clock.seconds(entries[i][3]),
-                raw_flops=suite.trace_totals(i)[0],
-                flop_equivalents=suite.trace_totals(i)[1],
-                words_moved=suite.trace_totals(i)[2],
-                engine="suitebatch",
-                op_names=suite.names[i],
-                op_cycles=entries[i][2],
-            )
-            for i in range(suite.n_traces)
-        ]
-    if perfmon_active() is not None:
-        perfmon_record(
-            "suitebatch",
-            {
-                "suites": 1.0,
-                "suite_traces": float(suite.n_traces),
-                "costings": 0.0 if hit else 1.0,
-                "memo_hits": 1.0 if hit else 0.0,
-            },
-        )
-        # Mirror the compiled path per trace: same counter components,
-        # same key shapes, same exactly-rounded values.
-        for i in range(suite.n_traces):
-            perfmon_record("processor", {"traces": 1.0})
-            view = suite.trace_view(i)
-            if view.n_ops:
-                processor._record_trace_batch(
-                    view, entries[i][2], entries[i][0], entries[i][1], memory_dilation
-                )
-    if breakdown:
-        return [replace(report, has_breakdown=True) for report in reports]
-    return list(reports)
-
-
-# -- bit-exact serialization (the shared-column payload) -----------------
-def _column_fields(cls) -> list[str]:
-    return [f.name for f in dataclass_fields(cls)]
-
-
-def pack_suite(suite: SuiteColumns) -> bytes:
-    """Serialise a suite stack to one contiguous byte payload.
-
-    Layout: 4-byte magic, 8-byte little-endian header length, a JSON
-    header (schema, trace ids/names, per-array dtype + shape), then the
-    raw column bytes back to back.  Raw bytes round-trip every double
-    bit-exactly, which is what lets an attached worker cost the shared
-    stack to the same results the publisher would.
-    """
-    specs: list[dict] = []
-    chunks: list[bytes] = []
-
-    def add(name: str, array: np.ndarray) -> None:
-        data = np.ascontiguousarray(array)
-        specs.append({
-            "name": name,
-            "dtype": data.dtype.str,  # endian-explicit, e.g. "<f8"
-            "shape": list(data.shape),
-        })
-        chunks.append(data.tobytes())
-
-    for field_name in _column_fields(VectorColumns):
-        add(f"vector.{field_name}", getattr(suite.vector, field_name))
-    for field_name in _column_fields(ScalarColumns):
-        add(f"scalar.{field_name}", getattr(suite.scalar, field_name))
-    add("vector_offsets", suite.vector_offsets)
-    add("scalar_offsets", suite.scalar_offsets)
-    add("vector_trace", suite.vector_trace)
-    add("scalar_trace", suite.scalar_trace)
-
-    header = json.dumps(
-        {
-            "schema": PACK_SCHEMA,
-            "trace_ids": list(suite.trace_ids),
-            "trace_names": list(suite.trace_names),
-            "names": [list(names) for names in suite.names],
-            "arrays": specs,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    return b"".join(
-        [_PACK_MAGIC, len(header).to_bytes(8, "little"), header, *chunks]
-    )
-
-
-def unpack_suite(payload: bytes) -> SuiteColumns:
-    """Rebuild a suite stack from :func:`pack_suite` bytes (bit-exact).
-
-    Raises ``ValueError`` on a foreign or truncated payload.  Member
-    pins are not serialised: an adopted stack matches no trace by
-    identity, so ``engine="suitebatch"`` falls back to the compiled
-    path for locally-built traces while :func:`cost_suite_batch` costs
-    the stack directly.
-    """
-    if payload[:4] != _PACK_MAGIC:
-        raise ValueError("not a packed suite-column payload (bad magic)")
-    header_len = int.from_bytes(payload[4:12], "little")
-    try:
-        header = json.loads(payload[12:12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"corrupt suite-column header: {exc}") from None
-    if header.get("schema") != PACK_SCHEMA:
-        raise ValueError(
-            f"unsupported suite-column schema {header.get('schema')!r} "
-            f"(expected {PACK_SCHEMA})"
-        )
-    offset = 12 + header_len
-    arrays: dict[str, np.ndarray] = {}
-    for spec in header["arrays"]:
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(int(n) for n in spec["shape"])
-        count = 1
-        for n in shape:
-            count *= n
-        nbytes = dtype.itemsize * count
-        if offset + nbytes > len(payload):
-            raise ValueError("truncated suite-column payload")
-        arrays[spec["name"]] = (
-            np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-            .reshape(shape)
-            .copy()
-        )
-        offset += nbytes
-    try:
-        vector = VectorColumns(**{
-            name: arrays[f"vector.{name}"] for name in _column_fields(VectorColumns)
-        })
-        scalar = ScalarColumns(**{
-            name: arrays[f"scalar.{name}"] for name in _column_fields(ScalarColumns)
-        })
-        return SuiteColumns(
-            trace_ids=tuple(header["trace_ids"]),
-            trace_names=tuple(header["trace_names"]),
-            names=tuple(tuple(names) for names in header["names"]),
-            vector=vector,
-            scalar=scalar,
-            vector_offsets=arrays["vector_offsets"],
-            scalar_offsets=arrays["scalar_offsets"],
-            vector_trace=arrays["vector_trace"],
-            scalar_trace=arrays["scalar_trace"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"suite-column payload missing array {exc}") from None

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.analysis.traces import TRACE_BUILDERS
-from repro.machine.compiled import resolve_engine
 from repro.machine.operations import Trace
 from repro.machine.presets import sx4_processor
 from repro.machine.processor import ExecutionReport, Processor
@@ -151,20 +150,16 @@ class KernelProfile:
 
 
 def profile_trace(
-    trace: Trace, processor: Processor | None = None, engine: str | None = None
+    trace: Trace, processor: Processor | None = None
 ) -> tuple[ExecutionReport, Profile]:
     """Execute a trace under a fresh profile; return report + profile.
 
     The default machine is the calibrated SX-4 — the machine whose
-    PROGINF the subsystem emulates.  ``engine`` selects the costing path
-    (``"compiled"``/``"legacy"``, default the process engine) and is
-    recorded in the profile metadata so saved profiles say which path
-    produced their counters.
+    PROGINF the subsystem emulates.
     """
     processor = processor or sx4_processor()
-    resolved = resolve_engine(engine)
-    with profile(machine=processor.name, trace=trace.name, engine=resolved) as prof:
-        report = processor.execute(trace, engine=resolved)
+    with profile(machine=processor.name, trace=trace.name) as prof:
+        report = processor.execute(trace)
     return report, prof
 
 

@@ -3,8 +3,7 @@
 Usage::
 
     python -m repro.service serve  [--host H] [--port P] [--cache-dir D]
-                                   [--jobs N] [--costing ENGINE]
-                                   [--tenants FILE] [--paused]
+                                   [--jobs N] [--tenants FILE] [--paused]
                                    [--ready-file F] [--drain-timeout S]
                                    [--stall-timeout S]
     python -m repro.service submit [--host H] [--port P] (--body JSON |
@@ -52,10 +51,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"error: cannot load tenants file: {exc}", file=sys.stderr)
             return 1
-    if args.costing is not None:
-        from repro.machine.compiled import set_default_engine
-
-        set_default_engine(args.costing)
     app = ServiceApp(
         root=args.cache_dir,
         tenants=tenants,
@@ -178,13 +173,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="store root (results, chunks, job spool)")
     p_serve.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="engine worker processes per suite job")
-    from repro.machine.compiled import ENGINES
-
-    p_serve.add_argument("--costing", choices=ENGINES, default=None,
-                         metavar="ENGINE",
-                         help="costing engine served jobs execute with "
-                              "(default: the process default; all engines "
-                              "are bit-identical)")
     p_serve.add_argument("--tenants", default=None, metavar="FILE",
                          help="tenant registry JSON (default: public only)")
     p_serve.add_argument("--paused", action="store_true",

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 from repro.faults.plan import FaultPlan
+from repro.machine.presets import PRESET_FACTORIES
 from repro.service.resolve import JOB_RESOLVERS
 
 __all__ = [
@@ -64,7 +66,7 @@ def _canonical_axes(axes: object) -> list[dict]:
             )
         try:
             values = [float(v) for v in axis["values"]]
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise RequestError(f"axis values must be numbers: {exc}") from exc
         canonical.append({"parameter": str(axis["parameter"]), "values": values})
     return canonical
@@ -85,12 +87,25 @@ def _canonical_suite(payload: dict) -> dict:
 
 
 def _canonical_sweep(payload: dict) -> dict:
+    anchor = payload.get("anchor", "sx4")
+    if not isinstance(anchor, str) or anchor not in PRESET_FACTORIES:
+        raise RequestError(
+            f"unknown sweep anchor {anchor!r}; known: {', '.join(PRESET_FACTORIES)}"
+        )
+    traces = payload.get("traces") or []
+    if not isinstance(traces, list) or any(not isinstance(t, str) for t in traces):
+        raise RequestError("sweep 'traces' must be a list of trace id strings")
+    dilation = payload.get("dilation", 1.0)
+    if isinstance(dilation, bool) or not isinstance(dilation, (int, float)):
+        raise RequestError("sweep 'dilation' must be a number")
+    if not 1.0 <= dilation <= sys.float_info.max:  # rejects NaN and inf too
+        raise RequestError("sweep 'dilation' must be a finite number >= 1")
     return {
-        "anchor": str(payload.get("anchor", "sx4")),
+        "anchor": anchor,
         "axes": _canonical_axes(payload.get("axes", [])),
         "include_presets": bool(payload.get("include_presets", False)),
-        "traces": [str(t) for t in payload.get("traces") or []],
-        "dilation": float(payload.get("dilation", 1.0)),
+        "traces": list(traces),
+        "dilation": float(dilation),
     }
 
 

@@ -20,16 +20,6 @@ with ``--perfmon-out``, a saved profile document for
 in-process: combine ``--perfmon`` with ``--jobs`` > 1 and the workers'
 counters stay in the workers (spans and the kernel PROGINF sections are
 still collected here).
-
-``--costing {compiled,legacy,suitebatch}`` selects the machine-model
-costing engine for the whole run: ``compiled`` (the default) costs
-traces through the columnar fast path of :mod:`repro.machine.compiled`;
-``legacy`` walks every trace per-op — the reference the compiled engine
-is verified against, useful when bisecting a suspected engine
-discrepancy; ``suitebatch`` serves member traces of a registered
-:class:`~repro.machine.suitebatch.SuiteColumns` stack from one fused
-pass over the whole suite (falling back to ``compiled`` for traces
-outside the stack).  All three produce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -41,7 +31,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.traces import experiment_summaries
-from repro.machine.compiled import ENGINES, set_default_engine
 from repro.perfmon.collector import profile as perfmon_profile
 from repro.perfmon.collector import span as perfmon_span
 from repro.suite.experiments import EXPERIMENTS
@@ -219,19 +208,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--perfmon-out", metavar="PATH",
                         help="write the perfmon profile document (JSON) to "
                              "PATH (implies --perfmon)")
-    parser.add_argument("--costing", choices=ENGINES, default=None,
-                        metavar="{compiled,legacy,suitebatch}",
-                        help="costing engine for Processor.execute "
-                             "(default: compiled, the columnar fast path; "
-                             "legacy is the per-op reference; suitebatch "
-                             "fuses the registered suite into one pass)")
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
     if args.perfmon_out:
         args.perfmon = True
     if args.fault_plan:
         args.engine = True
-    if args.costing is not None:
-        set_default_engine(args.costing)
 
     unknown = [exp_id for exp_id in args.ids if exp_id not in EXPERIMENTS]
     if unknown:

@@ -733,205 +733,6 @@ class TestExitCodeContract:
         assert lint_file(path, tmp_path) == []
 
 
-class TestSegmentSafety:
-    """REPO011: public ``*_cycles_batch`` kernels are segment-safe."""
-
-    def lint(self, tmp_path, body):
-        path = write_module(tmp_path, "src/repro/machine/widget.py", body)
-        return [d for d in lint_file(path, tmp_path) if d.rule_id == "REPO011"]
-
-    ELEMENTWISE = """
-    class Widget:
-        def transfer_cycles(self, op):
-            return 0.0
-
-        def transfer_cycles_batch(self, v):
-            return v.loads * v.length / self.width
-    """
-
-    def test_elementwise_kernel_is_clean(self, tmp_path):
-        assert self.lint(tmp_path, self.ELEMENTWISE) == []
-
-    def test_while_loop_flagged(self, tmp_path):
-        found = self.lint(
-            tmp_path,
-            """
-            class Widget:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-                def transfer_cycles_batch(self, v):
-                    i = 0
-                    while i < 10:
-                        i += 1
-                    return v.loads
-            """,
-        )
-        assert len(found) == 1
-        assert "while loop" in found[0].message
-
-    def test_loop_over_a_column_argument_flagged(self, tmp_path):
-        found = self.lint(
-            tmp_path,
-            """
-            class Widget:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-                def transfer_cycles_batch(self, v):
-                    total = 0.0
-                    for row in v.length:
-                        total += row
-                    return total
-            """,
-        )
-        assert len(found) == 1
-        assert "loops over data rows" in found[0].message
-
-    def test_intrinsic_vocabulary_loop_allowed(self, tmp_path):
-        assert self.lint(
-            tmp_path,
-            """
-            INTRINSICS = frozenset({"exp", "sqrt"})
-
-            class Widget:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-                def transfer_cycles_batch(self, v):
-                    cycles = v.length * 0.0
-                    for column, name in enumerate(sorted(INTRINSICS)):
-                        cycles = cycles + v.intrinsics[:, column]
-                    return cycles
-            """,
-        ) == []
-
-    def test_np_unique_loop_allowed(self, tmp_path):
-        assert self.lint(
-            tmp_path,
-            """
-            import numpy as np
-
-            class Widget:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-                def transfer_cycles_batch(self, v):
-                    unique, inverse = np.unique(v.load_stride, return_inverse=True)
-                    factors = np.array([float(s) for s in unique])
-                    return factors[inverse]
-            """,
-        ) == []
-
-    def test_comprehension_over_column_flagged(self, tmp_path):
-        found = self.lint(
-            tmp_path,
-            """
-            class Widget:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-                def transfer_cycles_batch(self, v):
-                    return sum(x for x in v.length)
-            """,
-        )
-        assert len(found) == 1
-        assert "comprehension" in found[0].message
-
-    def test_item_and_tolist_scalarisation_flagged(self, tmp_path):
-        found = self.lint(
-            tmp_path,
-            """
-            class Widget:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-                def transfer_cycles_batch(self, v):
-                    first = v.length.item()
-                    rest = v.loads.tolist()
-                    return first + rest[0]
-            """,
-        )
-        assert len(found) == 2
-        assert ".item()" in found[0].message
-        assert ".tolist()" in found[1].message
-
-    def test_float_of_column_argument_flagged(self, tmp_path):
-        found = self.lint(
-            tmp_path,
-            """
-            class Widget:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-                def transfer_cycles_batch(self, v):
-                    return float(v.length) * self.width
-            """,
-        )
-        assert len(found) == 1
-        assert "float()" in found[0].message
-
-    def test_float_of_machine_scalar_allowed(self, tmp_path):
-        # float(self.<attr>) scalarises machine configuration, not
-        # stacked columns — the vector_unit kernel relies on this.
-        assert self.lint(
-            tmp_path,
-            """
-            import numpy as np
-
-            class Widget:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-                def transfer_cycles_batch(self, v):
-                    sets = np.minimum(float(self.concurrent_sets), v.flops)
-                    return v.length * sets
-            """,
-        ) == []
-
-    def test_private_batch_helpers_out_of_scope(self, tmp_path):
-        # stride_factor_batch-style helpers (not *_cycles_batch) and
-        # private methods may loop; they are plumbing behind the API.
-        assert self.lint(
-            tmp_path,
-            """
-            class Widget:
-                def stride_factor_batch(self, strides):
-                    return [int(s) for s in strides]
-
-                def _transfer_cycles_batch(self, v):
-                    return [row for row in v.length]
-            """,
-        ) == []
-
-    def test_skip_pragma_suppresses(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Widget:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-                def transfer_cycles_batch(self, v):
-                    return float(v.length)  # repolint: skip
-            """,
-        )
-        assert "REPO011" not in rule_ids(lint_file(path, tmp_path))
-
-    def test_out_of_src_not_checked(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "tests/widget.py",
-            """
-            class Widget:
-                def transfer_cycles_batch(self, v):
-                    return float(v.length)
-            """,
-        )
-        assert "REPO011" not in rule_ids(lint_file(path, tmp_path))
-
-
 def test_syntax_error_is_repo000(tmp_path):
     path = write_module(tmp_path, "src/repro/suite/broken.py", "def oops(:\n")
     found = lint_file(path, tmp_path)

@@ -130,7 +130,7 @@ class TestDegradationAxes:
         )
         trace = build_registered_trace("radabs")
         cost = cost_trace_grid(trace, grid)
-        report = degraded.execute(trace, engine="compiled")
+        report = degraded.execute(trace)
         assert cost.cycles[0] == report.cycles
         assert cost.mflops[0] == report.mflops
 
@@ -144,7 +144,7 @@ class TestDegradationAxes:
         )
         trace = build_registered_trace("stream")
         cost = cost_trace_grid(trace, grid)
-        assert cost.cycles[0] == degraded.execute(trace, engine="compiled").cycles
+        assert cost.cycles[0] == degraded.execute(trace).cycles
 
     def test_degradation_applies_after_direct_axes(self):
         grid = ParameterSweep(

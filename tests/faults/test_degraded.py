@@ -1,4 +1,4 @@
-"""Tests for degraded machines and their costing-engine parity."""
+"""Tests for degraded machines and their costing parity with the per-op oracle."""
 
 import pytest
 
@@ -17,6 +17,7 @@ from repro.faults.degraded import (
 from repro.machine.iop import IOProcessor
 from repro.machine.ixs import InternodeCrossbar
 from repro.machine.presets import sx4_processor
+from tests.oracle import assert_matches_oracle
 
 
 class TestDegradation:
@@ -123,7 +124,4 @@ class TestDegradedMachine:
         trace = build_registered_trace("stream")
         for degradation in standard_degradations("sx4"):
             cpu = DegradedMachine("sx4", degradation).processor()
-            legacy = cpu.execute(trace, engine="legacy")
-            compiled = cpu.execute(trace, engine="compiled")
-            assert legacy.cycles == compiled.cycles, degradation.name
-            assert legacy.seconds == compiled.seconds, degradation.name
+            assert_matches_oracle(cpu.execute(trace), cpu, trace)

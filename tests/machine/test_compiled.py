@@ -1,26 +1,22 @@
-"""Compiled (columnar) costing engine: exact parity and cache behavior."""
+"""Columnar costing: exact parity with the per-op oracle, cache behavior."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
 from repro.machine.compiled import (
-    ENGINES,
     SORTED_INTRINSICS,
     CompiledTrace,
     compile_trace,
     fsum,
-    get_default_engine,
-    resolve_engine,
-    set_default_engine,
 )
+from repro.machine.grid import MachineGrid, cost_trace_grid
 from repro.machine.operations import INTRINSICS, ScalarOp, Trace, VectorOp
 from repro.machine.presets import canonical_machines, sx4_processor
 from repro.perfmon.collector import profile
+from tests.oracle import assert_matches_oracle, oracle_counters, oracle_report
 
 ALL_MACHINES = list(canonical_machines().values())
-
-REPORT_FIELDS = ("cycles", "seconds", "raw_flops", "flop_equivalents", "words_moved")
 
 
 def mixed_trace():
@@ -37,49 +33,34 @@ def mixed_trace():
     )
 
 
-def assert_reports_equal(legacy, compiled):
-    for field in REPORT_FIELDS:
-        assert getattr(legacy, field) == getattr(compiled, field), field
-    assert legacy.mflops == compiled.mflops
-    assert legacy.bandwidth_bytes_per_s == compiled.bandwidth_bytes_per_s
-    assert legacy.op_names == tuple(compiled.op_names)
-    assert list(legacy.op_cycles) == list(compiled.op_cycles)
-
-
 class TestExactParity:
     @pytest.mark.parametrize("trace_id", sorted(TRACE_BUILDERS))
     def test_registered_traces_all_machines(self, trace_id):
         trace = build_registered_trace(trace_id)
         for proc in ALL_MACHINES:
-            legacy = proc.execute(trace, engine="legacy")
-            compiled = proc.execute(trace, engine="compiled")
-            assert_reports_equal(legacy, compiled)
+            assert_matches_oracle(proc.execute(trace), proc, trace)
 
     @pytest.mark.parametrize("dilation", [1.0, 1.37, 2.5])
     def test_memory_dilation_parity(self, dilation):
         proc = sx4_processor()
         trace = mixed_trace()
-        legacy = proc.execute(trace, dilation, engine="legacy")
-        compiled = proc.execute(trace, dilation, engine="compiled")
-        assert_reports_equal(legacy, compiled)
+        assert_matches_oracle(proc.execute(trace, dilation), proc, trace, dilation)
 
     def test_cache_machine_parity(self):
         # A cache machine (no vector unit) routes vector ops through the
         # scalar unit's model; the batched path must match there too.
         proc = next(m for m in ALL_MACHINES if m.vector is None)
-        legacy = proc.execute(mixed_trace(), engine="legacy")
-        compiled = proc.execute(mixed_trace(), engine="compiled")
-        assert_reports_equal(legacy, compiled)
+        assert_matches_oracle(proc.execute(mixed_trace()), proc, mixed_trace())
 
     def test_dominant_op_agrees(self):
         proc = sx4_processor()
         trace = mixed_trace()
-        assert (proc.execute(trace, engine="legacy").dominant_op()
-                == proc.execute(trace, engine="compiled").dominant_op())
+        assert (oracle_report(proc, trace).dominant_op()
+                == proc.execute(trace).dominant_op())
 
     def test_empty_trace(self):
         proc = sx4_processor()
-        report = proc.execute(Trace([]), engine="compiled")
+        report = proc.execute(Trace([]))
         assert report.cycles == 0.0
         assert report.seconds == 0.0
         assert report.dominant_op() == "<empty>"
@@ -87,21 +68,31 @@ class TestExactParity:
     def test_dilation_validated_even_when_cached(self):
         proc = sx4_processor()
         trace = mixed_trace()
-        proc.execute(trace, 1.0, engine="compiled")  # populate caches
+        proc.execute(trace, 1.0)  # populate caches
         with pytest.raises(ValueError):
-            proc.execute(trace, 0.5, engine="compiled")
+            proc.execute(trace, 0.5)
+
+    def test_nan_dilation_rejected_on_every_path(self):
+        proc = sx4_processor()
+        trace = mixed_trace()
+        nan = float("nan")
+        with pytest.raises(ValueError, match="cannot shrink"):
+            proc.execute(trace, nan)
+        with pytest.raises(ValueError, match="cannot shrink"):
+            proc.per_op_cycles(trace, nan)
+        with pytest.raises(ValueError, match="cannot shrink"):
+            cost_trace_grid(trace, MachineGrid.from_processors([proc]), nan)
 
     def test_perfmon_counters_match_legacy_shape_and_totals(self):
+        """Column-reduced counters equal per-op recording (the oracle)."""
         proc = sx4_processor()
         trace = build_registered_trace("radabs")
-        with profile() as legacy_prof:
-            proc.execute(trace, engine="legacy")
         with profile() as compiled_prof:
-            proc.execute(trace, engine="compiled")
-        legacy_counters = legacy_prof.counters.to_dict()
+            proc.execute(trace)
+        oracle = oracle_counters(proc, trace)
         compiled_counters = compiled_prof.counters.to_dict()
-        assert legacy_counters.keys() == compiled_counters.keys()
-        for component, counters in legacy_counters.items():
+        assert oracle.keys() == compiled_counters.keys()
+        for component, counters in oracle.items():
             assert counters.keys() == compiled_counters[component].keys()
             for name, value in counters.items():
                 got = compiled_counters[component][name]
@@ -126,15 +117,15 @@ class TestCompileCaching:
     def test_cost_columns_memoised_per_machine_and_dilation(self):
         proc = sx4_processor()
         trace = mixed_trace()
-        a = proc.execute(trace, 1.37, engine="compiled")
-        b = proc.execute(trace, 1.37, engine="compiled")
+        a = proc.execute(trace, 1.37)
+        b = proc.execute(trace, 1.37)
         assert a.op_cycles is b.op_cycles  # steady state: shared cached column
-        c = proc.execute(trace, 1.0, engine="compiled")
+        c = proc.execute(trace, 1.0)
         assert c.op_cycles is not a.op_cycles
 
     def test_distinct_machines_do_not_share_costs(self):
         trace = mixed_trace()
-        reports = [proc.execute(trace, engine="compiled") for proc in ALL_MACHINES]
+        reports = [proc.execute(trace) for proc in ALL_MACHINES]
         assert len({report.cycles for report in reports}) > 1
 
     def test_pickled_trace_drops_compile_cache(self):
@@ -177,35 +168,6 @@ class TestColumns:
             np.array([1.0, 3.0]), np.array([2.0])
         )
         assert out.tolist() == [1.0, 2.0, 3.0]
-
-
-class TestEngineSelection:
-    def test_engines_tuple(self):
-        assert ENGINES == ("compiled", "legacy", "suitebatch")
-
-    def test_default_roundtrip(self):
-        original = get_default_engine()
-        try:
-            assert set_default_engine("legacy") == original
-            assert get_default_engine() == "legacy"
-            assert resolve_engine(None) == "legacy"
-            report = sx4_processor().execute(mixed_trace())
-            assert report.engine == "legacy"
-        finally:
-            set_default_engine(original)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_engine("bogus")
-        with pytest.raises(ValueError):
-            resolve_engine("bogus")
-        with pytest.raises(ValueError):
-            sx4_processor().execute(mixed_trace(), engine="bogus")
-
-    def test_report_records_engine(self):
-        proc = sx4_processor()
-        assert proc.execute(mixed_trace(), engine="compiled").engine == "compiled"
-        assert proc.execute(mixed_trace(), engine="legacy").engine == "legacy"
 
 
 def test_fsum_matches_math_fsum():

@@ -1,9 +1,9 @@
-"""Property-based parity tests: compiled vs legacy costing on random traces.
+"""Property-based parity tests: columnar costing vs the per-op oracle.
 
-The compiled engine's contract is bit-parity with the per-op reference,
+``Processor.execute``'s contract is bit-parity with the per-op methods,
 so these properties assert *equality* on the ExecutionReport (per-op
 cycles included) for arbitrary generated traces, and ulp-scale agreement
-on perfmon counter totals (the one place the two paths accumulate in a
+on perfmon counter totals (the one place the two sides accumulate in a
 different order: fsum versus sequential addition).
 """
 
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.machine.operations import INTRINSICS, ScalarOp, Trace, VectorOp
 from repro.machine.presets import sx4_processor, table1_machines
 from repro.perfmon.collector import profile
+from tests.oracle import assert_matches_oracle, oracle_counters
 
 SX4 = sx4_processor()
 #: A Table 1 machine without a vector unit: vector ops cost through the
@@ -72,16 +73,7 @@ def ulps_apart(a: float, b: float) -> float:
 
 
 def assert_report_parity(processor, trace, dilation=1.0):
-    legacy = processor.execute(trace, dilation, engine="legacy")
-    compiled = processor.execute(trace, dilation, engine="compiled")
-    assert list(legacy.op_cycles) == list(compiled.op_cycles)
-    assert legacy.cycles == compiled.cycles
-    assert legacy.seconds == compiled.seconds
-    assert legacy.raw_flops == compiled.raw_flops
-    assert legacy.flop_equivalents == compiled.flop_equivalents
-    assert legacy.words_moved == compiled.words_moved
-    assert legacy.mflops == compiled.mflops
-    assert legacy.bandwidth_bytes_per_s == compiled.bandwidth_bytes_per_s
+    assert_matches_oracle(processor.execute(trace, dilation), processor, trace, dilation)
 
 
 @given(trace=traces)
@@ -104,28 +96,26 @@ def test_dilated_report_parity(trace, dilation):
 @settings(max_examples=50)
 def test_perfmon_counter_totals_parity(trace):
     """Counter key sets match exactly; totals agree to ulp scale."""
-    with profile() as legacy_prof:
-        SX4.execute(trace, engine="legacy")
     with profile() as compiled_prof:
-        SX4.execute(trace, engine="compiled")
-    legacy = legacy_prof.counters.to_dict()
+        SX4.execute(trace)
+    oracle = oracle_counters(SX4, trace)
     compiled = compiled_prof.counters.to_dict()
-    assert legacy.keys() == compiled.keys()
-    for component, counters in legacy.items():
+    assert oracle.keys() == compiled.keys()
+    for component, counters in oracle.items():
         assert counters.keys() == compiled[component].keys(), component
         for name, value in counters.items():
             got = compiled[component][name]
             # fsum vs sequential accumulation: allow a sliver of drift
             # proportional to the number of contributing ops.
             assert ulps_apart(value, got) <= 64.0 * max(1, len(trace)), (
-                f"{component}.{name}: legacy={value!r} compiled={got!r}"
+                f"{component}.{name}: oracle={value!r} compiled={got!r}"
             )
 
 
 @given(trace=traces)
 @settings(max_examples=25)
 def test_compiled_matches_trace_aggregates(trace):
-    report = SX4.execute(trace, engine="compiled")
+    report = SX4.execute(trace)
     assert report.raw_flops == trace.raw_flops
     assert report.flop_equivalents == trace.flop_equivalents
     assert report.words_moved == trace.words_moved

@@ -104,14 +104,14 @@ class TestMaterialize:
 
 
 class TestExactParity:
-    """The tentpole contract: grid == per-machine compiled, bit for bit."""
+    """The tentpole contract: grid == per-machine execute, bit for bit."""
 
     @pytest.mark.parametrize("trace_id", ALL_TRACE_IDS)
     def test_all_traces_all_presets(self, grid, machines, trace_id):
         trace = build_registered_trace(trace_id)
         cost = cost_trace_grid(trace, grid)
         for j, processor in enumerate(machines.values()):
-            report = processor.execute(trace, engine="compiled")
+            report = processor.execute(trace)
             assert cost.cycles[j] == report.cycles
             assert cost.seconds[j] == report.seconds
             assert cost.mflops[j] == report.mflops
@@ -131,7 +131,7 @@ class TestExactParity:
         cost = cost_trace_grid(trace, grid)
         for j, processor in enumerate(machines.values()):
             report = cost.report(j)
-            direct = processor.execute(trace, engine="compiled")
+            direct = processor.execute(trace)
             assert report.cycles == direct.cycles
             assert report.seconds == direct.seconds
             assert report.machine == direct.machine

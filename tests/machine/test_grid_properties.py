@@ -5,17 +5,19 @@ cannot:
 
 * a random *grid point* (random clock/pipes/banks/cache geometry around
   the calibrated presets) must cost every trace bit-identically to
-  building that machine as a :class:`Processor` and executing on the
-  compiled path — the grid is the same model over any parameters, not
+  building that machine as a :class:`Processor` and executing it —
+  the grid is the same model over any parameters, not
   just the six the presets happen to use;
 * a random *trace* against the canonical grid must match per-machine
   execution — the op side of the broadcast is as arbitrary as the
   machine side.
 
-A smaller sample additionally chains down to the legacy per-op engine
-(compiled==legacy is already pinned elsewhere; asserting it here closes
+A smaller sample additionally chains down to the per-op oracle
+(execute==oracle is already pinned elsewhere; asserting it here closes
 the loop grid -> batch -> per-op on the same inputs).
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -115,7 +117,7 @@ def test_random_grid_point_matches_direct_processor(point, trace):
     grid = build_point_grid(vector, overrides)
     cost = cost_trace_grid(trace, grid)
     processor = grid.materialize(0)
-    report = processor.execute(trace, engine="compiled")
+    report = processor.execute(trace)
     assert cost.cycles[0] == report.cycles
     assert cost.seconds[0] == report.seconds
     assert cost.mflops[0] == report.mflops
@@ -129,9 +131,10 @@ def test_random_grid_point_chains_to_legacy(point):
     grid = build_point_grid(vector, overrides)
     trace = build_registered_trace("hint")
     cost = cost_trace_grid(trace, grid)
-    legacy = grid.materialize(0).execute(trace, engine="legacy")
-    assert cost.cycles[0] == legacy.cycles
-    assert cost.seconds[0] == legacy.seconds
+    processor = grid.materialize(0)
+    oracle = math.fsum(processor.per_op_cycles(trace))
+    assert cost.cycles[0] == oracle
+    assert cost.seconds[0] == processor.clock.seconds(oracle)
 
 
 @given(trace=traces, dilation=st.floats(min_value=1.0, max_value=4.0, allow_nan=False))
@@ -140,6 +143,6 @@ def test_random_trace_matches_per_machine_execution(trace, dilation):
     grid = MachineGrid.from_processors(CANONICAL)
     cost = cost_trace_grid(trace, grid, memory_dilation=dilation)
     for j, processor in enumerate(CANONICAL):
-        report = processor.execute(trace, memory_dilation=dilation, engine="compiled")
+        report = processor.execute(trace, memory_dilation=dilation)
         assert cost.cycles[j] == report.cycles
         assert cost.mflops[j] == report.mflops

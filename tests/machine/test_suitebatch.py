@@ -1,39 +1,21 @@
-"""Fused suite-batch costing: structure, bit-exact parity, sharing.
+"""Suite stacking: structure and bit-exact parity of the stacked grid pass.
 
-The suitebatch engine's contract mirrors the compiled engine's: it is a
-*faster spelling* of the same model, never a different one.  The core
-tests therefore assert ``==`` on ExecutionReports (and exact equality on
-per-op cycle columns) across every registered trace, every canonical
-preset, and multiple dilations — one fused pass against sixteen
-per-trace compiled dispatches.
+A :class:`SuiteColumns` stack is costed by the machine grid in one
+``(n_ops, n_machines)`` pass.  It is a *faster spelling* of the same
+model, never a different one, so the core tests assert exact equality
+between every stacked (trace, machine) cost and ``Processor.execute``
+on that trace alone — across every registered trace, every canonical
+preset and multiple dilations.
 """
-
-import math
 
 import numpy as np
 import pytest
 
-from repro.analysis.traces import (
-    TRACE_BUILDERS,
-    build_registered_trace,
-    build_suite_columns,
-)
-from repro.machine.grid import MachineGrid, cost_trace_grid, cost_suite_trace_grid
-from repro.machine.node import Node
+from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
+from repro.machine.compiled import compile_trace
+from repro.machine.grid import MachineGrid, cost_suite_trace_grid, cost_trace_grid
 from repro.machine.presets import canonical_machines, sx4_processor
-from repro.machine.suitebatch import (
-    PACK_SCHEMA,
-    SuiteColumns,
-    clear_registered_suite,
-    cost_suite_batch,
-    fsum_segments,
-    pack_suite,
-    register_suite,
-    registered_suite,
-    registered_suite_key,
-    segment_sums,
-    unpack_suite,
-)
+from repro.machine.suitebatch import SuiteColumns
 from repro.perfmon.collector import profile
 
 ALL_TRACE_IDS = tuple(TRACE_BUILDERS)
@@ -56,12 +38,20 @@ def stacked(suite_pairs):
     return SuiteColumns.from_traces(suite_pairs)
 
 
-@pytest.fixture(autouse=True)
-def _no_registered_suite():
-    """Each test starts and ends with no process-registered stack."""
-    clear_registered_suite()
-    yield
-    clear_registered_suite()
+def assert_costs_match_execute(costs, pairs, processors, dilation=1.0):
+    """Each stacked (trace, machine) cost == that machine's execute."""
+    assert len(costs) == len(pairs)
+    for cost, (_, trace) in zip(costs, pairs):
+        for j, processor in enumerate(processors):
+            report = processor.execute(trace, dilation)
+            assert cost.trace_name == report.trace_name
+            assert cost.cycles[j] == report.cycles
+            assert cost.seconds[j] == report.seconds
+            assert cost.mflops[j] == report.mflops
+            assert cost.bandwidth_bytes_per_s[j] == report.bandwidth_bytes_per_s
+        assert cost.raw_flops == report.raw_flops
+        assert cost.flop_equivalents == report.flop_equivalents
+        assert cost.words_moved == report.words_moved
 
 
 class TestStructure:
@@ -69,257 +59,96 @@ class TestStructure:
         assert stacked.n_traces == len(ALL_TRACE_IDS)
         assert stacked.trace_ids == ALL_TRACE_IDS
         total_ops = sum(len(trace.ops) for _, trace in suite_pairs)
-        assert stacked.n_ops == total_ops
+        assert stacked.vector.n + stacked.scalar.n == total_ops
         assert stacked.vector_offsets[0] == 0
         assert stacked.vector_offsets[-1] == stacked.vector.n
         assert stacked.scalar_offsets[-1] == stacked.scalar.n
-        assert len(stacked.vector_trace) == stacked.vector.n
-        assert len(stacked.scalar_trace) == stacked.scalar.n
 
-    def test_trace_columns_map_to_their_segment(self, stacked):
-        # Every stacked row's trace index agrees with the offsets table.
-        vo = stacked.vector_offsets
-        for i in range(stacked.n_traces):
-            segment = stacked.vector_trace[vo[i]:vo[i + 1]]
-            assert (segment == i).all()
-
-    def test_trace_view_is_zero_copy(self, stacked):
-        view = stacked.trace_view(0)
-        assert view.vector.length.base is not None  # a slice, not a copy
-        assert stacked.trace_view(0) is view  # memoised
-
-    def test_rows_bit_identical_to_solo_compile(self, stacked, suite_pairs):
-        from repro.machine.compiled import compile_trace
-
+    def test_trace_columns_map_to_their_segment(self, stacked, suite_pairs):
+        # Each trace's segment spans exactly its own vector/scalar rows.
+        vo, so = stacked.vector_offsets, stacked.scalar_offsets
         for i, (_, trace) in enumerate(suite_pairs):
             solo = compile_trace(trace)
-            view = stacked.trace_view(i)
-            assert view.names == solo.names
-            assert view.vector.length.tolist() == solo.vector.length.tolist()
-            assert view.vector.raw_flops.tolist() == solo.vector.raw_flops.tolist()
-            assert view.scalar.instructions.tolist() == solo.scalar.instructions.tolist()
+            assert vo[i + 1] - vo[i] == solo.vector.n
+            assert so[i + 1] - so[i] == solo.scalar.n
 
-    def test_build_suite_columns_rejects_unknown_ids(self):
-        with pytest.raises(ValueError, match="unknown trace ids"):
-            build_suite_columns(["copy", "nope"])
-
-    def test_build_suite_columns_subset(self):
-        suite = build_suite_columns(["copy", "stream"])
-        assert suite.trace_ids == ("copy", "stream")
+    def test_rows_bit_identical_to_solo_compile(self, stacked, suite_pairs):
+        vo, so = stacked.vector_offsets, stacked.scalar_offsets
+        for i, (_, trace) in enumerate(suite_pairs):
+            solo = compile_trace(trace)
+            vector = slice(vo[i], vo[i + 1])
+            scalar = slice(so[i], so[i + 1])
+            assert stacked.vector.index[vector].tolist() == solo.vector.index.tolist()
+            assert stacked.vector.length[vector].tolist() == solo.vector.length.tolist()
+            assert (
+                stacked.vector.raw_flops[vector].tolist() == solo.vector.raw_flops.tolist()
+            )
+            assert (
+                stacked.scalar.instructions[scalar].tolist()
+                == solo.scalar.instructions.tolist()
+            )
 
 
 class TestExactParity:
     def test_all_traces_all_machines_all_dilations(
         self, stacked, suite_pairs, machines
     ):
-        """16 traces x 6 presets x 2 dilations: fused == compiled, ``==``."""
-        for processor in machines.values():
-            for dilation in DILATIONS:
-                reports = cost_suite_batch(processor, stacked, dilation)
-                assert len(reports) == len(suite_pairs)
-                for report, (_, trace) in zip(reports, suite_pairs):
-                    expected = processor.execute(
-                        trace, dilation, engine="compiled"
-                    )
-                    assert report == expected  # cycles/seconds/totals, exact
-                    assert report.engine == "suitebatch"
-                    assert report.op_names == expected.op_names
-                    assert (
-                        np.asarray(report.op_cycles).tolist()
-                        == np.asarray(expected.op_cycles).tolist()
-                    )
+        """16 traces x 6 presets x 2 dilations: stacked == execute, exactly."""
+        processors = list(machines.values())
+        grid = MachineGrid.from_processors(processors)
+        for dilation in DILATIONS:
+            costs = cost_suite_trace_grid(stacked, grid, dilation)
+            assert_costs_match_execute(costs, suite_pairs, processors, dilation)
 
     def test_derived_rates_match_exactly(self, stacked, suite_pairs, machines):
         processor = machines["Cray J90"]
-        reports = cost_suite_batch(processor, stacked)
-        for report, (_, trace) in zip(reports, suite_pairs):
-            expected = processor.execute(trace, engine="compiled")
-            assert report.mflops == expected.mflops
-            assert report.bandwidth_bytes_per_s == expected.bandwidth_bytes_per_s
+        costs = cost_suite_trace_grid(stacked, MachineGrid.from_processors([processor]))
+        for cost, (_, trace) in zip(costs, suite_pairs):
+            expected = processor.execute(trace)
+            assert cost.mflops[0] == expected.mflops
+            assert cost.bandwidth_bytes_per_s[0] == expected.bandwidth_bytes_per_s
 
     def test_subset_suite_parity(self, machines):
-        suite = build_suite_columns(["linpack", "xpose", "ia"])
+        pairs = [(tid, build_registered_trace(tid)) for tid in ("linpack", "xpose", "ia")]
         processor = machines["NEC SX-4 (9.2 ns)"]
-        reports = cost_suite_batch(processor, suite)
-        for trace_id, report in zip(suite.trace_ids, reports):
-            trace = build_registered_trace(trace_id)
-            assert report == processor.execute(trace, engine="compiled")
+        costs = cost_suite_trace_grid(
+            SuiteColumns.from_traces(pairs), MachineGrid.from_processors([processor])
+        )
+        assert_costs_match_execute(costs, pairs, [processor])
 
     def test_empty_suite(self):
         suite = SuiteColumns.from_traces([])
         assert suite.n_traces == 0
-        assert suite.n_ops == 0
-        assert cost_suite_batch(sx4_processor(), suite) == []
-
-    def test_breakdown_flag(self, stacked):
-        processor = sx4_processor()
-        plain = cost_suite_batch(processor, stacked)
-        detailed = cost_suite_batch(processor, stacked, breakdown=True)
-        assert plain[0].breakdown == []
-        assert detailed[0].breakdown  # materialised (name, cycles) pairs
-        assert detailed[0] == plain[0]
+        assert suite.vector.n == suite.scalar.n == 0
+        grid = MachineGrid.from_processors([sx4_processor()])
+        assert cost_suite_trace_grid(suite, grid) == []
 
 
 class TestMemoisation:
     def test_reports_are_memoised_per_machine_and_dilation(self, stacked):
-        processor = sx4_processor()
-        first = cost_suite_batch(processor, stacked, 1.5)
-        second = cost_suite_batch(processor, stacked, 1.5)
-        assert [id(a) for a in first] == [id(b) for b in second]
+        grid = MachineGrid.from_processors([sx4_processor()])
+        first = cost_suite_trace_grid(stacked, grid, 1.5)
+        second = cost_suite_trace_grid(stacked, grid, 1.5)
+        assert [id(a.cycles) for a in first] == [id(b.cycles) for b in second]
         # A different dilation is a different memo entry.
-        other = cost_suite_batch(processor, stacked, 1.0)
-        assert id(other[0]) != id(first[0])
+        other = cost_suite_trace_grid(stacked, grid, 1.0)
+        assert id(other[0].cycles) != id(first[0].cycles)
 
     def test_perfmon_counts_costings_and_hits(self):
-        suite = build_suite_columns(["copy", "stream"])
-        processor = sx4_processor()
+        pairs = [(tid, build_registered_trace(tid)) for tid in ("copy", "stream")]
+        suite = SuiteColumns.from_traces(pairs)
+        grid = MachineGrid.from_processors([sx4_processor()])
         with profile() as prof:
-            cost_suite_batch(processor, suite)
-            cost_suite_batch(processor, suite)
-        counters = prof.counters.to_dict()["suitebatch"]
-        assert counters["suites"] == 2.0
-        assert counters["suite_traces"] == 4.0
+            cost_suite_trace_grid(suite, grid)
+            cost_suite_trace_grid(suite, grid)
+        counters = prof.counters.to_dict()["grid"]
+        assert counters["machine_traces"] == 4.0
         assert counters["costings"] == 1.0
         assert counters["memo_hits"] == 1.0
 
-    def test_derive_counter(self):
-        with profile() as prof:
-            build_suite_columns(["copy"])
-        assert prof.counters.to_dict()["suitebatch"]["derives"] == 1.0
-
-
-class TestEngineDispatch:
-    def test_member_trace_served_from_the_stack(self, machines):
-        pairs = [(tid, build_registered_trace(tid)) for tid in ("copy", "ia")]
-        suite = register_suite(SuiteColumns.from_traces(pairs))
-        assert registered_suite() is suite
-        processor = machines["Cray Y-MP"]
-        for _, trace in pairs:
-            report = processor.execute(trace, engine="suitebatch")
-            assert report.engine == "suitebatch"
-            assert report == processor.execute(trace, engine="compiled")
-
-    def test_non_member_trace_falls_back_to_compiled(self):
-        register_suite(build_suite_columns(["copy"]))
-        outsider = build_registered_trace("stream")  # not the pinned object
-        report = sx4_processor().execute(outsider, engine="suitebatch")
-        assert report.engine == "compiled"
-        assert report == sx4_processor().execute(outsider, engine="compiled")
-
-    def test_no_registered_suite_falls_back(self):
-        assert registered_suite() is None
-        trace = build_registered_trace("copy")
-        report = sx4_processor().execute(trace, engine="suitebatch")
-        assert report.engine == "compiled"
-
-    def test_mutated_member_no_longer_matches(self):
-        trace = build_registered_trace("copy")
-        suite = register_suite(SuiteColumns.from_traces([("copy", trace)]))
-        assert suite.position_of(trace) == 0
-        trace.ops.append(trace.ops[0])
-        assert suite.position_of(trace) is None
-
-    def test_registered_key_round_trip(self):
-        suite = build_suite_columns(["copy"])
-        register_suite(suite, key="a" * 64)
-        assert registered_suite_key() == "a" * 64
-        clear_registered_suite()
-        assert registered_suite() is None
-        assert registered_suite_key() is None
-
-    def test_node_costing_suitebatch(self, machines):
-        pairs = [("copy", build_registered_trace("copy"))]
-        register_suite(SuiteColumns.from_traces(pairs))
-        processor = machines["NEC SX-4 (9.2 ns)"]
-        node = Node(processor, costing="suitebatch")
-        report = node.run_serial(pairs[0][1])
-        assert report.engine == "suitebatch"
-        assert report == processor.execute(pairs[0][1], engine="compiled")
-
-
-class TestPackUnpack:
-    def test_round_trip_bit_exact(self, stacked, machines):
-        adopted = unpack_suite(pack_suite(stacked))
-        assert adopted.trace_ids == stacked.trace_ids
-        assert adopted.names == stacked.names
-        assert adopted.vector.length.tolist() == stacked.vector.length.tolist()
-        assert adopted.vector_offsets.tolist() == stacked.vector_offsets.tolist()
-        # The adopted stack costs to the same bits as the original.
-        processor = machines["IBM RS6000/590"]
-        original = cost_suite_batch(processor, stacked)
-        recovered = cost_suite_batch(processor, adopted)
-        assert original == recovered
-
-    def test_pack_is_deterministic(self, stacked):
-        assert pack_suite(stacked) == pack_suite(stacked)
-
-    def test_adopted_stack_pins_no_members(self, stacked):
-        adopted = unpack_suite(pack_suite(stacked))
-        trace = build_registered_trace("copy")
-        assert adopted.position_of(trace) is None
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="bad magic"):
-            unpack_suite(b"NOPE" + b"\x00" * 32)
-
-    def test_truncated_payload_rejected(self, stacked):
-        payload = pack_suite(stacked)
-        with pytest.raises(ValueError, match="truncated"):
-            unpack_suite(payload[: len(payload) // 2])
-
-    def test_wrong_schema_rejected(self, stacked):
-        import json
-
-        payload = pack_suite(stacked)
-        header_len = int.from_bytes(payload[4:12], "little")
-        header = json.loads(payload[12:12 + header_len])
-        header["schema"] = PACK_SCHEMA + 1
-        doctored = json.dumps(header, sort_keys=True).encode()
-        rebuilt = (
-            payload[:4]
-            + len(doctored).to_bytes(8, "little")
-            + doctored
-            + payload[12 + header_len:]
-        )
-        with pytest.raises(ValueError, match="unsupported suite-column schema"):
-            unpack_suite(rebuilt)
-
-    def test_garbage_header_rejected(self):
-        payload = b"RSBC" + (5).to_bytes(8, "little") + b"{nope" + b"\x00" * 8
-        with pytest.raises(ValueError, match="corrupt suite-column header"):
-            unpack_suite(payload)
-
 
 class TestSegmentReductions:
-    def test_fsum_segments_basic(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        offsets = np.array([0, 2, 2, 5])
-        assert fsum_segments(values, offsets) == [3.0, 0.0, 12.0]
-
-    def test_fsum_segments_is_exactly_rounded(self):
-        # A sum that plain left-to-right addition gets wrong.
-        values = np.array([1e16, 1.0, 1.0, 1.0, 1.0, -1e16])
-        offsets = np.array([0, 6])
-        assert fsum_segments(values, offsets) == [4.0]
-        assert math.fsum(values.tolist()) == 4.0
-
-    def test_segment_sums_matches_fsum_on_clean_data(self):
-        rng = np.random.default_rng(1996)
-        values = rng.uniform(0.0, 100.0, size=50)
-        offsets = np.array([0, 10, 10, 25, 50])
-        fast = segment_sums(values, offsets)
-        exact = fsum_segments(values, offsets)
-        assert fast.shape == (4,)
-        assert fast[1] == 0.0  # empty segment
-        assert fast == pytest.approx(exact, rel=1e-12)
-
-    def test_segment_sums_empty_input(self):
-        out = segment_sums(np.zeros(0), np.array([0, 0, 0]))
-        assert out.tolist() == [0.0, 0.0]
-
     def test_trace_totals_match_compiled_totals(self, stacked, suite_pairs):
-        from repro.machine.compiled import compile_trace
-
         for i, (_, trace) in enumerate(suite_pairs):
             solo = compile_trace(trace)
             raw, equiv, words = stacked.trace_totals(i)

@@ -1,27 +1,23 @@
-"""Property-based parity: fused suite-batch costing vs per-trace compiled.
+"""Property-based parity: stacked suite grid costing vs per-trace execute.
 
-The suitebatch engine promises *bit* parity for arbitrary suites, not
-just the 16 registered traces — any multiset of traces stacked in any
-order must cost, trace by trace, to the same doubles the compiled
-engine produces for each trace alone.  Hypothesis explores both faces:
-random *subsets/permutations of the registered suite* (the shape the
-engine actually serves) and fully random synthetic traces (the shape
-that would expose a kernel that stopped being elementwise).
+The machine grid's stacked pass promises *bit* parity for arbitrary
+suites, not just the 16 registered traces — any multiset of traces
+stacked in any order must cost, trace by trace, to the same doubles
+``Processor.execute`` produces for each trace alone.  Hypothesis
+explores both faces: random *subsets/permutations of the registered
+suite* (the shape sweeps actually stack) and fully random synthetic
+traces (the shape that would expose a kernel that stopped being
+elementwise).
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
+from repro.machine.grid import MachineGrid, cost_suite_trace_grid
 from repro.machine.operations import INTRINSICS, ScalarOp, Trace, VectorOp
 from repro.machine.presets import sx4_processor, table1_machines
-from repro.machine.suitebatch import (
-    SuiteColumns,
-    cost_suite_batch,
-    pack_suite,
-    unpack_suite,
-)
+from repro.machine.suitebatch import SuiteColumns
 
 SX4 = sx4_processor()
 #: A Table 1 machine without a vector unit: vector ops cost through the
@@ -30,9 +26,7 @@ CACHE_MACHINE = next(m for m in table1_machines().values() if m.vector is None)
 
 ALL_TRACE_IDS = tuple(TRACE_BUILDERS)
 
-#: Registered traces are built once; stacking pins objects by identity,
-#: so reusing the same Trace objects across examples is exactly how the
-#: production registry behaves.
+#: Registered traces are built once and reused across examples.
 REGISTERED = {tid: build_registered_trace(tid) for tid in ALL_TRACE_IDS}
 
 registered_subsets = st.lists(
@@ -87,20 +81,26 @@ random_traces = st.lists(
 )
 
 
+def stacked_costs(processor, pairs, dilation=1.0):
+    """Per-trace costs of one stacked grid pass on a one-machine grid."""
+    grid = MachineGrid.from_processors([processor])
+    return cost_suite_trace_grid(SuiteColumns.from_traces(pairs), grid, dilation)
+
+
 def assert_suite_parity(processor, pairs, dilation=1.0):
-    """Stacked costing == per-trace compiled costing, field for field."""
-    suite = SuiteColumns.from_traces(pairs)
-    reports = cost_suite_batch(processor, suite, dilation)
-    assert len(reports) == len(pairs)
-    for report, (_, trace) in zip(reports, pairs):
-        expected = processor.execute(trace, dilation, engine="compiled")
-        assert report == expected  # dataclass ==: cycles/seconds/totals
-        assert report.mflops == expected.mflops
-        assert report.bandwidth_bytes_per_s == expected.bandwidth_bytes_per_s
-        assert (
-            np.asarray(report.op_cycles).tolist()
-            == np.asarray(expected.op_cycles).tolist()
-        )
+    """Stacked costing == per-trace execute, field for field."""
+    costs = stacked_costs(processor, pairs, dilation)
+    assert len(costs) == len(pairs)
+    for cost, (_, trace) in zip(costs, pairs):
+        expected = processor.execute(trace, dilation)
+        assert cost.trace_name == expected.trace_name
+        assert cost.cycles[0] == expected.cycles
+        assert cost.seconds[0] == expected.seconds
+        assert cost.raw_flops == expected.raw_flops
+        assert cost.flop_equivalents == expected.flop_equivalents
+        assert cost.words_moved == expected.words_moved
+        assert cost.mflops[0] == expected.mflops
+        assert cost.bandwidth_bytes_per_s[0] == expected.bandwidth_bytes_per_s
 
 
 @given(subset=registered_subsets, dilation=dilations)
@@ -124,37 +124,15 @@ def test_random_synthetic_suites_cost_bit_identically(traces, dilation):
     assert_suite_parity(SX4, pairs, dilation)
 
 
-@given(traces=random_traces)
-@settings(max_examples=25, deadline=None)
-def test_random_suites_survive_pack_unpack(traces):
-    """An adopted (serialised) stack costs to the same bits as the
-    original — the property the shared-memory worker path relies on."""
-    pairs = [(f"t{i}", trace) for i, trace in enumerate(traces)]
-    suite = SuiteColumns.from_traces(pairs)
-    adopted = unpack_suite(pack_suite(suite))
-    original = cost_suite_batch(SX4, suite)
-    recovered = cost_suite_batch(SX4, adopted)
-    assert original == recovered
-    for a, b in zip(original, recovered):
-        assert (
-            np.asarray(a.op_cycles).tolist() == np.asarray(b.op_cycles).tolist()
-        )
-
-
 @given(subset=registered_subsets)
 @settings(max_examples=25, deadline=None)
 def test_stack_order_does_not_change_any_report(subset):
-    """Reversing the stacking order leaves every trace's report equal:
+    """Reversing the stacking order leaves every trace's cost equal:
     segment reductions are exactly rounded, so neighbours can't leak."""
     pairs = [(tid, REGISTERED[tid]) for tid in subset]
-    forward = {
-        r.trace_name: r
-        for r in cost_suite_batch(SX4, SuiteColumns.from_traces(pairs))
-    }
-    backward = {
-        r.trace_name: r
-        for r in cost_suite_batch(SX4, SuiteColumns.from_traces(pairs[::-1]))
-    }
+    forward = {c.trace_name: c for c in stacked_costs(SX4, pairs)}
+    backward = {c.trace_name: c for c in stacked_costs(SX4, pairs[::-1])}
     assert forward.keys() == backward.keys()
-    for name, report in forward.items():
-        assert report == backward[name]
+    for name, cost in forward.items():
+        assert cost.cycles.tolist() == backward[name].cycles.tolist()
+        assert cost.seconds.tolist() == backward[name].seconds.tolist()

@@ -57,6 +57,19 @@ class TestSubmission:
         assert response.status == 400
         assert app.spool.records() == []
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"kind": "sweep", "sweep": {"dilation": "abc"}}',
+            b'{"kind": "sweep", "sweep": {"dilation": NaN}}',
+            b'{"kind": "sweep", "sweep": {"traces": 5}}',
+            b'{"kind": "sweep", "sweep": {"anchor": "cray-2"}}',
+        ],
+    )
+    def test_malformed_sweep_is_400_not_a_job(self, app, body):
+        assert app.handle("POST", "/v1/jobs", body).status == 400
+        assert app.spool.records() == []
+
     def test_unknown_tenant_is_403(self, app):
         response, _ = submit(app, dict(SUITE_BODY, tenant="ghost"))
         assert response.status == 403

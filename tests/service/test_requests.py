@@ -1,5 +1,7 @@
 """Tests for canonical requests and deterministic job ids."""
 
+import json
+
 import pytest
 
 from repro.service.requests import (
@@ -60,6 +62,41 @@ class TestValidation:
                 {"kind": "sweep",
                  "sweep": {"axes": [{"parameter": "warp.factor", "values": [9.0]}]}}
             )
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ({"dilation": "abc"}, "dilation"),
+            ({"dilation": [1]}, "dilation"),
+            ({"dilation": True}, "dilation"),
+            ({"dilation": 0.5}, "dilation"),
+            ({"dilation": float("nan")}, "dilation"),
+            ({"dilation": float("inf")}, "dilation"),
+            ({"dilation": 10**400}, "dilation"),  # too large for a float
+            ({"traces": 5}, "traces"),
+            ({"traces": "copy"}, "traces"),
+            ({"traces": ["copy", 5]}, "traces"),
+            ({"anchor": "cray-2"}, "anchor"),
+            ({"anchor": ["sx4"]}, "anchor"),
+            ({"axes": [{"parameter": "vector.pipes", "values": [10**400]}]}, "axis"),
+        ],
+    )
+    def test_malformed_sweep_rejected(self, sweep, message):
+        with pytest.raises(RequestError, match=message):
+            validate_request({"kind": "sweep", "sweep": sweep})
+
+    def test_nan_dilation_from_json_rejected(self):
+        # Python's json module accepts the non-standard NaN literal.
+        body = json.loads('{"kind": "sweep", "sweep": {"dilation": NaN}}')
+        with pytest.raises(RequestError, match="finite"):
+            validate_request(body)
+
+    def test_integer_dilation_and_known_anchor_admitted(self):
+        request = validate_request(
+            {"kind": "sweep", "sweep": {"anchor": "j90", "dilation": 2}}
+        )
+        assert request["sweep"]["anchor"] == "j90"
+        assert request["sweep"]["dilation"] == 2.0
 
     def test_invalid_fault_plan_rejected(self):
         with pytest.raises(RequestError, match="fault plan"):
