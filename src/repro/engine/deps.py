@@ -21,19 +21,30 @@ the transitive ``repro.*`` closure of only those seeds.  Editing
 ``rfft.py`` therefore invalidates ``figure6`` and ``figure7`` but not
 ``table1``.  The experiments module itself is always part of the key —
 an edit there conservatively invalidates everything.
+
+A digest sits on the blocking path of every engine call, so its cost
+is a handful of file reads.  Each module's import edges, and each
+builder's seeds, are memoised under the sha256 of the source bytes the
+digest reads anyway: a module version is parsed once per process, an
+edit is seen on the next call, and no AST is kept.  Within one call
+each file is read and hashed once, however many experiments share it.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-from collections.abc import Iterable, Mapping
+import os
+import threading
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import repro
 from repro.machine import presets
+from repro.perfmon.collector import record as perfmon_record
+from repro.perfmon.counters import declare_counters
 
 __all__ = [
     "DIGEST_SCHEMA",
@@ -64,7 +75,24 @@ SERVICE_RESOLVE_MODULE = "repro.service.resolve"
 
 _PACKAGE = "repro"
 
+declare_counters("deps", ("modules_hashed", "modules_parsed"))
 
+#: module name -> (sha256 of its bytes, the ``repro.*`` modules they
+#: import).  One entry per module, replaced when its bytes change.
+_IMPORT_EDGES: dict[str, tuple[bytes, frozenset[str]]] = {}
+
+#: ``EXPERIMENTS_MODULE`` -> (sha256 of its bytes, top-level function
+#: name -> the modules it references, following local helpers).
+_BUILDER_SEEDS: dict[str, tuple[bytes, dict[str, frozenset[str]]]] = {}
+
+#: Serialises ``ast.parse``: some CPython releases keep the tree
+#: converter's recursion counter in interpreter-wide state, and two
+#: threads parsing at once can fail with "SystemError: AST constructor
+#: recursion depth mismatch" (seen on 3.11.7).
+_PARSE_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=1)
 def package_root() -> Path:
     """Directory holding the installed ``repro`` package sources."""
     return Path(repro.__file__).resolve().parent
@@ -74,14 +102,72 @@ def module_path(dotted: str) -> Path | None:
     """File for a dotted ``repro.*`` module name, or None if no such module."""
     if dotted != _PACKAGE and not dotted.startswith(_PACKAGE + "."):
         return None
-    parts = dotted.split(".")[1:]
-    base = package_root().joinpath(*parts) if parts else package_root()
-    if base.with_suffix(".py").is_file():
-        return base.with_suffix(".py")
-    init = base / "__init__.py"
-    if init.is_file():
-        return init
+    base = os.path.join(package_root(), *dotted.split(".")[1:])
+    for candidate in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(candidate):
+            return Path(candidate)
     return None
+
+
+def _memoised(memo: dict, name: str, digest: bytes, derive: Callable[[], object]):
+    """``memo[name]``'s value if it was derived from bytes hashing to
+    ``digest``; else ``derive()``, stored in its place.
+
+    The store is one dict assignment of an immutable pair, so threads
+    that race on a module at worst each derive the same value once
+    (their parses take turns; see ``_PARSE_LOCK``).
+    """
+    entry = memo.get(name)
+    if entry is None or entry[0] != digest:
+        entry = memo[name] = (digest, derive())
+    return entry[1]
+
+
+class _Reads:
+    """One digest call's view of the tree, each file read once.
+
+    Holds every module's resolved path and its ``(bytes, sha256)`` for
+    the call's lifetime, so the closure walk, the seed lookup and the
+    digest share them, as do all the experiments of one call.
+    """
+
+    def __init__(self) -> None:
+        self.paths: dict[str, Path | None] = {}
+        self.sources: dict[str, tuple[bytes, bytes]] = {}
+        self.parsed = 0
+
+    def path(self, name: str) -> Path | None:
+        if name not in self.paths:
+            self.paths[name] = module_path(name)
+        return self.paths[name]
+
+    def source(self, name: str) -> tuple[bytes, bytes]:
+        """``(bytes, sha256 digest)`` of a module that exists."""
+        if name not in self.sources:
+            blob = self.path(name).read_bytes()
+            self.sources[name] = (blob, hashlib.sha256(blob).digest())
+        return self.sources[name]
+
+    def parse(self, name: str) -> ast.Module:
+        self.parsed += 1
+        with _PARSE_LOCK:
+            return ast.parse(self.source(name)[0], filename=str(self.path(name)))
+
+    def imports(self, name: str) -> frozenset[str]:
+        """The ``repro.*`` modules a module imports, parsed once per version."""
+        return _memoised(
+            _IMPORT_EDGES, name, self.source(name)[1],
+            lambda: frozenset(_imported_modules(self.parse(name), name.rsplit(".", 1)[0])),
+        )
+
+    def record(self) -> None:
+        """Fold the call's work into the active perfmon profile, if any.
+
+        ``suite_digests`` and ``closure_digest``, the program's two ways
+        in, record; the helpers they call do not.
+        """
+        perfmon_record("deps", {"modules_hashed": float(len(self.sources)),
+                                "modules_parsed": float(self.parsed)})
 
 
 def _imported_modules(tree: ast.AST, current_package: str) -> set[str]:
@@ -111,7 +197,7 @@ def _imported_modules(tree: ast.AST, current_package: str) -> set[str]:
 
 
 def dependency_closure(
-    seeds: Iterable[str], no_traverse: Iterable[str] = ()
+    seeds: Iterable[str], no_traverse: Iterable[str] = (), *, _reads: _Reads | None = None
 ) -> dict[str, Path]:
     """Transitive ``repro.*`` import closure of the seed modules.
 
@@ -122,15 +208,17 @@ def dependency_closure(
     repo's modules import submodules directly, which is the path the
     tracer follows.  ``no_traverse`` marks additional hash-only modules
     (the experiments module, whose imports span the suite by design).
+    ``_reads`` shares one digest call's file reads.
     """
+    reads = _Reads() if _reads is None else _reads
     closure: dict[str, Path] = {}
     hash_only = set(no_traverse)
-    frontier = [s for s in seeds if module_path(s) is not None]
+    frontier = [s for s in seeds if reads.path(s) is not None]
     while frontier:
         name = frontier.pop()
         if name in closure:
             continue
-        path = module_path(name)
+        path = reads.path(name)
         if path is None:
             continue
         closure[name] = path
@@ -139,43 +227,14 @@ def dependency_closure(
         parts = name.split(".")
         for i in range(1, len(parts)):
             ancestor = ".".join(parts[:i])
-            ancestor_path = module_path(ancestor)
-            if ancestor_path is not None:
-                closure.setdefault(ancestor, ancestor_path)
+            if ancestor not in closure:
+                ancestor_path = reads.path(ancestor)
+                if ancestor_path is not None:
+                    closure[ancestor] = ancestor_path
         if name in hash_only or path.name == "__init__.py":
             continue
-        tree = _parse(path)
-        frontier.extend(_imported_modules(tree, name.rsplit(".", 1)[0]))
+        frontier.extend(reads.imports(name))
     return closure
-
-
-@lru_cache(maxsize=None)
-def _parse(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-
-
-@lru_cache(maxsize=1)
-def _experiments_module_index() -> tuple[dict[str, str], dict[str, ast.FunctionDef]]:
-    """(import table: local name -> module, top-level functions by name)."""
-    tree = _parse(module_path(EXPERIMENTS_MODULE))
-    imports: dict[str, str] = {}
-    functions: dict[str, ast.FunctionDef] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if module_path(alias.name) is not None:
-                    imports[(alias.asname or alias.name).split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module_path(module) is None:
-                continue
-            for alias in node.names:
-                submodule = f"{module}.{alias.name}"
-                target = submodule if module_path(submodule) is not None else module
-                imports[alias.asname or alias.name] = target
-        elif isinstance(node, ast.FunctionDef):
-            functions[node.name] = node
-    return imports, functions
 
 
 def builder_entry_points() -> tuple[tuple[str, str, str], ...]:
@@ -209,10 +268,10 @@ def _registry_entry_points(
     module.  An absent module yields no entries — the engine must keep
     working in trees that ship without the optional registries.
     """
-    path = module_path(module)
-    if path is None:
+    reads = _Reads()
+    if reads.path(module) is None:
         return ()
-    tree = _parse(path)
+    tree = reads.parse(module)
     functions = {
         node.name for node in tree.body if isinstance(node, ast.FunctionDef)
     }
@@ -242,34 +301,65 @@ def _registry_entry_points(
     return tuple(entries)
 
 
-def _builder_seeds(builder_name: str) -> set[str]:
-    """Modules a builder function references, following local helpers."""
-    imports, functions = _experiments_module_index()
-    seeds: set[str] = set()
-    visited: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in visited:
-            return
-        visited.add(name)
-        fn = functions.get(name)
-        if fn is None:
-            raise KeyError(
-                f"no builder function {name!r} in {EXPERIMENTS_MODULE}"
-            )
-        seeds.update(_imported_modules(fn, EXPERIMENTS_MODULE.rsplit(".", 1)[0]))
+def _builder_seed_table(tree: ast.Module) -> dict[str, frozenset[str]]:
+    """Top-level function name -> modules it references, following local helpers."""
+    imports: dict[str, str] = {}
+    functions: dict[str, ast.FunctionDef] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if module_path(alias.name) is not None:
+                    imports[(alias.asname or alias.name).split(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module_path(module) is None:
+                continue
+            for alias in node.names:
+                submodule = f"{module}.{alias.name}"
+                target = submodule if module_path(submodule) is not None else module
+                imports[alias.asname or alias.name] = target
+        elif isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+    # Each function's own seeds and the local helpers it calls ...
+    own: dict[str, tuple[set[str], set[str]]] = {}
+    for name, fn in functions.items():
+        seeds = _imported_modules(fn, EXPERIMENTS_MODULE.rsplit(".", 1)[0])
+        helpers: set[str] = set()
         for node in ast.walk(fn):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if node.id in imports:
                     seeds.add(imports[node.id])
-                elif node.id in functions and node.id != name:
-                    visit(node.id)
+                elif node.id in functions:
+                    helpers.add(node.id)
+        own[name] = (seeds, helpers)
+    # ... then the union over everything reachable through helpers.
+    table: dict[str, frozenset[str]] = {}
+    for name in functions:
+        seeds = set()
+        visited: set[str] = set()
+        stack = [name]
+        while stack:
+            current = stack.pop()
+            if current not in visited:
+                visited.add(current)
+                seeds |= own[current][0]
+                stack.extend(own[current][1])
+        table[name] = frozenset(seeds)
+    return table
 
-    visit(builder_name)
-    return seeds
+
+def _builder_seeds(builder_name: str, reads: _Reads) -> frozenset[str]:
+    """Modules a builder function references, following local helpers."""
+    table = _memoised(
+        _BUILDER_SEEDS, EXPERIMENTS_MODULE, reads.source(EXPERIMENTS_MODULE)[1],
+        lambda: _builder_seed_table(reads.parse(EXPERIMENTS_MODULE)),
+    )
+    if builder_name not in table:
+        raise KeyError(f"no builder function {builder_name!r} in {EXPERIMENTS_MODULE}")
+    return table[builder_name]
 
 
-def _seeds_for(exp_id: str) -> set[str]:
+def _seeds_for(exp_id: str, reads: _Reads) -> frozenset[str]:
     from repro.suite.experiments import EXPERIMENTS
 
     if exp_id not in EXPERIMENTS:
@@ -279,11 +369,11 @@ def _seeds_for(exp_id: str) -> set[str]:
     builder = EXPERIMENTS[exp_id]
     module = getattr(builder, "__module__", "")
     if module == EXPERIMENTS_MODULE:
-        return _builder_seeds(builder.__name__)
+        return _builder_seeds(builder.__name__, reads)
     # A builder registered from elsewhere (tests, extensions): seed from
     # its defining module if that is a repro module, else nothing — the
     # experiments module below still anchors the digest.
-    return {module} if module_path(module) is not None else set()
+    return frozenset({module} if reads.path(module) is not None else ())
 
 
 def closure_digest(seeds: Iterable[str]) -> str:
@@ -295,21 +385,25 @@ def closure_digest(seeds: Iterable[str]) -> str:
     their own content hash, so any edit to a costing module invalidates
     exactly the chunks it could have changed.
     """
-    deps = dependency_closure(seeds)
+    reads = _Reads()
+    deps = dependency_closure(seeds, _reads=reads)
     hasher = hashlib.sha256()
     hasher.update(f"schema={DIGEST_SCHEMA}\x00".encode())
     for name in sorted(deps):
         hasher.update(f"{name}\x00".encode())
-        hasher.update(hashlib.sha256(deps[name].read_bytes()).digest())
+        hasher.update(reads.source(name)[1])
         hasher.update(b"\x00")
+    reads.record()
     return hasher.hexdigest()
 
 
-def experiment_dependencies(exp_id: str) -> dict[str, Path]:
+def experiment_dependencies(
+    exp_id: str, *, _reads: _Reads | None = None
+) -> dict[str, Path]:
     """Module name -> source file for everything the experiment depends on."""
-    seeds = _seeds_for(exp_id)
-    seeds.add(EXPERIMENTS_MODULE)
-    return dependency_closure(seeds, no_traverse={EXPERIMENTS_MODULE})
+    reads = _Reads() if _reads is None else _reads
+    seeds = _seeds_for(exp_id, reads) | {EXPERIMENTS_MODULE}
+    return dependency_closure(seeds, no_traverse={EXPERIMENTS_MODULE}, _reads=reads)
 
 
 def machine_fingerprint() -> str:
@@ -332,7 +426,10 @@ class ExperimentDigest:
 
 
 def experiment_digest(
-    exp_id: str, sources: Mapping[str, bytes] | None = None
+    exp_id: str,
+    sources: Mapping[str, bytes] | None = None,
+    *,
+    _reads: _Reads | None = None,
 ) -> ExperimentDigest:
     """Digest for one experiment.
 
@@ -340,18 +437,19 @@ def experiment_digest(
     tests (and ``plan --what-if`` style tooling) use to ask "what would
     an edit to module X invalidate?" without touching the tree.
     """
-    deps = experiment_dependencies(exp_id)
+    reads = _Reads() if _reads is None else _reads
+    deps = experiment_dependencies(exp_id, _reads=reads)
     hasher = hashlib.sha256()
     hasher.update(f"schema={DIGEST_SCHEMA}\x00".encode())
     hasher.update(f"exp_id={exp_id}\x00".encode())
     hasher.update(f"machine={machine_fingerprint()}\x00".encode())
     for name in sorted(deps):
         if sources is not None and name in sources:
-            blob = sources[name]
+            blob_digest = hashlib.sha256(sources[name]).digest()
         else:
-            blob = deps[name].read_bytes()
+            blob_digest = reads.source(name)[1]
         hasher.update(f"{name}\x00".encode())
-        hasher.update(hashlib.sha256(blob).digest())
+        hasher.update(blob_digest)
         hasher.update(b"\x00")
     return ExperimentDigest(exp_id=exp_id, key=hasher.hexdigest(),
                             modules=tuple(sorted(deps)))
@@ -365,4 +463,9 @@ def suite_digests(
     from repro.suite.experiments import EXPERIMENTS
 
     ids = list(EXPERIMENTS) if exp_ids is None else list(exp_ids)
-    return {exp_id: experiment_digest(exp_id, sources) for exp_id in ids}
+    reads = _Reads()
+    digests = {
+        exp_id: experiment_digest(exp_id, sources, _reads=reads) for exp_id in ids
+    }
+    reads.record()
+    return digests

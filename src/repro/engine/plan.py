@@ -95,10 +95,15 @@ def plan_suite(
     what a hypothetical edit would invalidate.
     """
     digests = suite_digests(exp_ids, sources)
-    cached_ids = {entry.exp_id for entry in store.entries()}
+    hits = {exp_id for exp_id, digest in digests.items() if store.contains(digest)}
+    # Only a non-hit needs the store scan: it tells stale from miss.
+    cached_ids = (
+        set() if len(hits) == len(digests)
+        else {entry.exp_id for entry in store.entries()}
+    )
     entries = []
     for exp_id, digest in digests.items():
-        if store.contains(digest):
+        if exp_id in hits:
             status = HIT
         elif exp_id in cached_ids:
             status = STALE

@@ -1,5 +1,7 @@
 """Tests for the incremental planner."""
 
+import ast
+
 from repro.engine.deps import EXPERIMENTS_MODULE, experiment_digest
 from repro.engine.plan import HIT, MISS, STALE, plan_suite
 from repro.engine.store import ResultStore
@@ -62,3 +64,49 @@ class TestPlanReporting:
         assert "1 cached" in text
         assert "1 never run" in text
         assert "1 to execute" in text
+
+
+class TestWarmPlanIsFree:
+    """A plan on a warm store reads sources and probes keys, nothing more."""
+
+    IDS = ["table2", "table3"]
+
+    @staticmethod
+    def _spies(monkeypatch) -> dict[str, int]:
+        calls = {"parse": 0, "entries": 0}
+        real_parse = ast.parse
+        real_entries = ResultStore.entries
+
+        def parse(*args, **kwargs):
+            calls["parse"] += 1
+            return real_parse(*args, **kwargs)
+
+        def entries(self):
+            calls["entries"] += 1
+            return real_entries(self)
+
+        monkeypatch.setattr(ast, "parse", parse)
+        monkeypatch.setattr(ResultStore, "entries", entries)
+        return calls
+
+    def _warm_store(self, tmp_path) -> ResultStore:
+        store = ResultStore(tmp_path)
+        for exp_id in self.IDS:
+            store.put(experiment_digest(exp_id), EXPERIMENTS[exp_id](), 0.01)
+        assert all(e.status == HIT for e in plan_suite(store, self.IDS).entries)
+        return store
+
+    def test_second_plan_parses_and_scans_nothing(self, tmp_path, monkeypatch):
+        store = self._warm_store(tmp_path)
+        calls = self._spies(monkeypatch)
+        plan = plan_suite(store, self.IDS)
+        assert [e.status for e in plan.entries] == [HIT, HIT]
+        assert calls == {"parse": 0, "entries": 0}
+
+    def test_a_stale_entry_still_scans_and_classifies_stale(self, tmp_path, monkeypatch):
+        store = self._warm_store(tmp_path)
+        calls = self._spies(monkeypatch)
+        edited = {"repro.machine.specs": b"# hypothetically edited"}
+        plan = plan_suite(store, self.IDS + ["table1"], sources=edited)
+        assert [e.status for e in plan.entries] == [STALE, HIT, MISS]
+        assert calls == {"parse": 0, "entries": 1}
