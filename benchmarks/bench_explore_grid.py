@@ -10,9 +10,13 @@ suite per machine through ``Processor.execute`` — the best the repo
 could do before :mod:`repro.machine.grid`.
 
 The parity gate runs first and is exact: every canonical preset's
-embedded grid column must equal its per-machine compiled report
-bit-for-bit on every trace and field.  Results land in
-``BENCH_explore.json`` (same shape conventions as ``BENCH_engine.json``).
+embedded grid column must equal the per-op oracle bit-for-bit on every
+trace and field.  The oracle (``math.fsum`` of
+``Processor.per_op_cycles``) walks the components' per-op methods and
+shares no code with the columnar model that both the grid and
+``Processor.execute`` evaluate, so the gate compares two independent
+implementations.  Results land in ``BENCH_explore.json`` (same shape
+conventions as ``BENCH_engine.json``).
 
 Standalone (writes the JSON report, exit 1 on parity drift)::
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -34,11 +39,13 @@ from pathlib import Path
 from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
 from repro.explore.engine import cost_suite_grid
 from repro.explore.sweep import ParameterSweep, linear_axis, log_axis
-from repro.machine.grid import MachineGrid
+from repro.machine.grid import MachineGrid, cost_trace_grid
 from repro.machine.presets import CANONICAL_PRESET_IDS, canonical_machines
+from repro.machine.processor import ExecutionReport
 
 __all__ = [
     "build_sweep",
+    "oracle_report",
     "check_grid_parity",
     "measure_grid",
     "measure_loop",
@@ -46,13 +53,9 @@ __all__ = [
     "main",
 ]
 
-#: Exactly-compared quantities: (field, report getter, GridTraceCost column).
-PARITY_FIELDS = (
-    ("cycles", lambda r: r.cycles, "cycles"),
-    ("seconds", lambda r: r.seconds, "seconds"),
-    ("mflops", lambda r: r.mflops, "mflops"),
-    ("bandwidth_bytes_per_s", lambda r: r.bandwidth_bytes_per_s, "bandwidth_bytes_per_s"),
-)
+#: Exactly-compared quantities: ExecutionReport attributes and the
+#: GridTraceCost columns of the same name.
+PARITY_FIELDS = ("cycles", "seconds", "mflops", "bandwidth_bytes_per_s")
 
 #: Grid rows the loop baseline materializes and executes (timing the
 #: full thousand serially would dominate the benchmark's own runtime;
@@ -76,35 +79,47 @@ def build_sweep(points: int) -> ParameterSweep:
     )
 
 
+def oracle_report(processor, trace) -> ExecutionReport:
+    """The per-op oracle's report: cycles are the ``math.fsum`` of
+    ``Processor.per_op_cycles``, seconds that total through the clock,
+    and the rates follow from the trace's own per-op aggregates."""
+    cycles = math.fsum(processor.per_op_cycles(trace))
+    return ExecutionReport(
+        machine=processor.name,
+        trace_name=trace.name,
+        cycles=cycles,
+        seconds=processor.clock.seconds(cycles),
+        raw_flops=trace.raw_flops,
+        flop_equivalents=trace.flop_equivalents,
+        words_moved=trace.words_moved,
+    )
+
+
 def check_grid_parity(grid: MachineGrid) -> list[str]:
-    """Exact grid-vs-compiled comparison on the embedded canonical presets.
+    """Exact grid-vs-oracle comparison on the embedded canonical presets.
 
     The presets occupy the first rows of an ``include_presets`` grid;
-    each must match its per-machine compiled execution bit-for-bit on
-    every registered trace.
+    each must match the per-op oracle bit-for-bit on every registered
+    trace.
     """
     machines = canonical_machines()
-    mismatches: list[str] = []
+    mismatches = [
+        f"grid row {j} is {grid.names[j]!r}, expected preset {name!r}"
+        for j, name in enumerate(machines)
+        if grid.names[j] != name
+    ]
+    if mismatches:
+        return mismatches
     for trace_id in TRACE_BUILDERS:
         trace = build_registered_trace(trace_id)
-        cost = None
+        cost = cost_trace_grid(trace, grid)
         for j, (name, processor) in enumerate(machines.items()):
-            if grid.names[j] != name:
-                mismatches.append(
-                    f"grid row {j} is {grid.names[j]!r}, expected preset {name!r}"
-                )
-                continue
-            if cost is None:
-                from repro.machine.grid import cost_trace_grid
-
-                cost = cost_trace_grid(trace, grid)
-            report = processor.execute(trace)
-            for field, get, column in PARITY_FIELDS:
-                lhs, rhs = get(report), float(getattr(cost, column)[j])
+            oracle = oracle_report(processor, trace)
+            for field in PARITY_FIELDS:
+                lhs, rhs = getattr(oracle, field), float(getattr(cost, field)[j])
                 if lhs != rhs:
                     mismatches.append(
-                        f"{name} / {trace_id}: {field} "
-                        f"compiled={lhs!r} grid={rhs!r}"
+                        f"{name} / {trace_id}: {field} oracle={lhs!r} grid={rhs!r}"
                     )
     return mismatches
 
@@ -176,7 +191,8 @@ def run_benchmark(points: int = 1000, rounds: int = 3) -> dict:
         "loop_s_projected": loop_s_projected,
         "speedup": loop_s_projected / grid_s if grid_s > 0 else float("inf"),
         "parity": {
-            "fields": [field for field, _, _ in PARITY_FIELDS],
+            "fields": list(PARITY_FIELDS),
+            "oracle": "math.fsum of Processor.per_op_cycles",
             "machines_checked": len(CANONICAL_PRESET_IDS),
             "traces_checked": suite_size,
             "exact": not mismatches,
@@ -185,7 +201,7 @@ def run_benchmark(points: int = 1000, rounds: int = 3) -> dict:
     }
 
 
-def test_grid_matches_compiled_on_embedded_presets():
+def test_grid_matches_the_per_op_oracle_on_embedded_presets():
     """Pytest face of the parity gate: zero drift on the canonical rows."""
     assert check_grid_parity(build_sweep(50).build()) == []
 

@@ -19,21 +19,10 @@ REPO006   every machine component that consumes trace operations
           (references VectorOp/ScalarOp) registers perfmon counters via
           a top-level :func:`repro.perfmon.counters.declare_counters`
           call — the observability contract of the counter emulation
-REPO007   every batched (columnar) method ``<name>_batch`` has a per-op
-          sibling method ``<name>`` on the same class — the exact-parity
-          contract of :mod:`repro.machine.compiled`: the parity suite
-          can only verify batched code that has a reference to verify
-          against
 REPO008   every ``fault_point`` call site names its site with a string
           literal drawn from :data:`repro.faults.inject.FAULT_SITES` —
           the registry that also declares the ``fault.<site>`` perfmon
           counter, so every injectable site is observable in profiles
-REPO009   every machine-axis method ``<name>_cycles_grid`` has a
-          ``<name>_cycles_batch`` sibling on the same class — the grid
-          parity contract of :mod:`repro.machine.grid`: a grid kernel
-          is only trustworthy if the per-machine batch kernel it must
-          mirror bit-for-bit exists to be verified against (REPO007
-          then chains that sibling down to the per-op reference)
 REPO010   CLI entry modules honor the uniform exit-code contract:
           0 = success, 1 = operation failed, 2 = usage error.  Literal
           ``sys.exit(N)`` / ``raise SystemExit(N)`` with any other
@@ -455,90 +444,6 @@ def _check_perfmon_registration(rel: str, tree: ast.Module) -> list[Diagnostic]:
     ]
 
 
-def _check_batch_siblings(rel: str, tree: ast.Module) -> list[Diagnostic]:
-    """REPO007: batched methods shadow a per-op method on the same class.
-
-    The compiled engine's correctness story is *parity with the per-op
-    reference*: every ``<name>_batch`` method must sit next to the
-    ``<name>`` method it vectorises, otherwise there is nothing for the
-    parity suite to compare it against.
-    """
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        methods = {
-            item.name: item
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for name, method in methods.items():
-            # Private helpers are internal plumbing, not part of the
-            # per-op/batched costing API the parity suite pins down.
-            if not name.endswith("_batch") or name.startswith("_"):
-                continue
-            sibling = name[: -len("_batch")]
-            if sibling in methods:
-                continue
-            found.append(
-                Diagnostic(
-                    rule_id="REPO007",
-                    severity=Severity.ERROR,
-                    location=f"{rel}:{method.lineno}",
-                    message=(
-                        f"batched method {node.name}.{name} has no per-op "
-                        f"sibling {sibling!r}; every columnar method needs "
-                        f"the per-op reference the parity suite verifies "
-                        f"it against"
-                    ),
-                )
-            )
-    return found
-
-
-def _check_grid_siblings(rel: str, tree: ast.Module) -> list[Diagnostic]:
-    """REPO009: grid methods shadow a per-machine batch method.
-
-    The machine-axis engine's correctness story stacks on REPO007's:
-    a ``<name>_cycles_grid`` method claims bit-parity with running
-    ``<name>_cycles_batch`` once per machine, so the batch sibling must
-    exist on the same class for the grid parity suite to compare
-    against (and REPO007 in turn guarantees *that* sibling has its
-    per-op reference).
-    """
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        methods = {
-            item.name: item
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for name, method in methods.items():
-            # Private _*_grid helpers are the kernels behind the public
-            # API, not independently-verified surface.
-            if not name.endswith("_cycles_grid") or name.startswith("_"):
-                continue
-            sibling = name[: -len("_grid")] + "_batch"
-            if sibling in methods:
-                continue
-            found.append(
-                Diagnostic(
-                    rule_id="REPO009",
-                    severity=Severity.ERROR,
-                    location=f"{rel}:{method.lineno}",
-                    message=(
-                        f"grid method {node.name}.{name} has no per-machine "
-                        f"sibling {sibling!r}; every machine-axis method "
-                        f"needs the batch reference the grid parity suite "
-                        f"verifies it against"
-                    ),
-                )
-            )
-    return found
-
-
 def _check_fault_sites(rel: str, tree: ast.Module) -> list[Diagnostic]:
     """REPO008: fault_point call sites name a registered site, literally.
 
@@ -843,8 +748,6 @@ def lint_file(path: Path, root: Path) -> list[Diagnostic]:
     if _in_src(rel_parts) and rel_parts[-1] != "units.py":
         found.extend(_check_magic_units(rel, tree))
     if _in_src(rel_parts):
-        found.extend(_check_batch_siblings(rel, tree))
-        found.extend(_check_grid_siblings(rel, tree))
         found.extend(_check_fault_sites(rel, tree))
     if _is_service_module(rel_parts):
         found.extend(_check_swallowed_timeouts(rel, tree))

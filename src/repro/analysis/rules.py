@@ -186,9 +186,10 @@ def rule_vec004_scalar_dominated(trace: Trace, processor: Processor) -> list[Dia
     so any trace whose scalar bookkeeping exceeds ~30% of modelled time is
     style-broken.  Impact is the Amdahl bound 1/(1-f) currently forfeited.
     """
+    op_cycles = processor.execute(trace).op_cycles
     compiled = compile_trace(trace)
-    scalar_cycles = fsum(processor.scalar_op_cycles_batch(compiled))
-    vector_cycles = fsum(processor.vector_op_cycles_batch(compiled))
+    scalar_cycles = fsum(op_cycles[compiled.scalar.index])
+    vector_cycles = fsum(op_cycles[compiled.vector.index])
     total_cycles = scalar_cycles + vector_cycles
     if total_cycles <= 0:
         return []

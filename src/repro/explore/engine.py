@@ -157,36 +157,25 @@ def _costs_from_payload(
     """Rebuild chunk costs from a cached payload, or None if unusable.
 
     Only cycles and the machine-independent totals are stored; the
-    derived fields recompute through :class:`GridTraceCost`'s exact
-    expressions — same doubles either way, and the payload stays small.
+    derived fields recompute through :meth:`GridTraceCost.from_cycles`
+    — same doubles either way, and the payload stays small.
     """
     if payload.get("trace_ids") != list(trace_ids):
         return None
     if payload.get("n_machines") != subgrid.n_machines:
         return None
-    from repro.units import NS
-
     costs: dict[str, GridTraceCost] = {}
     for trace_id in trace_ids:
         entry = payload.get("traces", {}).get(trace_id)
         if entry is None or len(entry.get("cycles", ())) != subgrid.n_machines:
             return None
-        cycles = np.array(entry["cycles"], dtype=np.float64)
-        seconds = cycles * (subgrid.period_ns * NS)
-        zero = seconds == 0.0
-        safe = np.where(zero, 1.0, seconds)
-        flop_equivalents = float(entry["flop_equivalents"])
-        words_moved = float(entry["words_moved"])
-        costs[trace_id] = GridTraceCost(
-            trace_name=traces[trace_id].name,
-            machine_names=subgrid.names,
-            cycles=cycles,
-            seconds=seconds,
-            mflops=np.where(zero, 0.0, flop_equivalents / safe / MEGA),
-            bandwidth_bytes_per_s=np.where(zero, 0.0, (words_moved * 8.0) / safe),
-            raw_flops=float(entry["raw_flops"]),
-            flop_equivalents=flop_equivalents,
-            words_moved=words_moved,
+        costs[trace_id] = GridTraceCost.from_cycles(
+            traces[trace_id].name,
+            subgrid,
+            np.array(entry["cycles"], dtype=np.float64),
+            float(entry["raw_flops"]),
+            float(entry["flop_equivalents"]),
+            float(entry["words_moved"]),
         )
     return costs
 

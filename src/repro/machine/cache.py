@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.perfmon.counters import declare_counters
 
 __all__ = ["CacheModel"]
@@ -99,31 +97,6 @@ class CacheModel:
     ) -> float:
         """Average cost of one word reference under the given pattern."""
         rate = self.miss_rate(stride_words, working_set_bytes, indexed)
-        return self.hit_cycles_per_word + rate * self.line_fill_cycles()
-
-    # -- batched (columnar) timing ------------------------------------------
-    def miss_rate_batch(
-        self,
-        stride_words: np.ndarray,
-        working_set_bytes: np.ndarray,
-        indexed: np.ndarray | bool = False,
-    ) -> np.ndarray:
-        """Elementwise :meth:`miss_rate` over stride/working-set columns."""
-        streaming_rate = np.where(
-            indexed | (stride_words >= self.words_per_line),
-            1.0,
-            stride_words / self.words_per_line,
-        )
-        return np.where(working_set_bytes <= self.size_bytes, 0.0, streaming_rate)
-
-    def cycles_per_word_batch(
-        self,
-        stride_words: np.ndarray,
-        working_set_bytes: np.ndarray,
-        indexed: np.ndarray | bool = False,
-    ) -> np.ndarray:
-        """Elementwise :meth:`cycles_per_word` over pattern columns."""
-        rate = self.miss_rate_batch(stride_words, working_set_bytes, indexed)
         return self.hit_cycles_per_word + rate * self.line_fill_cycles()
 
     def perfmon_counters(

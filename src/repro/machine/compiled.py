@@ -7,11 +7,15 @@ the node model's memory-dilation sweep), so regenerating the paper's
 tables is bounded by interpreter overhead, not by the machine model.
 This module removes that bound: :func:`compile_trace` lowers a trace
 once into a cached :class:`CompiledTrace` — float64 columns for every
-descriptor field plus an ``n_vector_ops x 6`` intrinsic-call matrix —
-and the machine components gain ``*_cycles_batch`` methods that cost
-every op of a trace in a handful of NumPy expressions.
+descriptor field, an ``n_vector_ops x 6`` intrinsic-call matrix, and
+the trace's distinct strides — and :mod:`repro.machine.costmodel`
+costs every op of a trace in a handful of NumPy expressions over those
+columns, for one machine or a whole grid of them.
 
-The contract with the per-op methods is **exact parity**:
+The contract with the per-op oracle (the components' ``*_cycles``
+methods, walked by
+:meth:`~repro.machine.processor.Processor.per_op_cycles`) is **exact
+parity**:
 
 * every column expression reproduces the corresponding scalar property
   arithmetic operation-for-operation (same IEEE-754 double ops, same
@@ -21,16 +25,12 @@ The contract with the per-op methods is **exact parity**:
   correctly-rounded exact sum and therefore independent of summation
   order — so totals are bit-identical too.
 
-The per-op ``*_cycles`` methods are the test oracle
-(:meth:`repro.machine.processor.Processor.per_op_cycles`).  The repo
-linter's REPO007 rule keeps the pairing closed under extension: any new
-``*_cycles_batch`` method must sit next to the matching per-op
-``*_cycles`` method, which is what the parity suite
-(tests/machine/test_compiled*.py) exercises.
+The parity suite (tests/machine/test_compiled*.py) exercises it, and
+``tests/machine/golden_costing.json`` pins the totals absolutely.
 
 Caching is two-level.  A trace caches its own ``CompiledTrace``
 (invalidated by ``append``/``extend``); a ``CompiledTrace`` caches
-machine-dependent cost columns per component set via
+machine-dependent cost columns per machine via
 :meth:`CompiledTrace.machine_cache`, which is what lets the node model
 re-cost one compiled trace across all CPU counts (only the dilation
 changes) without recomputing the stride/bank arithmetic.
@@ -97,17 +97,18 @@ def fsum_columns(matrix: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(column) for column in matrix.T.tolist()])
 
 
-def _concat_column_fields(cls, parts):
+def _concat_column_fields(cls, parts, exclude=()) -> dict[str, np.ndarray]:
     """Field-wise ``np.concatenate`` over same-typed column sets.
 
     Concatenation copies raw float64 bit patterns, so every row of the
     stacked columns is bit-identical to its source row — the property
     the machine grid's stacked suite pass rests on.
     """
-    return cls(**{
+    return {
         f.name: np.concatenate([getattr(p, f.name) for p in parts])
         for f in dataclass_fields(cls)
-    })
+        if f.name not in exclude
+    }
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,11 @@ class VectorColumns:
     indexed_words: np.ndarray = field(repr=False, default=None)
     words_moved: np.ndarray = field(repr=False, default=None)
     intrinsic_calls_total: np.ndarray = field(repr=False, default=None)
+    #: distinct load and store strides (int64, sorted); the stride
+    #: dilation is computed once per entry, not once per op.
+    strides: np.ndarray = field(repr=False, default=None)
+    load_stride_index: np.ndarray = field(repr=False, default=None)  # into strides
+    store_stride_index: np.ndarray = field(repr=False, default=None)  # into strides
 
     @property
     def n(self) -> int:
@@ -176,6 +182,8 @@ class VectorColumns:
         calls_total = np.zeros(n, dtype=np.float64)
         for i in range(len(SORTED_INTRINSICS)):
             calls_total = calls_total + intrinsics[:, i] * elements
+        load_stride = [op.load_stride for op in ops]
+        store_stride = [op.store_stride for op in ops]
         return cls(
             index=np.array(positions, dtype=np.intp),
             length=length,
@@ -183,8 +191,8 @@ class VectorColumns:
             flops=flops,
             loads=loads,
             stores=stores,
-            load_stride=np.array([op.load_stride for op in ops], dtype=np.int64),
-            store_stride=np.array([op.store_stride for op in ops], dtype=np.int64),
+            load_stride=np.array(load_stride, dtype=np.int64),
+            store_stride=np.array(store_stride, dtype=np.int64),
             gather=gather,
             scatter=scatter,
             intrinsics=intrinsics,
@@ -195,6 +203,7 @@ class VectorColumns:
             indexed_words=indexed,
             words_moved=words,
             intrinsic_calls_total=calls_total,
+            **_distinct_strides(load_stride, store_stride),
         )
 
     @classmethod
@@ -204,13 +213,41 @@ class VectorColumns:
         Row values (including the precomputed derived columns) are
         preserved bit-exactly; ``index`` keeps each row's within-trace
         position so a segment slice scatters back into its own trace's
-        op order.  :class:`~repro.machine.suitebatch.SuiteColumns`
-        stacks a trace suite this way for the machine grid's one-pass
-        suite costing.
+        op order.  The distinct strides are found again over the whole
+        stack.  :class:`~repro.machine.suitebatch.SuiteColumns` stacks
+        a trace suite this way for the machine grid's one-pass suite
+        costing.
         """
         if not parts:
             return cls.from_ops([], [])
-        return _concat_column_fields(cls, parts)
+        columns = _concat_column_fields(cls, parts, exclude=_STRIDE_DEDUPE)
+        return cls(
+            **columns,
+            **_distinct_strides(
+                columns["load_stride"].tolist(), columns["store_stride"].tolist()
+            ),
+        )
+
+
+#: VectorColumns fields derived from the whole column set, not per row.
+_STRIDE_DEDUPE = ("strides", "load_stride_index", "store_stride_index")
+
+
+def _distinct_strides(load_stride: list[int], store_stride: list[int]) -> dict:
+    """The distinct strides of both streams, and each op's slot in them.
+
+    A set and a dict, not ``np.unique``: a trace has a handful of ops,
+    and this runs once per compile.
+    """
+    strides = sorted({*load_stride, *store_stride})
+    slot = {stride: i for i, stride in enumerate(strides)}
+    index = np.array([slot[s] for s in load_stride + store_stride], dtype=np.intp)
+    n = len(load_stride)
+    return {
+        "strides": np.array(strides, dtype=np.int64),
+        "load_stride_index": index[:n],
+        "store_stride_index": index[n:],
+    }
 
 
 @dataclass(frozen=True)
@@ -252,7 +289,7 @@ class ScalarColumns:
         """Concatenate several traces' scalar columns (bit-preserving)."""
         if not parts:
             return cls.from_ops([], [])
-        return _concat_column_fields(cls, parts)
+        return cls(**_concat_column_fields(cls, parts))
 
 
 @dataclass
@@ -261,20 +298,19 @@ class CompiledTrace:
 
     Machine-independent: the same compiled trace costs on any
     processor.  Machine-*dependent* cost columns (arithmetic cycles,
-    stride factors, memory path cycles) are memoised per component set
-    in :meth:`machine_cache`, keyed by component identity, so sweeps
-    that re-execute one trace — possibly under varying
-    ``memory_dilation`` — recompute only the dilation-dependent max.
+    memory path cycles) are memoised per machine in
+    :meth:`machine_cache`, keyed by the identity of the machine's
+    parameters, so sweeps that re-execute one trace — possibly under
+    varying ``memory_dilation`` — recompute only the dilation-dependent
+    max.
     """
 
     names: tuple[str, ...]
     vector: VectorColumns
     scalar: ScalarColumns
-    _machine_caches: dict[tuple[int, ...], dict[str, Any]] = field(
-        default_factory=dict, repr=False
-    )
-    #: strong refs pinning cached components so their ids stay unique.
-    _pins: list[tuple] = field(default_factory=list, repr=False)
+    _machine_caches: dict[int, dict[str, Any]] = field(default_factory=dict, repr=False)
+    #: strong refs pinning cached machines so their ids stay unique.
+    _pins: list = field(default_factory=list, repr=False)
     #: machine-independent aggregate totals, computed once per trace.
     _totals: dict[str, float] = field(default_factory=dict, repr=False)
 
@@ -301,22 +337,21 @@ class CompiledTrace:
             scalar=ScalarColumns.from_ops(s_pos, s_ops),
         )
 
-    def machine_cache(self, *components) -> dict[str, Any]:
-        """Per-component-set memo dict for machine-dependent columns.
+    def machine_cache(self, machine) -> dict[str, Any]:
+        """Per-machine memo dict for machine-dependent columns.
 
-        Keyed by ``id`` of each component; the components themselves are
-        pinned so a key can never be recycled while this compiled trace
-        is alive.  Calibrated machine instances are treated as
-        immutable — mutating a component's parameters after it has been
-        used to cost a compiled trace is unsupported (build a fresh
-        processor instead, as :mod:`repro.machine.presets` does).
+        Keyed by ``id`` of ``machine`` (a processor's parameter record,
+        or a machine grid), which is pinned so a key can never be
+        recycled while this compiled trace is alive.  Calibrated machine
+        instances are treated as immutable — mutating a component's
+        parameters after the processor has been used to cost a trace is
+        unsupported (build a fresh processor instead, as
+        :mod:`repro.machine.presets` does).
         """
-        key = tuple(id(c) for c in components)
-        cache = self._machine_caches.get(key)
+        cache = self._machine_caches.get(id(machine))
         if cache is None:
-            cache = {}
-            self._machine_caches[key] = cache
-            self._pins.append(components)
+            cache = self._machine_caches[id(machine)] = {}
+            self._pins.append(machine)
         return cache
 
     def scatter_cycles(

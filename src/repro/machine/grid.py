@@ -1,22 +1,19 @@
 """Machine-axis lowering: cost a trace against thousands of machines at once.
 
-:mod:`repro.machine.compiled` vectorizes costing across the *ops* of a
-trace; this module vectorizes across the *machines*.  A
-:class:`MachineGrid` lowers every cost-relevant processor parameter
-(clock period, vector pipes, bank count, startup overheads, cache
-geometry, ...) into structure-of-arrays columns — one float64/int64
-entry per machine — so one broadcasted NumPy pass of shape
-``(n_ops, n_machines)`` prices a whole trace against a whole design
-space.
+:mod:`repro.machine.compiled` lowers the *ops* of a trace to columns;
+this module lowers the *machines*.  A :class:`MachineGrid` holds every
+cost-relevant processor parameter (clock period, vector pipes, bank
+count, startup overheads, cache geometry, ...) as structure-of-arrays
+columns — one float64/int64 entry per machine — and
+:func:`cost_trace_grid` prices a whole trace against a whole design
+space in one broadcasted ``(n_ops, n_machines)`` pass.
 
-The correctness story is the same exact-parity contract the columnar
-path holds against the per-op oracle, one level up:
+The pass is the shared cost model of :mod:`repro.machine.costmodel`,
+the same expressions ``Processor.execute`` evaluates for one machine:
+the grid passes its ``(m,)`` columns against ``(n, 1)`` views of the op
+columns.  IEEE-754 arithmetic is elementwise, so machine ``j``'s column
+of every result is bit-identical to costing that machine alone:
 
-* every grid kernel evaluates the *exact expression* of its per-machine
-  ``*_cycles_batch`` sibling, with op columns broadcast as ``(n, 1)``
-  against machine columns as ``(m,)`` — IEEE-754 arithmetic is
-  elementwise, so machine ``j``'s column of the broadcasted result is
-  bit-identical to running that machine's batch kernel alone;
 * cache machines get benign placeholder vector/memory columns (masked
   out by ``has_vector`` through :func:`numpy.where`, which *selects*
   values and never mixes lanes), and vector machines' scalar columns
@@ -28,11 +25,6 @@ path holds against the per-op oracle, one level up:
 :class:`GridTraceCost` field equals the per-machine report (and hence
 the per-op oracle) bit-for-bit on all registered traces across the six
 canonical presets, and on hypothesis-random machines and traces.
-
-REPO009 (:mod:`repro.analysis.repolint`) keeps the pairing closed under
-extension: every public ``*_cycles_grid`` method must sit next to the
-per-machine ``*_cycles_batch`` sibling the parity suite verifies it
-against.
 """
 
 from __future__ import annotations
@@ -43,6 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.machine import costmodel
 from repro.machine.cache import CacheModel
 from repro.machine.clock import Clock
 from repro.machine.compiled import SORTED_INTRINSICS, compile_trace, fsum_columns
@@ -56,7 +49,6 @@ from repro.perfmon.counters import declare_counters
 from repro.units import MEGA, NS
 
 if TYPE_CHECKING:
-    from repro.machine.compiled import CompiledTrace, VectorColumns
     from repro.machine.operations import Trace
 
 __all__ = ["MachineGrid", "GridTraceCost", "cost_trace_grid", "cost_suite_trace_grid"]
@@ -164,52 +156,13 @@ class MachineGrid:
     def from_processors(cls, processors: list[Processor]) -> "MachineGrid":
         """Lower concrete processors into grid columns, exactly.
 
-        Placeholder vector/memory parameters for cache machines are
-        chosen so every grid expression stays finite (no zero divisors);
-        their lanes are discarded by the ``has_vector`` selection.
+        Each row is :func:`~repro.machine.costmodel.parameter_row`, the
+        record a processor costs itself with; cache machines' placeholder
+        vector/memory lanes are discarded by the ``has_vector`` selection.
         """
         if not processors:
             raise ValueError("a MachineGrid needs at least one processor")
-        rows = []
-        for p in processors:
-            vector = p.vector
-            memory = p.memory
-            scalar = p.scalar
-            cache = scalar.cache
-            rows.append(
-                dict(
-                    has_vector=vector is not None,
-                    period_ns=p.clock.period_ns,
-                    pipes=vector.pipes if vector else 1.0,
-                    concurrent_sets=vector.concurrent_sets if vector else 1.0,
-                    startup_cycles=vector.startup_cycles if vector else 0.0,
-                    register_length=vector.register_length if vector else 1.0,
-                    stripmine_cycles=vector.stripmine_cycles if vector else 0.0,
-                    vector_intrinsic_rates=[
-                        vector.intrinsic_cycles_per_element[name] if vector else 0.0
-                        for name in SORTED_INTRINSICS
-                    ],
-                    banks=memory.banks if memory else 1,
-                    bank_busy_cycles=memory.bank_busy_cycles if memory else 1.0,
-                    port_words_per_cycle=memory.port_words_per_cycle if memory else 2.0,
-                    stride_base_penalty=memory.stride_base_penalty if memory else 1.0,
-                    gather_base_penalty=memory.gather_base_penalty if memory else 1.0,
-                    index_words_per_element=memory.index_words_per_element if memory else 0.0,
-                    contention_slope=memory.contention_slope if memory else 0.0,
-                    contention_base_slope=memory.contention_base_slope if memory else 0.0,
-                    issue_width=scalar.issue_width,
-                    flops_per_cycle=scalar.flops_per_cycle,
-                    loop_overhead_instructions=scalar.loop_overhead_instructions,
-                    scalar_intrinsic_rates=[
-                        scalar.intrinsic_cycles_per_call[name] for name in SORTED_INTRINSICS
-                    ],
-                    cache_size_bytes=cache.size_bytes,
-                    cache_line_bytes=cache.line_bytes,
-                    cache_hit_cycles_per_word=cache.hit_cycles_per_word,
-                    cache_miss_latency_cycles=cache.miss_latency_cycles,
-                    cache_mem_words_per_cycle=cache.mem_words_per_cycle,
-                )
-            )
+        rows = [costmodel.parameter_row(p) for p in processors]
         int_columns = {"banks", "cache_size_bytes", "cache_line_bytes"}
         columns: dict[str, np.ndarray] = {}
         for key in rows[0]:
@@ -360,171 +313,6 @@ class MachineGrid:
         self._materialized[i] = processor
         return processor
 
-    # -- grid kernels (exact mirrors of the *_cycles_batch siblings) --------
-    # Op columns broadcast as (n, 1) against machine columns as (m,);
-    # every elementwise expression below keeps the association of its
-    # per-machine sibling, so column j of any result is bit-identical to
-    # running machine j's batch kernel alone.
-    def _path_words(self) -> np.ndarray:
-        return self.port_words_per_cycle / 2.0
-
-    def _stride_factor_grid(self, strides: np.ndarray) -> np.ndarray:
-        """(n, m) stride dilation — BankedMemory.stride_factor, vectorized.
-
-        ``np.gcd`` agrees with ``math.gcd`` on int64, so the distinct-
-        bank count (and everything downstream) matches the scalar code
-        mapped over the unique strides.
-        """
-        unique, inverse = np.unique(strides, return_inverse=True)
-        distinct = self.banks[None, :] // np.gcd(unique[:, None], self.banks[None, :])
-        sustainable = distinct / self.bank_busy_cycles[None, :]
-        conflict = np.maximum(1.0, self._path_words()[None, :] / sustainable)
-        factors = np.where(
-            unique[:, None] <= 2, 1.0, self.stride_base_penalty[None, :] * conflict
-        )
-        return factors[inverse]
-
-    def _gather_factor_grid(self) -> np.ndarray:
-        """(m,) list-vector dilation — BankedMemory.gather_factor."""
-        occupancy = self._path_words() * self.bank_busy_cycles / self.banks
-        return self.gather_base_penalty * (1.0 + occupancy)
-
-    def _load_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        width = self._path_words()[None, :]
-        length = v.length[:, None]
-        cycles = v.loads[:, None] * length * self._stride_factor_grid(v.load_stride) / width
-        cycles = cycles + v.gather[:, None] * length * self._gather_factor_grid()[None, :] / width
-        indexed = (v.gather + v.scatter)[:, None]
-        cycles = cycles + indexed * length * self.index_words_per_element[None, :] / width
-        return cycles
-
-    def _store_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        width = self._path_words()[None, :]
-        length = v.length[:, None]
-        cycles = v.stores[:, None] * length * self._stride_factor_grid(v.store_stride) / width
-        cycles = cycles + v.scatter[:, None] * length * self._gather_factor_grid()[None, :] / width
-        return cycles
-
-    def _transfer_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        return np.maximum(self._load_cycles_grid(v), self._store_cycles_grid(v))
-
-    def _arithmetic_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) pipeline-busy cycles — VectorUnit.arithmetic_cycles_batch."""
-        sets_used = np.minimum(self.concurrent_sets[None, :], np.maximum(1.0, v.flops)[:, None])
-        cycles = v.length[:, None] * v.flops[:, None] / (self.pipes[None, :] * sets_used)
-        for column in range(len(SORTED_INTRINSICS)):
-            rate = self.vector_intrinsic_rates[:, column][None, :]
-            cycles = cycles + (v.length[:, None] * v.intrinsics[:, column][:, None]) * rate
-        return cycles
-
-    def _overhead_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) startup + strip-mining — VectorUnit.overhead_cycles_batch."""
-        strips = np.maximum(1.0, np.ceil(v.length[:, None] / self.register_length[None, :]))
-        return self.startup_cycles[None, :] + (strips - 1.0) * self.stripmine_cycles[None, :]
-
-    def _cache_cycles_per_word_grid(
-        self, stride: np.ndarray, working_set: np.ndarray
-    ) -> np.ndarray:
-        """(n, m) per-word cost — CacheModel.cycles_per_word_batch."""
-        words_per_line = self.cache_line_bytes // 8
-        streaming = np.where(
-            stride[:, None] >= words_per_line[None, :],
-            1.0,
-            stride[:, None] / words_per_line[None, :],
-        )
-        rate = np.where(working_set[:, None] <= self.cache_size_bytes[None, :], 0.0, streaming)
-        line_fill = self.cache_miss_latency_cycles + words_per_line / self.cache_mem_words_per_cycle
-        return self.cache_hit_cycles_per_word[None, :] + rate * line_fill[None, :]
-
-    def _scalar_vector_cycles_grid(self, v: "VectorColumns") -> np.ndarray:
-        """(n, m) VectorOps as scalar loops — ScalarUnit.vector_op_cycles_batch."""
-        words_per_elem = (v.loads + v.stores)[:, None]
-        indexed_per_elem = v.gather + v.scatter
-        working_set = (v.loads * v.load_stride + v.stores * v.store_stride) * v.length * 8.0
-        stride = np.maximum(v.load_stride, v.store_stride)
-        mem_cycles = words_per_elem * self._cache_cycles_per_word_grid(stride, working_set)
-        mem_cycles = mem_cycles + (indexed_per_elem * 2.0)[:, None] * (
-            self.cache_hit_cycles_per_word[None, :]
-        )
-        flop_cycles = v.flops[:, None] / self.flops_per_cycle[None, :]
-        loop_cycles = (self.loop_overhead_instructions / self.issue_width)[None, :]
-        intrinsic_cycles = np.zeros((v.n, self.n_machines))
-        for column in range(len(SORTED_INTRINSICS)):
-            rate = self.scalar_intrinsic_rates[:, column][None, :]
-            intrinsic_cycles = intrinsic_cycles + v.intrinsics[:, column][:, None] * rate
-        per_element = np.maximum(flop_cycles, mem_cycles) + loop_cycles + intrinsic_cycles
-        return v.length[:, None] * per_element
-
-    # -- public costing API --------------------------------------------------
-    # The reference chain the parity suite walks: ``*_cycles_grid`` is
-    # verified against ``*_cycles_batch`` (one materialized machine's
-    # compiled path, REPO009), which is itself verified against the
-    # per-op ``*_cycles`` methods (REPO007).
-    def vector_op_cycles(self, op, index: int, memory_dilation: float = 1.0) -> float:
-        """Per-op reference for one row: the materialized processor's
-        per-op oracle."""
-        return self.materialize(index).vector_op_cycles(op, memory_dilation)
-
-    def vector_op_cycles_batch(
-        self, compiled: "CompiledTrace", index: int, memory_dilation: float = 1.0
-    ) -> np.ndarray:
-        """Per-machine reference for one row: the materialized processor's
-        compiled path — what the parity suite compares a grid column to."""
-        return self.materialize(index).vector_op_cycles_batch(compiled, memory_dilation)
-
-    def vector_op_cycles_grid(
-        self, compiled: "CompiledTrace", memory_dilation: float = 1.0
-    ) -> np.ndarray:
-        """(n_vector_ops, m) total cycles for every vector op × machine.
-
-        The dilation-independent matrices are memoised on the compiled
-        trace keyed by this grid, exactly as the per-machine path
-        memoises its cost columns per component set.
-        """
-        if not memory_dilation >= 1.0:  # also rejects NaN
-            raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
-        v = compiled.vector
-        cache = compiled.machine_cache(self)
-        per_execution = None
-        if bool(self.has_vector.any()):
-            arithmetic = cache.get("grid_arithmetic")
-            if arithmetic is None:
-                arithmetic = cache["grid_arithmetic"] = self._arithmetic_cycles_grid(v)
-                cache["grid_overhead"] = self._overhead_cycles_grid(v)
-                cache["grid_transfer"] = self._transfer_cycles_grid(v)
-            memory = cache["grid_transfer"] * memory_dilation
-            per_execution = cache["grid_overhead"] + np.maximum(arithmetic, memory)
-        if not bool(self.has_vector.all()):
-            scalar_vector = cache.get("grid_scalar_vector")
-            if scalar_vector is None:
-                scalar_vector = cache["grid_scalar_vector"] = self._scalar_vector_cycles_grid(v)
-            dilated = scalar_vector * memory_dilation
-            if per_execution is None:
-                per_execution = dilated
-            else:
-                per_execution = np.where(self.has_vector[None, :], per_execution, dilated)
-        return per_execution * v.count[:, None]
-
-    def scalar_op_cycles(self, op, index: int) -> float:
-        """Per-op reference for one row (see ``vector_op_cycles``)."""
-        return self.materialize(index).scalar_op_cycles(op)
-
-    def scalar_op_cycles_batch(self, compiled: "CompiledTrace", index: int) -> np.ndarray:
-        """Per-machine reference for one row (see ``vector_op_cycles_batch``)."""
-        return self.materialize(index).scalar_op_cycles_batch(compiled)
-
-    def scalar_op_cycles_grid(self, compiled: "CompiledTrace") -> np.ndarray:
-        """(n_scalar_ops, m) total cycles for every scalar op × machine."""
-        s = compiled.scalar
-        cache = compiled.machine_cache(self)
-        per_execution = cache.get("grid_scalar_op")
-        if per_execution is None:
-            issue = s.instructions[:, None] / self.issue_width[None, :]
-            fp = s.flops[:, None] / self.flops_per_cycle[None, :]
-            memory = s.memory_words[:, None] * self.cache_hit_cycles_per_word[None, :]
-            per_execution = cache["grid_scalar_op"] = issue + fp + memory
-        return per_execution * s.count[:, None]
-
 
 @dataclass(frozen=True)
 class GridTraceCost:
@@ -546,6 +334,33 @@ class GridTraceCost:
     raw_flops: float
     flop_equivalents: float
     words_moved: float
+
+    @classmethod
+    def from_cycles(
+        cls,
+        trace_name: str,
+        grid: MachineGrid,
+        cycles: np.ndarray,
+        raw_flops: float,
+        flop_equivalents: float,
+        words_moved: float,
+    ) -> "GridTraceCost":
+        """Derive seconds and rates from per-machine cycles with the
+        report's expressions, elementwise."""
+        seconds = cycles * (grid.period_ns * NS)
+        zero = seconds == 0.0
+        safe_seconds = np.where(zero, 1.0, seconds)
+        return cls(
+            trace_name=trace_name,
+            machine_names=grid.names,
+            cycles=cycles,
+            seconds=seconds,
+            mflops=np.where(zero, 0.0, flop_equivalents / safe_seconds / MEGA),
+            bandwidth_bytes_per_s=np.where(zero, 0.0, (words_moved * 8.0) / safe_seconds),
+            raw_flops=raw_flops,
+            flop_equivalents=flop_equivalents,
+            words_moved=words_moved,
+        )
 
     @property
     def n_machines(self) -> int:
@@ -570,65 +385,81 @@ class GridTraceCost:
         )
 
 
+def _segment_cycles(
+    columns, grid: MachineGrid, memory_dilation: float, vector_offsets, scalar_offsets
+) -> tuple[np.ndarray, ...]:
+    """Per-machine total cycles of each trace segment of a column set.
+
+    ``columns`` is a :class:`~repro.machine.compiled.CompiledTrace` or a
+    :class:`~repro.machine.suitebatch.SuiteColumns` stack; the offsets
+    delimit each trace's rows.  The per-op matrices come from the
+    shared cost model over ``(n, 1)`` op views; each segment reduces
+    with exactly-rounded column sums.  The result is memoised on the
+    column set per (grid, dilation).
+    """
+    memo = columns.machine_cache(grid)
+    key = f"grid_cost@{float(memory_dilation)!r}"
+    per_trace = memo.get(key)
+    computed = per_trace is None
+    m = grid.n_machines
+    if computed:
+        v, s = columns.vector, columns.scalar
+        vector_cycles = (
+            costmodel.vector_op_cycles(grid, costmodel.grid_view(v), memory_dilation, memo)
+            if v.n
+            else np.zeros((0, m))
+        )
+        scalar_cycles = (
+            costmodel.scalar_op_cycles(grid, costmodel.grid_view(s), memo)
+            if s.n
+            else np.zeros((0, m))
+        )
+        vo, so = vector_offsets, scalar_offsets
+        per_trace = memo[key] = tuple(
+            fsum_columns(
+                np.concatenate(
+                    [vector_cycles[vo[i]:vo[i + 1]], scalar_cycles[so[i]:so[i + 1]]],
+                    axis=0,
+                )
+            )
+            for i in range(len(vo) - 1)
+        )
+    if perfmon_active() is not None:
+        perfmon_record(
+            "grid",
+            {
+                "machines": float(m),
+                "machine_traces": float(m * (len(vector_offsets) - 1)),
+                "costings": 1.0 if computed else 0.0,
+                "memo_hits": 0.0 if computed else 1.0,
+            },
+        )
+    return per_trace
+
+
 def cost_trace_grid(
     trace: "Trace", grid: MachineGrid, memory_dilation: float = 1.0
 ) -> GridTraceCost:
     """Cost one trace against every machine of a grid in one pass.
 
     Bit-exact with executing the trace per machine through
-    ``Processor.execute``: the per-op matrices come from the grid kernels (exact
-    mirrors of the batch kernels), per-machine totals are exactly-
-    rounded column sums, and the derived fields replicate the report
-    expressions.  The combined cycles vector is memoised on the
-    compiled trace per (grid, dilation), so dilation sweeps and repeat
-    costings are dictionary lookups.
+    ``Processor.execute``: both evaluate the same cost expressions,
+    per-machine totals are exactly-rounded column sums, and the derived
+    fields replicate the report expressions.  Dilation sweeps and
+    repeat costings are dictionary lookups.
     """
+    costmodel.check_dilation(memory_dilation)
     compiled = compile_trace(trace)
-    cache = compiled.machine_cache(grid)
-    key = f"grid_cost@{float(memory_dilation)!r}"
-    cycles = cache.get(key)
-    computed = cycles is None
-    if computed:
-        m = grid.n_machines
-        vector_cycles = (
-            grid.vector_op_cycles_grid(compiled, memory_dilation)
-            if compiled.vector.n
-            else np.zeros((0, m))
-        )
-        scalar_cycles = (
-            grid.scalar_op_cycles_grid(compiled) if compiled.scalar.n else np.zeros((0, m))
-        )
-        cycles = cache[key] = fsum_columns(
-            np.concatenate([vector_cycles, scalar_cycles], axis=0)
-        )
-    if perfmon_active() is not None:
-        m = grid.n_machines
-        perfmon_record(
-            "grid",
-            {
-                "machines": float(m),
-                "machine_traces": float(m),
-                "costings": 1.0 if computed else 0.0,
-                "memo_hits": 0.0 if computed else 1.0,
-            },
-        )
-    seconds = cycles * (grid.period_ns * NS)
-    zero = seconds == 0.0
-    safe_seconds = np.where(zero, 1.0, seconds)
-    flop_equivalents = compiled.flop_equivalents_total()
-    words_moved = compiled.words_moved_total()
-    mflops = np.where(zero, 0.0, flop_equivalents / safe_seconds / MEGA)
-    bandwidth = np.where(zero, 0.0, (words_moved * 8.0) / safe_seconds)
-    return GridTraceCost(
-        trace_name=trace.name,
-        machine_names=grid.names,
-        cycles=cycles,
-        seconds=seconds,
-        mflops=mflops,
-        bandwidth_bytes_per_s=bandwidth,
-        raw_flops=compiled.raw_flops_total(),
-        flop_equivalents=flop_equivalents,
-        words_moved=words_moved,
+    (cycles,) = _segment_cycles(
+        compiled, grid, memory_dilation, (0, compiled.vector.n), (0, compiled.scalar.n)
+    )
+    return GridTraceCost.from_cycles(
+        trace.name,
+        grid,
+        cycles,
+        compiled.raw_flops_total(),
+        compiled.flop_equivalents_total(),
+        compiled.words_moved_total(),
     )
 
 
@@ -638,70 +469,18 @@ def cost_suite_trace_grid(
     """Cost a stacked suite against every machine in one fused pass.
 
     ``suite`` is a :class:`~repro.machine.suitebatch.SuiteColumns`
-    stack: its ``vector``/``scalar`` columns and ``machine_cache`` make
-    it a drop-in ``CompiledTrace`` for the grid kernels, so the whole
-    suite × grid cross product costs in a single ``(n_ops, n_machines)``
-    broadcasted pass — no per-trace Python loop over kernel launches.
-    Per-(trace, machine) totals reduce each trace's *segment* of the
-    stacked matrices with :func:`fsum_columns`; the exactly-rounded
-    column sums make every returned :class:`GridTraceCost` bit-identical
-    to :func:`cost_trace_grid` on that trace alone.  The per-trace
-    cycle vectors are memoised on the stack per (grid, dilation).
+    stack, so the whole suite × grid cross product costs in a single
+    ``(n_ops, n_machines)`` broadcasted pass — no per-trace Python loop
+    over kernel launches.  Per-(trace, machine) totals reduce each
+    trace's *segment* of the stacked matrices; the exactly-rounded
+    column sums make every returned :class:`GridTraceCost`
+    bit-identical to :func:`cost_trace_grid` on that trace alone.
     """
-    cache = suite.machine_cache(grid)
-    key = f"suite_grid_cost@{float(memory_dilation)!r}"
-    per_trace = cache.get(key)
-    computed = per_trace is None
-    m = grid.n_machines
-    if computed:
-        vector_cycles = (
-            grid.vector_op_cycles_grid(suite, memory_dilation)
-            if suite.vector.n
-            else np.zeros((0, m))
-        )
-        scalar_cycles = (
-            grid.scalar_op_cycles_grid(suite) if suite.scalar.n else np.zeros((0, m))
-        )
-        vo, so = suite.vector_offsets, suite.scalar_offsets
-        per_trace = cache[key] = tuple(
-            fsum_columns(
-                np.concatenate(
-                    [vector_cycles[vo[i]:vo[i + 1]], scalar_cycles[so[i]:so[i + 1]]],
-                    axis=0,
-                )
-            )
-            for i in range(suite.n_traces)
-        )
-    if perfmon_active() is not None:
-        perfmon_record(
-            "grid",
-            {
-                "machines": float(m),
-                "machine_traces": float(m * suite.n_traces),
-                "costings": 1.0 if computed else 0.0,
-                "memo_hits": 0.0 if computed else 1.0,
-            },
-        )
-    costs: list[GridTraceCost] = []
-    for i in range(suite.n_traces):
-        cycles = per_trace[i]
-        seconds = cycles * (grid.period_ns * NS)
-        zero = seconds == 0.0
-        safe_seconds = np.where(zero, 1.0, seconds)
-        raw_flops, flop_equivalents, words_moved = suite.trace_totals(i)
-        costs.append(
-            GridTraceCost(
-                trace_name=suite.trace_names[i],
-                machine_names=grid.names,
-                cycles=cycles,
-                seconds=seconds,
-                mflops=np.where(zero, 0.0, flop_equivalents / safe_seconds / MEGA),
-                bandwidth_bytes_per_s=np.where(
-                    zero, 0.0, (words_moved * 8.0) / safe_seconds
-                ),
-                raw_flops=raw_flops,
-                flop_equivalents=flop_equivalents,
-                words_moved=words_moved,
-            )
-        )
-    return costs
+    costmodel.check_dilation(memory_dilation)
+    per_trace = _segment_cycles(
+        suite, grid, memory_dilation, suite.vector_offsets, suite.scalar_offsets
+    )
+    return [
+        GridTraceCost.from_cycles(suite.trace_names[i], grid, cycles, *suite.trace_totals(i))
+        for i, cycles in enumerate(per_trace)
+    ]

@@ -29,15 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.machine.operations import VectorOp
 from repro.perfmon.counters import declare_counters
-
-if TYPE_CHECKING:
-    from repro.machine.compiled import VectorColumns
 
 __all__ = ["BankedMemory"]
 
@@ -198,69 +192,6 @@ class BankedMemory:
         load += indexed * op.length * self.index_words_per_element / width
         store = (op.stores_per_element + op.scatter_stores_per_element) * op.length / width
         return max(load, store)
-
-    # -- batched (columnar) timing ------------------------------------------
-    # Exact-parity elementwise mirrors of the per-op methods above: the
-    # stride factors come from the same scalar code (mapped over the
-    # unique strides), and the conditional gather/index terms become
-    # unconditional adds of an exact 0.0.
-    def stride_factor_batch(self, strides: np.ndarray) -> np.ndarray:
-        """Per-op stride dilation for an int64 stride column."""
-        unique, inverse = np.unique(strides, return_inverse=True)
-        factors = np.array(
-            [self.stride_factor(int(s)) for s in unique], dtype=np.float64
-        )
-        return factors[inverse]
-
-    def load_cycles_batch(self, v: "VectorColumns") -> np.ndarray:
-        """Per-op load-path busy cycles for one execution of each loop."""
-        width = self.path_words_per_cycle
-        cycles = v.loads * v.length * self.stride_factor_batch(v.load_stride) / width
-        cycles = cycles + v.gather * v.length * self.gather_factor() / width
-        indexed = v.gather + v.scatter
-        cycles = cycles + indexed * v.length * self.index_words_per_element / width
-        return cycles
-
-    def store_cycles_batch(self, v: "VectorColumns") -> np.ndarray:
-        """Per-op store-path busy cycles for one execution of each loop."""
-        width = self.path_words_per_cycle
-        cycles = v.stores * v.length * self.stride_factor_batch(v.store_stride) / width
-        cycles = cycles + v.scatter * v.length * self.gather_factor() / width
-        return cycles
-
-    def transfer_cycles_batch(self, v: "VectorColumns") -> np.ndarray:
-        """Per-op memory time, load/store paths overlapped."""
-        return np.maximum(self.load_cycles_batch(v), self.store_cycles_batch(v))
-
-    def conflict_free_cycles_batch(self, v: "VectorColumns") -> np.ndarray:
-        """Per-op conflict-free ideal memory time (dilations forced to 1)."""
-        width = self.path_words_per_cycle
-        indexed = v.gather + v.scatter
-        load = (v.loads + v.gather) * v.length / width
-        load = load + indexed * v.length * self.index_words_per_element / width
-        store = (v.stores + v.scatter) * v.length / width
-        return np.maximum(load, store)
-
-    def perfmon_counters_batch(
-        self, v: "VectorColumns", dilation: float = 1.0
-    ) -> dict[str, float]:
-        """Whole-trace counter totals from the compiled columns."""
-        from repro.machine.compiled import fsum
-
-        charged = self.transfer_cycles_batch(v) * dilation * v.count
-        ideal = self.conflict_free_cycles_batch(v) * v.count
-        indexed = v.gather + v.scatter
-        return {
-            "load_cycles": fsum(self.load_cycles_batch(v) * dilation * v.count),
-            "store_cycles": fsum(self.store_cycles_batch(v) * dilation * v.count),
-            "transfer_cycles": fsum(charged),
-            "bank_conflict_cycles": fsum(np.maximum(0.0, charged - ideal)),
-            "sequential_words": fsum(v.sequential_words * v.count),
-            "indexed_words": fsum(v.indexed_words * v.count),
-            "index_words": fsum(
-                indexed * v.length * self.index_words_per_element * v.count
-            ),
-        }
 
     def perfmon_counters(self, op: VectorOp, dilation: float = 1.0) -> dict[str, float]:
         """Counter increments for all ``count`` executions of a loop.

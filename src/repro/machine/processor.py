@@ -9,21 +9,24 @@ the paper's tables and figures report.
 
 There is one costing path.  ``execute`` lowers the trace to
 structure-of-arrays columns (:mod:`repro.machine.compiled`) and costs
-every op with the components' ``*_cycles_batch`` methods — a handful of
-NumPy expressions regardless of trace length.  The per-op methods
-(``vector_op_cycles``/``scalar_op_cycles``) stay as the test oracle:
-:meth:`Processor.per_op_cycles` walks a trace through them, and the
-``math.fsum`` of that list is bit-identical to ``execute``'s total (the
-batched expressions replicate the per-op arithmetic exactly, and both
-sides reduce with :func:`math.fsum`).
+every op with the shared columnar model (:mod:`repro.machine.costmodel`)
+— a handful of NumPy expressions regardless of trace length — reading
+this processor's parameters as plain Python numbers.  The per-op
+methods (``vector_op_cycles``/``scalar_op_cycles``) stay as the test
+oracle: :meth:`Processor.per_op_cycles` walks a trace through them, and
+the ``math.fsum`` of that list is bit-identical to ``execute``'s total
+(the columnar expressions replicate the per-op arithmetic exactly, and
+both sides reduce with :func:`math.fsum`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
+from repro.machine import costmodel
 from repro.machine.clock import Clock
 from repro.machine.compiled import CompiledTrace, compile_trace, fsum
 from repro.machine.memory import BankedMemory
@@ -139,6 +142,12 @@ class Processor:
     scalar: ScalarUnit
     vector: VectorUnit | None = None
     memory: BankedMemory | None = None
+    #: the cost parameter record (costmodel.parameter_row), built on the
+    #: first costing: callers may adjust a fresh processor's components
+    #: before then, never after.
+    _params: SimpleNamespace | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if (self.vector is None) != (self.memory is None):
@@ -168,8 +177,7 @@ class Processor:
     # -- per-op timing ------------------------------------------------------
     def vector_op_cycles(self, op: VectorOp, memory_dilation: float = 1.0) -> float:
         """Total cycles for all ``count`` executions of a vector loop."""
-        if not memory_dilation >= 1.0:  # also rejects NaN
-            raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
+        costmodel.check_dilation(memory_dilation)
         if self.vector is not None and self.memory is not None:
             arithmetic = self.vector.arithmetic_cycles(op)
             memory = self.memory.transfer_cycles(op) * memory_dilation
@@ -189,6 +197,7 @@ class Processor:
         list and its ``cycles`` equal the list's :func:`math.fsum`, bit
         for bit.
         """
+        costmodel.check_dilation(memory_dilation)
         return [
             self.vector_op_cycles(op, memory_dilation)
             if isinstance(op, VectorOp)
@@ -196,53 +205,12 @@ class Processor:
             for op in trace
         ]
 
-    # -- batched (columnar) timing ------------------------------------------
-    def vector_op_cycles_batch(
-        self, compiled: CompiledTrace, memory_dilation: float = 1.0
-    ) -> np.ndarray:
-        """Per-op totals of :meth:`vector_op_cycles` over the vector columns.
-
-        The dilation-independent columns (arithmetic, startup overhead,
-        undilated memory time) are memoised on the compiled trace per
-        component set, so a dilation sweep recomputes only one scale and
-        one elementwise max per point.
-        """
-        if not memory_dilation >= 1.0:  # also rejects NaN
-            raise ValueError(f"memory dilation cannot shrink time, got {memory_dilation}")
-        v = compiled.vector
-        if self.vector is not None and self.memory is not None:
-            cache = compiled.machine_cache(self.vector, self.memory)
-            arithmetic = cache.get("arithmetic")
-            if arithmetic is None:
-                arithmetic = cache["arithmetic"] = self.vector.arithmetic_cycles_batch(v)
-                cache["overhead"] = self.vector.overhead_cycles_batch(v)
-                cache["transfer"] = self.memory.transfer_cycles_batch(v)
-            memory = cache["transfer"] * memory_dilation
-            per_execution = cache["overhead"] + np.maximum(arithmetic, memory)
-        else:
-            cache = compiled.machine_cache(self.scalar)
-            per_execution = cache.get("scalar_vector")
-            if per_execution is None:
-                per_execution = cache["scalar_vector"] = self.scalar.vector_op_cycles_batch(v)
-            per_execution = per_execution * memory_dilation
-        return per_execution * v.count
-
-    def scalar_op_cycles_batch(self, compiled: CompiledTrace) -> np.ndarray:
-        """Per-op totals of :meth:`scalar_op_cycles` over the scalar columns."""
-        s = compiled.scalar
-        cache = compiled.machine_cache(self.scalar)
-        per_execution = cache.get("scalar_op")
-        if per_execution is None:
-            per_execution = cache["scalar_op"] = self.scalar.scalar_op_cycles_batch(s)
-        return per_execution * s.count
-
     # -- perfmon instrumentation --------------------------------------------
-    def _record_trace_batch(
+    def _record_counters(
         self,
         compiled: CompiledTrace,
-        op_cycles: np.ndarray,
-        vector_cycles: np.ndarray,
-        scalar_cycles: np.ndarray,
+        memo: dict,
+        entry: tuple,
         dilation: float,
     ) -> None:
         """Populate the active profile's counters from column reductions.
@@ -252,24 +220,28 @@ class Processor:
         accumulation), with one record per component instead of one per
         op.
         """
+        params = self._params
         v, s = compiled.vector, compiled.scalar
+        vector_cycles, scalar_cycles, op_cycles, total_cycles = entry
         if v.n:
-            if self.vector is not None and self.memory is not None:
-                perfmon_record("vector_unit", self.vector.perfmon_counters_batch(v))
-                perfmon_record("memory", self.memory.perfmon_counters_batch(v, dilation))
+            if params.has_vector:
+                perfmon_record("vector_unit", costmodel.vector_unit_counters(params, v, memo))
+                perfmon_record(
+                    "memory", costmodel.memory_counters(params, v, dilation, memo)
+                )
             else:
-                scalar, cache = self.scalar.perfmon_vector_counters_batch(v)
+                scalar, cache = costmodel.vector_loop_counters(params, v, memo)
                 perfmon_record("scalar_unit", scalar)
                 perfmon_record("cache", cache)
         if s.n:
-            scalar, cache = self.scalar.perfmon_scalar_counters_batch(s)
+            scalar, cache = costmodel.scalar_op_counters(params, s, memo)
             perfmon_record("scalar_unit", scalar)
             perfmon_record("cache", cache)
         # Record only the op kinds that occurred, matching the key set
         # per-op recording produces (profile diffs compare dict shapes too).
         increments = {
             "ops": float(compiled.n_ops),
-            "cycles": fsum(op_cycles),
+            "cycles": total_cycles,
             "seconds": fsum(op_cycles * self.clock.period_s),
         }
         if v.n:
@@ -293,39 +265,39 @@ class Processor:
         that times an op also populates its counters — this is the
         "counter emulation" layer of the observability subsystem.
         """
+        costmodel.check_dilation(memory_dilation)
         compiled = compile_trace(trace)
-        v, s = compiled.vector, compiled.scalar
-        # The fully-combined cost columns are themselves memoised per
-        # (components, dilation), so re-costing the same trace on the
-        # same machine — the sweep and table-regeneration steady state —
-        # is a dictionary lookup plus report construction.  Invalid
-        # dilations raise before anything is cached, so validation still
-        # fires on every call.  The cached arrays are shared with the
-        # returned report; treat ``ExecutionReport.op_cycles`` as
-        # read-only.
-        cache = compiled.machine_cache(self.vector, self.memory, self.scalar)
+        params = self._params
+        if params is None:
+            params = self._params = SimpleNamespace(**costmodel.parameter_row(self))
+        # The fully-combined cost columns are memoised per (machine,
+        # dilation), so re-costing the same trace on the same machine —
+        # the sweep and table-regeneration steady state — is a
+        # dictionary lookup plus report construction.  The cached
+        # arrays are shared with the returned report; treat
+        # ``ExecutionReport.op_cycles`` as read-only.
+        memo = compiled.machine_cache(params)
         key = f"cost@{float(memory_dilation)!r}"
-        entry = cache.get(key)
+        entry = memo.get(key)
         if entry is None:
+            v, s = compiled.vector, compiled.scalar
             vector_cycles = (
-                self.vector_op_cycles_batch(compiled, memory_dilation)
+                costmodel.vector_op_cycles(params, v, memory_dilation, memo)
                 if v.n
                 else _EMPTY_CYCLES
             )
             scalar_cycles = (
-                self.scalar_op_cycles_batch(compiled) if s.n else _EMPTY_CYCLES
+                costmodel.scalar_op_cycles(params, s, memo) if s.n else _EMPTY_CYCLES
             )
             op_cycles = compiled.scatter_cycles(vector_cycles, scalar_cycles)
-            entry = cache[key] = (
+            entry = memo[key] = (
                 vector_cycles, scalar_cycles, op_cycles, fsum(op_cycles)
             )
-        vector_cycles, scalar_cycles, op_cycles, total_cycles = entry
+        op_cycles, total_cycles = entry[2], entry[3]
         if perfmon_active() is not None:
             perfmon_record("processor", {"traces": 1.0})
             if compiled.n_ops:
-                self._record_trace_batch(
-                    compiled, op_cycles, vector_cycles, scalar_cycles, memory_dilation
-                )
+                self._record_counters(compiled, memo, entry, memory_dilation)
         return ExecutionReport(
             machine=self.name,
             trace_name=trace.name,

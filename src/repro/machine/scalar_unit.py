@@ -21,16 +21,11 @@ startup and uses the scalar unit for genuinely unvectorised work:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from repro.machine.cache import CacheModel
 from repro.machine.operations import INTRINSICS, ScalarOp, VectorOp
 from repro.perfmon.counters import declare_counters
-
-if TYPE_CHECKING:
-    from repro.machine.compiled import ScalarColumns, VectorColumns
 
 __all__ = ["ScalarUnit"]
 
@@ -126,89 +121,6 @@ class ScalarUnit:
         )
         per_element = max(flop_cycles, mem_cycles) + loop_cycles + intrinsic_cycles
         return op.length * per_element
-
-    # -- batched (columnar) timing ------------------------------------------
-    def scalar_op_cycles_batch(self, s: "ScalarColumns") -> np.ndarray:
-        """Per-op cycles for one execution of each ScalarOp."""
-        issue = s.instructions / self.issue_width
-        fp = s.flops / self.flops_per_cycle
-        memory = s.memory_words * self.cache.hit_cycles_per_word
-        return issue + fp + memory
-
-    def vector_op_cycles_batch(self, v: "VectorColumns") -> np.ndarray:
-        """Per-op cycles for VectorOps run as scalar loops (cache machines).
-
-        Elementwise mirror of :meth:`vector_op_cycles`; the conditional
-        small-table term becomes an unconditional add of an exact 0.0.
-        """
-        words_per_elem = v.loads + v.stores
-        indexed_per_elem = v.gather + v.scatter
-        working_set = (v.loads * v.load_stride + v.stores * v.store_stride) * v.length * 8.0
-        stride = np.maximum(v.load_stride, v.store_stride)
-        mem_cycles = words_per_elem * self.cache.cycles_per_word_batch(stride, working_set)
-        mem_cycles = mem_cycles + indexed_per_elem * 2.0 * self.cache.hit_cycles_per_word
-        flop_cycles = v.flops / self.flops_per_cycle
-        loop_cycles = self.loop_overhead_instructions / self.issue_width
-        intrinsic_cycles = np.zeros(v.n, dtype=np.float64)
-        for column, name in enumerate(sorted(INTRINSICS)):
-            rate = self.intrinsic_cycles_per_call[name]
-            intrinsic_cycles = intrinsic_cycles + v.intrinsics[:, column] * rate
-        per_element = np.maximum(flop_cycles, mem_cycles) + loop_cycles + intrinsic_cycles
-        return v.length * per_element
-
-    def perfmon_scalar_counters_batch(
-        self, s: "ScalarColumns"
-    ) -> tuple[dict[str, float], dict[str, float]]:
-        """Whole-trace (scalar_unit, cache) totals for the ScalarOp columns."""
-        from repro.machine.compiled import fsum
-
-        scalar = {
-            "ex_cycles": fsum(self.scalar_op_cycles_batch(s) * s.count),
-            "instructions": fsum(s.instructions * s.count),
-            "flops": fsum(s.raw_flops),
-            "flop_equivalents": fsum(s.raw_flops),
-            "memory_words": fsum(s.words_moved),
-        }
-        # Scalar references are register/cache-resident by construction.
-        words = fsum(s.words_moved)
-        cache = {
-            "ref_words": words,
-            "hit_words": words,
-            "miss_words": 0.0,
-            "miss_cycles": 0.0,
-        }
-        return scalar, cache
-
-    def perfmon_vector_counters_batch(
-        self, v: "VectorColumns"
-    ) -> tuple[dict[str, float], dict[str, float]]:
-        """Whole-trace (scalar_unit, cache) totals for VectorOps run as
-        scalar loops on a cache machine."""
-        from repro.machine.compiled import fsum
-
-        working_set = (v.loads * v.load_stride + v.stores * v.store_stride) * v.length * 8.0
-        stride = np.maximum(v.load_stride, v.store_stride)
-        words = (v.loads + v.stores) * v.elements
-        rate = self.cache.miss_rate_batch(stride, working_set)
-        misses = words * rate
-        idx_words = (v.gather + v.scatter) * v.elements  # resident small tables
-        scalar = {
-            "ex_cycles": fsum(self.vector_op_cycles_batch(v) * v.count),
-            "instructions": fsum(
-                (v.flops + self.loop_overhead_instructions) * v.elements
-            ),
-            "flops": fsum(v.raw_flops),
-            "flop_equivalents": fsum(v.flop_equivalents),
-            "memory_words": fsum(v.words_moved),
-            "intrinsic_calls": fsum(v.intrinsic_calls_total),
-        }
-        cache = {
-            "ref_words": fsum(words + idx_words),
-            "hit_words": fsum((words - misses) + idx_words),
-            "miss_words": fsum(misses),
-            "miss_cycles": fsum(misses * self.cache.line_fill_cycles()),
-        }
-        return scalar, cache
 
     # -- perfmon instrumentation --------------------------------------------
     def perfmon_scalar_counters(

@@ -2,17 +2,19 @@
 
 :class:`SuiteColumns` concatenates every trace's
 ``VectorColumns``/``ScalarColumns`` into one ragged stack, with segment
-offsets delimiting each trace's rows.  The machine grid's
+offsets delimiting each trace's rows, and finds the distinct strides
+once over the whole stack.  The machine grid's
 :func:`~repro.machine.grid.cost_suite_trace_grid` costs the stack
 against every machine in a single ``(n_ops, n_machines)`` broadcast
-pass, then reduces each trace's segment on its own.
+pass of the shared cost model (:mod:`repro.machine.costmodel`), then
+reduces each trace's segment on its own.
 
 Exactness is inherited, not re-proven: stacking copies raw float64
-rows, every grid kernel is elementwise per row, and the per-segment
-reductions go through :func:`math.fsum`, whose exactly-rounded result
-is independent of operand order.  A stacked trace therefore costs to
-the same doubles as the same trace costed alone — pinned in
-``tests/machine/test_suitebatch.py``.
+rows, every cost expression is elementwise per row, and the
+per-segment reductions go through :func:`math.fsum`, whose
+exactly-rounded result is independent of operand order.  A stacked
+trace therefore costs to the same doubles as the same trace costed
+alone — pinned in ``tests/machine/test_suitebatch.py``.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ class SuiteColumns:
     ``vector``/``scalar`` are ordinary column sets over the
     *concatenation* of every member trace's rows (each row bit-identical
     to its source, ``index`` still holding within-trace positions), so
-    the grid's ``*_cycles_grid`` kernels accept a ``SuiteColumns``
-    anywhere they accept a ``CompiledTrace``.  ``vector_offsets``/
-    ``scalar_offsets`` delimit each trace's segment.
+    the cost model takes a ``SuiteColumns`` wherever it takes a
+    ``CompiledTrace``.  ``vector_offsets``/``scalar_offsets`` delimit
+    each trace's segment.
 
     Like :class:`~repro.machine.compiled.CompiledTrace`,
-    machine-dependent cost columns are memoised per component set in
+    machine-dependent cost columns are memoised per machine in
     :meth:`machine_cache`.
     """
 
@@ -50,8 +52,8 @@ class SuiteColumns:
     vector_offsets: np.ndarray  # (n_traces + 1,) intp segment bounds
     scalar_offsets: np.ndarray
     _machine_caches: dict = field(default_factory=dict, repr=False)
-    #: strong refs pinning cached components so their ids stay unique.
-    _pins: list[tuple] = field(default_factory=list, repr=False)
+    #: strong refs pinning cached machines so their ids stay unique.
+    _pins: list = field(default_factory=list, repr=False)
     #: machine-independent per-trace totals, computed once per stack.
     _totals: dict[str, list[float]] = field(default_factory=dict, repr=False)
 
@@ -77,14 +79,12 @@ class SuiteColumns:
             scalar_offsets=_offsets([c.scalar.n for c in compiled]),
         )
 
-    def machine_cache(self, *components) -> dict:
-        """Per-component-set memo dict (same contract as CompiledTrace)."""
-        key = tuple(id(c) for c in components)
-        cache = self._machine_caches.get(key)
+    def machine_cache(self, machine) -> dict:
+        """Per-machine memo dict (same contract as CompiledTrace)."""
+        cache = self._machine_caches.get(id(machine))
         if cache is None:
-            cache = {}
-            self._machine_caches[key] = cache
-            self._pins.append(components)
+            cache = self._machine_caches[id(machine)] = {}
+            self._pins.append(machine)
         return cache
 
     # -- aggregate accounting (exact: fsum over each trace's segment) ------

@@ -26,15 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from repro.machine.operations import INTRINSICS, VectorOp
 from repro.perfmon.counters import declare_counters
-
-if TYPE_CHECKING:
-    from repro.machine.compiled import VectorColumns
 
 __all__ = ["VectorUnit"]
 
@@ -135,29 +130,6 @@ class VectorUnit:
         strips = max(1, math.ceil(op.length / self.register_length))
         return self.startup_cycles + (strips - 1) * self.stripmine_cycles
 
-    # -- batched (columnar) timing ----------------------------------------
-    # Each *_batch method evaluates the exact expression of its per-op
-    # sibling elementwise over the compiled columns: same IEEE-754
-    # operations, same association, intrinsics accumulated in the same
-    # sorted order (absent intrinsics add an exact 0.0).  REPO007 keeps
-    # the pairing closed under extension.
-    def arithmetic_cycles_batch(self, v: "VectorColumns") -> np.ndarray:
-        """Per-op pipeline-busy cycles for one execution of each loop."""
-        sets_used = np.minimum(float(self.concurrent_sets), np.maximum(1.0, v.flops))
-        # flops == 0 rows divide 0 by >= self.pipes, yielding the per-op
-        # path's exact 0.0 without a branch.
-        cycles = v.length * v.flops / (self.pipes * sets_used)
-        for column, name in enumerate(sorted(INTRINSICS)):
-            rate = self.intrinsic_cycles_per_element[name]
-            cycles = cycles + (v.length * v.intrinsics[:, column]) * rate
-        return cycles
-
-    def overhead_cycles_batch(self, v: "VectorColumns") -> np.ndarray:
-        """Per-op startup + strip-mining overhead, one execution each."""
-        strips = np.maximum(1.0, np.ceil(v.length / self.register_length))
-        return self.startup_cycles + (strips - 1.0) * self.stripmine_cycles
-
-
     def perfmon_counters(self, op: VectorOp) -> dict[str, float]:
         """Counter increments for all ``count`` executions of a loop.
 
@@ -174,25 +146,6 @@ class VectorUnit:
             "flops": op.raw_flops,
             "flop_equivalents": op.flop_equivalents,
             "intrinsic_calls": sum(op.intrinsic_calls_total.values()),
-        }
-
-    def perfmon_counters_batch(self, v: "VectorColumns") -> dict[str, float]:
-        """Whole-trace counter totals from the compiled columns.
-
-        Same increments as summing :meth:`perfmon_counters` over every
-        op, reduced with exactly-rounded sums.
-        """
-        from repro.machine.compiled import fsum
-
-        strips = np.maximum(1.0, np.ceil(v.length / self.register_length))
-        return {
-            "busy_cycles": fsum(self.arithmetic_cycles_batch(v) * v.count),
-            "startup_cycles": fsum(self.overhead_cycles_batch(v) * v.count),
-            "vector_instructions": fsum(strips * v.count),
-            "vector_elements": fsum(v.elements),
-            "flops": fsum(v.raw_flops),
-            "flop_equivalents": fsum(v.flop_equivalents),
-            "intrinsic_calls": fsum(v.intrinsic_calls_total),
         }
 
     def intrinsic_rate_per_cycle(self, func: str) -> float:

@@ -378,183 +378,6 @@ class TestPerfmonRegistration:
         assert lint_file(path, tmp_path) == []
 
 
-class TestBatchSiblingContract:
-    """REPO007: every ``<name>_batch`` method needs a per-op ``<name>``."""
-
-    ORPHAN = """
-    class Widget:
-        def transfer_cycles_batch(self, columns):
-            return columns
-    """
-
-    PAIRED = """
-    class Widget:
-        def transfer_cycles(self, op):
-            return 0.0
-
-        def transfer_cycles_batch(self, columns):
-            return columns
-    """
-
-    def test_orphan_batched_method_flagged(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/machine/widget.py", self.ORPHAN)
-        found = [d for d in lint_file(path, tmp_path) if d.rule_id == "REPO007"]
-        assert len(found) == 1
-        assert "transfer_cycles_batch" in found[0].message
-        assert "'transfer_cycles'" in found[0].message
-
-    def test_paired_batched_method_is_clean(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/machine/widget.py", self.PAIRED)
-        assert "REPO007" not in rule_ids(lint_file(path, tmp_path))
-
-    def test_sibling_must_be_on_the_same_class(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Reference:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-            class Widget:
-                def transfer_cycles_batch(self, columns):
-                    return columns
-            """,
-        )
-        assert "REPO007" in rule_ids(lint_file(path, tmp_path))
-
-    def test_private_batched_helpers_exempt(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Widget:
-                def _combine_batch(self, columns):
-                    return columns
-            """,
-        )
-        assert "REPO007" not in rule_ids(lint_file(path, tmp_path))
-
-    def test_applies_across_src_not_just_machine(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/analysis/widget.py", self.ORPHAN)
-        assert "REPO007" in rule_ids(lint_file(path, tmp_path))
-
-    def test_module_level_functions_out_of_scope(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/analysis/widget.py",
-            "def helper_batch(columns):\n    return columns\n",
-        )
-        assert "REPO007" not in rule_ids(lint_file(path, tmp_path))
-
-
-class TestGridSiblingContract:
-    """REPO009: every ``<name>_cycles_grid`` needs a ``<name>_cycles_batch``."""
-
-    ORPHAN = """
-    class Widget:
-        def transfer_cycles_grid(self, columns):
-            return columns
-    """
-
-    PAIRED = """
-    class Widget:
-        def transfer_cycles(self, op):
-            return 0.0
-
-        def transfer_cycles_batch(self, columns):
-            return columns
-
-        def transfer_cycles_grid(self, columns):
-            return columns
-    """
-
-    def test_orphan_grid_method_flagged(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/machine/widget.py", self.ORPHAN)
-        found = [d for d in lint_file(path, tmp_path) if d.rule_id == "REPO009"]
-        assert len(found) == 1
-        assert "transfer_cycles_grid" in found[0].message
-        assert "'transfer_cycles_batch'" in found[0].message
-
-    def test_paired_grid_method_is_clean(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/machine/widget.py", self.PAIRED)
-        assert "REPO009" not in rule_ids(lint_file(path, tmp_path))
-
-    def test_batch_sibling_without_per_op_still_trips_repo007(self, tmp_path):
-        # The chain is grid -> batch (REPO009) -> per-op (REPO007):
-        # pairing the grid method only moves the violation down a level.
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Widget:
-                def transfer_cycles_batch(self, columns):
-                    return columns
-
-                def transfer_cycles_grid(self, columns):
-                    return columns
-            """,
-        )
-        ids = rule_ids(lint_file(path, tmp_path))
-        assert "REPO009" not in ids
-        assert "REPO007" in ids
-
-    def test_sibling_must_be_on_the_same_class(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Reference:
-                def transfer_cycles(self, op):
-                    return 0.0
-
-                def transfer_cycles_batch(self, columns):
-                    return columns
-
-            class Widget:
-                def transfer_cycles_grid(self, columns):
-                    return columns
-            """,
-        )
-        assert "REPO009" in rule_ids(lint_file(path, tmp_path))
-
-    def test_private_grid_kernels_exempt(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Widget:
-                def _transfer_cycles_grid(self, columns):
-                    return columns
-            """,
-        )
-        assert "REPO009" not in rule_ids(lint_file(path, tmp_path))
-
-    def test_non_cycles_grid_methods_out_of_scope(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/machine/widget.py",
-            """
-            class Widget:
-                def build_grid(self, columns):
-                    return columns
-            """,
-        )
-        assert "REPO009" not in rule_ids(lint_file(path, tmp_path))
-
-    def test_applies_across_src_not_just_machine(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/explore/widget.py", self.ORPHAN)
-        assert "REPO009" in rule_ids(lint_file(path, tmp_path))
-
-    def test_module_level_functions_out_of_scope(self, tmp_path):
-        path = write_module(
-            tmp_path,
-            "src/repro/explore/widget.py",
-            "def helper_cycles_grid(columns):\n    return columns\n",
-        )
-        assert "REPO009" not in rule_ids(lint_file(path, tmp_path))
-
-
 class TestFaultSiteRegistry:
     """REPO008: fault_point call sites name a registered site, literally."""
 

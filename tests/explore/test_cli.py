@@ -173,6 +173,19 @@ class TestFailureModes:
         assert code == 2
         assert "cache machine" in err
 
+    @pytest.mark.parametrize("traces", ["hint", "stream"])
+    @pytest.mark.parametrize("dilation", ["nan", "0.5"])
+    def test_shrinking_dilation_exits_2(self, capsys, traces, dilation):
+        # hint has no vector ops: the check cannot ride on the vector path.
+        code, out, err = run_cli(
+            ["sweep", "--axis", "clock.period_ns=4:16:2", "--traces", traces,
+             "--dilation", dilation],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot shrink" in err
+
     def test_unknown_reference_exits_2(self, capsys):
         code, _, err = run_cli(
             ["ranks", "--reference", "CDC 6600", "--traces", "hint,radabs"], capsys

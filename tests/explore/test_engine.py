@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from repro.engine.deps import dependency_closure
 from repro.engine.store import ChunkStore
 from repro.explore.engine import (
+    CHUNK_KEY_SEEDS,
     CHUNK_NAMESPACE,
     cost_suite_grid,
     grid_chunk_key,
@@ -148,6 +150,22 @@ class TestChunkKeys:
     def test_key_depends_on_source_code(self, grid):
         key = grid_chunk_key(grid, TRACE_SUBSET, 1.0, code_digest="0" * 64)
         assert key != grid_chunk_key(grid, TRACE_SUBSET, 1.0, code_digest="1" * 64)
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.machine.costmodel",
+            "repro.machine.processor",
+            "repro.machine.vector_unit",
+            "repro.machine.memory",
+            "repro.machine.scalar_unit",
+            "repro.machine.cache",
+        ],
+    )
+    def test_key_closure_covers_every_cost_expression(self, module):
+        # Editing a cost term must invalidate stored sweep chunks, so
+        # every module holding one is in the code digest's closure.
+        assert module in dependency_closure(CHUNK_KEY_SEEDS)
 
     def test_payloads_are_json_round_trippable(self, grid, tmp_path):
         store = ChunkStore(root=tmp_path)

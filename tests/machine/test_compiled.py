@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
+from repro.explore.engine import cost_suite_grid
 from repro.machine.compiled import (
     SORTED_INTRINSICS,
     CompiledTrace,
     compile_trace,
     fsum,
 )
-from repro.machine.grid import MachineGrid, cost_trace_grid
+from repro.machine.grid import MachineGrid, cost_suite_trace_grid, cost_trace_grid
 from repro.machine.operations import INTRINSICS, ScalarOp, Trace, VectorOp
 from repro.machine.presets import canonical_machines, sx4_processor
+from repro.machine.suitebatch import SuiteColumns
 from repro.perfmon.collector import profile
 from tests.oracle import assert_matches_oracle, oracle_counters, oracle_report
 
@@ -48,7 +50,7 @@ class TestExactParity:
 
     def test_cache_machine_parity(self):
         # A cache machine (no vector unit) routes vector ops through the
-        # scalar unit's model; the batched path must match there too.
+        # scalar unit's model; the columnar path must match there too.
         proc = next(m for m in ALL_MACHINES if m.vector is None)
         assert_matches_oracle(proc.execute(mixed_trace()), proc, mixed_trace())
 
@@ -74,31 +76,47 @@ class TestExactParity:
 
     def test_nan_dilation_rejected_on_every_path(self):
         proc = sx4_processor()
-        trace = mixed_trace()
-        nan = float("nan")
-        with pytest.raises(ValueError, match="cannot shrink"):
-            proc.execute(trace, nan)
-        with pytest.raises(ValueError, match="cannot shrink"):
-            proc.per_op_cycles(trace, nan)
-        with pytest.raises(ValueError, match="cannot shrink"):
-            cost_trace_grid(trace, MachineGrid.from_processors([proc]), nan)
+        grid = MachineGrid.from_processors([proc])
+        # hint has no vector ops, so the check cannot ride on the
+        # vector-op path.
+        for trace in (mixed_trace(), build_registered_trace("hint")):
+            suite = SuiteColumns.from_traces([(trace.name, trace)])
+            for dilation in (float("nan"), 0.5):
+                with pytest.raises(ValueError, match="cannot shrink"):
+                    proc.execute(trace, dilation)
+                with pytest.raises(ValueError, match="cannot shrink"):
+                    proc.per_op_cycles(trace, dilation)
+                with pytest.raises(ValueError, match="cannot shrink"):
+                    cost_trace_grid(trace, grid, dilation)
+                with pytest.raises(ValueError, match="cannot shrink"):
+                    cost_suite_trace_grid(suite, grid, dilation)
+                with pytest.raises(ValueError, match="cannot shrink"):
+                    cost_suite_grid(grid, trace_ids=("hint",), memory_dilation=dilation)
 
     def test_perfmon_counters_match_legacy_shape_and_totals(self):
-        """Column-reduced counters equal per-op recording (the oracle)."""
-        proc = sx4_processor()
-        trace = build_registered_trace("radabs")
-        with profile() as compiled_prof:
-            proc.execute(trace)
-        oracle = oracle_counters(proc, trace)
-        compiled_counters = compiled_prof.counters.to_dict()
-        assert oracle.keys() == compiled_counters.keys()
-        for component, counters in oracle.items():
-            assert counters.keys() == compiled_counters[component].keys()
-            for name, value in counters.items():
-                got = compiled_counters[component][name]
-                assert got == pytest.approx(value, rel=1e-12, abs=1e-12), (
-                    f"{component}.{name}"
-                )
+        """Column-reduced counters equal per-op recording (the oracle).
+
+        Every canonical preset, so both the vector-unit/memory counters
+        and the cache machines' scalar-loop/cache counters are covered,
+        on every registered trace, undilated and dilated.
+        """
+        for trace_id in TRACE_BUILDERS:
+            trace = build_registered_trace(trace_id)
+            for proc in ALL_MACHINES:
+                for dilation in (1.0, 1.5):
+                    with profile() as compiled_prof:
+                        proc.execute(trace, dilation)
+                    oracle = oracle_counters(proc, trace, dilation)
+                    compiled_counters = compiled_prof.counters.to_dict()
+                    where = f"{proc.name} / {trace_id} / dilation {dilation}"
+                    assert oracle.keys() == compiled_counters.keys(), where
+                    for component, counters in oracle.items():
+                        assert counters.keys() == compiled_counters[component].keys(), where
+                        for name, value in counters.items():
+                            got = compiled_counters[component][name]
+                            assert got == pytest.approx(value, rel=1e-12, abs=1e-12), (
+                                f"{where}: {component}.{name}"
+                            )
 
 
 class TestCompileCaching:

@@ -19,7 +19,7 @@ from tests.oracle import assert_matches_oracle, oracle_counters
 
 SX4 = sx4_processor()
 #: A Table 1 machine without a vector unit: vector ops cost through the
-#: scalar/cache model, the other half of the batched code.
+#: scalar/cache model, the other half of the columnar model.
 CACHE_MACHINE = next(m for m in table1_machines().values() if m.vector is None)
 
 rates = st.floats(min_value=0.0, max_value=8.0, allow_nan=False)
@@ -92,13 +92,11 @@ def test_dilated_report_parity(trace, dilation):
     assert_report_parity(SX4, trace, dilation)
 
 
-@given(trace=traces)
-@settings(max_examples=50)
-def test_perfmon_counter_totals_parity(trace):
+def assert_counter_parity(processor, trace, dilation=1.0):
     """Counter key sets match exactly; totals agree to ulp scale."""
     with profile() as compiled_prof:
-        SX4.execute(trace)
-    oracle = oracle_counters(SX4, trace)
+        processor.execute(trace, dilation)
+    oracle = oracle_counters(processor, trace, dilation)
     compiled = compiled_prof.counters.to_dict()
     assert oracle.keys() == compiled.keys()
     for component, counters in oracle.items():
@@ -110,6 +108,18 @@ def test_perfmon_counter_totals_parity(trace):
             assert ulps_apart(value, got) <= 64.0 * max(1, len(trace)), (
                 f"{component}.{name}: oracle={value!r} compiled={got!r}"
             )
+
+
+@given(trace=traces)
+@settings(max_examples=50)
+def test_perfmon_counter_totals_parity(trace):
+    assert_counter_parity(SX4, trace)
+
+
+@given(trace=traces, dilation=dilations)
+@settings(max_examples=50)
+def test_cache_machine_perfmon_counter_totals_parity(trace, dilation):
+    assert_counter_parity(CACHE_MACHINE, trace, dilation)
 
 
 @given(trace=traces)

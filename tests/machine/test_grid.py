@@ -136,16 +136,6 @@ class TestExactParity:
             assert report.seconds == direct.seconds
             assert report.machine == direct.machine
 
-    def test_per_op_methods_match_processor(self, grid, machines):
-        # The REPO007/REPO009 reference chain: grid per-op == Processor per-op.
-        trace = build_registered_trace("ccm2")
-        for index, processor in enumerate(machines.values()):
-            for op in trace.ops[:10]:
-                if hasattr(op, "length"):
-                    assert grid.vector_op_cycles(op, index) == processor.vector_op_cycles(op)
-                else:
-                    assert grid.scalar_op_cycles(op, index) == processor.scalar_op_cycles(op)
-
     def test_memoised_costing_is_identical(self, grid):
         trace = build_registered_trace("hint")
         first = cost_trace_grid(trace, grid)

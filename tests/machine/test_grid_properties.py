@@ -12,9 +12,10 @@ cannot:
   execution — the op side of the broadcast is as arbitrary as the
   machine side.
 
-A smaller sample additionally chains down to the per-op oracle
-(execute==oracle is already pinned elsewhere; asserting it here closes
-the loop grid -> batch -> per-op on the same inputs).
+A smaller sample additionally compares the grid with the per-op oracle
+directly (execute==oracle is already pinned elsewhere; the grid and
+``execute`` share one columnar model, so the oracle is the independent
+side).
 """
 
 import math

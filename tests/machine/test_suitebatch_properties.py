@@ -21,7 +21,7 @@ from repro.machine.suitebatch import SuiteColumns
 
 SX4 = sx4_processor()
 #: A Table 1 machine without a vector unit: vector ops cost through the
-#: scalar/cache model, the other half of the batched code.
+#: scalar/cache model, the other half of the columnar model.
 CACHE_MACHINE = next(m for m in table1_machines().values() if m.vector is None)
 
 ALL_TRACE_IDS = tuple(TRACE_BUILDERS)
