@@ -1,21 +1,27 @@
-"""Content-addressed result store for suite experiments.
+"""Content-addressed record stores: suite results and caller-keyed chunks.
 
 Layout, under the store root (default ``.repro-cache/``)::
 
-    results/<exp_id>.<sha256-key>.json    one entry per (experiment, digest)
-    quarantine/                           corrupt entries, moved aside
-    tmp/                                  staging for atomic writes
+    results/<exp_id>.<sha256-key>.json      one entry per (experiment, digest)
+    chunks/<namespace>.<sha256-key>.json    one chunk per (namespace, key)
+    quarantine/results/                     corrupt results, moved aside
+    quarantine/chunks/                      corrupt chunks, moved aside
+    tmp/                                    staging for atomic writes
 
-Entries are written to ``tmp/`` and moved into place with
-:func:`os.replace`, so a reader never sees a torn file and two writers
-racing on the same key both leave a complete entry.
+Both kinds keep one discipline, written once in :class:`_RecordDir`.
+A record is staged in ``tmp/`` under a name unique to the writing
+process and thread, then moved into place with :func:`os.replace`, so a
+reader never sees a torn file and writers racing on one address —
+threads of one process included — each leave a complete record.
 
-Every entry carries a sha256 checksum of its canonical experiment
-payload (schema 2).  An entry that fails integrity checking — torn
-JSON, missing fields, checksum mismatch — is **quarantined**: moved
-into ``quarantine/`` (keeping the evidence) and reported as a miss, so
-the engine recomputes while :meth:`ResultStore.stats` still shows the
-damage.  Entries from older schemas are plain misses, not corruption.
+Every record carries its kind's schema number (results 2, chunks 1)
+and a sha256 checksum of its canonical payload.  A record that fails
+the read — undecodable bytes, unparseable or too deeply nested JSON,
+missing fields, checksum mismatch — is **quarantined**: moved into its
+kind's ``quarantine/`` directory (keeping the evidence) and reported as
+a miss, so the caller recomputes while :meth:`ResultStore.stats` still
+shows the damage.  Records of another schema are plain misses, not
+corruption.
 
 Payloads serialize through :mod:`repro.suite.archive`, the same
 schema the run-archiving CLI uses; :func:`canonical_bytes` is the
@@ -25,10 +31,10 @@ byte-identity yardstick the determinism contract is asserted against
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,7 +118,7 @@ class StoreStats:
     live: int | None = None  # entries matching a current digest
     stale: int | None = None  # entries for known experiments, old digests
     corrupt: int = 0  # entries failing integrity checks, still in results/
-    quarantined: int = 0  # entries already moved to quarantine/
+    quarantined: int = 0  # entries already moved to quarantine/results/
 
     def summary(self) -> str:
         parts = [f"{self.entries} entries, {self.total_bytes} bytes"]
@@ -123,6 +129,106 @@ class StoreStats:
         if self.quarantined:
             parts.append(f"{self.quarantined} quarantined")
         return "; ".join(parts)
+
+
+class _RecordDir:
+    """One kind of checksummed JSON record: the store discipline, once.
+
+    Records live at ``<kind>/<prefix>.<key>.json``.  Each is an object
+    holding ``schema``, the ``required`` fields, a ``body`` object and
+    ``checksum`` (sha256 of the body's canonical JSON): :meth:`write`
+    stamps schema and checksum, :meth:`verify` checks both before any
+    caller reads the body, and damaged records move to
+    ``quarantine/<kind>/``, so each kind's quarantine holds only its
+    own records.  ``tmp/`` is shared by every kind.
+    """
+
+    def __init__(
+        self, root: Path, kind: str, schema: int, body: str, required: tuple[str, ...]
+    ) -> None:
+        self.directory = root / kind
+        self.quarantine_dir = root / "quarantine" / kind
+        self.tmp_dir = root / "tmp"
+        self.schema = schema
+        self.body = body
+        self.required = (*required, "checksum", body)
+        self.quarantine_log: list[tuple[str, str]] = []
+
+    def path(self, prefix: str, key: str) -> Path:
+        return self.directory / f"{prefix}.{key}.json"
+
+    def write(self, path: Path, body: dict, **fields: object) -> None:
+        """Persist one record atomically: stage in ``tmp/``, then replace."""
+        record = {"schema": self.schema, "checksum": payload_checksum(body),
+                  self.body: body, **fields}
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.tmp_dir.mkdir(parents=True, exist_ok=True)
+        # Unique among live writers: threads of one process share the pid,
+        # and a thread stages one record at a time.
+        staging = self.tmp_dir / f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp"
+        staging.write_text(
+            json.dumps(record, indent=1, sort_keys=True), encoding="utf-8"
+        )
+        os.replace(staging, path)
+
+    def verify(self, path: Path) -> tuple[dict | None, str | None]:
+        """``(record, None)`` for a verified record, ``(None, reason)`` for
+        a damaged one, ``(None, None)`` for a missing or other-schema one."""
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            return None, None  # vanished under us: a miss, not corruption
+        try:
+            record = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+            return None, "unparseable JSON"
+        if not isinstance(record, dict):
+            return None, "payload is not an object"
+        if record.get("schema") != self.schema:
+            return None, None  # another schema: a plain miss, never corrupt
+        for name in self.required:
+            if name not in record:
+                return None, f"missing field {name!r}"
+        if not isinstance(record[self.body], dict):
+            return None, f"{self.body} payload is not an object"
+        if payload_checksum(record[self.body]) != record["checksum"]:
+            return None, "checksum mismatch"
+        return record, None
+
+    def read(self, path: Path) -> dict | None:
+        """The verified record at ``path``, or None; damage is quarantined."""
+        record, problem = self.verify(path)
+        if problem is not None:
+            self.quarantine(path, problem)
+        return record
+
+    def quarantine(self, path: Path, reason: str) -> None:
+        """Move a damaged record aside, keeping the evidence."""
+        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            os.replace(path, self.quarantine_dir / path.name)
+        except OSError:
+            return  # already gone (a racing reader quarantined it)
+        self.quarantine_log.append((path.name, reason))
+        perfmon_record("fault", {"quarantined": 1.0})
+
+    def scan(self, quarantined: bool = False) -> list[StoreEntry]:
+        """Every record on disk (or in quarantine), sorted by file name."""
+        directory = self.quarantine_dir if quarantined else self.directory
+        if not directory.is_dir():
+            return []
+        found = []
+        for path in sorted(directory.glob("*.json")):
+            prefix, _, key = path.name[: -len(".json")].rpartition(".")
+            if not prefix or len(key) != 64:
+                continue
+            try:
+                size_bytes = path.stat().st_size
+            except OSError:
+                continue  # moved since the listing: a racing quarantine or gc
+            found.append(StoreEntry(exp_id=prefix, key=key, path=path,
+                                    size_bytes=size_bytes, corrupt=quarantined))
+        return found
 
 
 class ResultStore:
@@ -136,60 +242,18 @@ class ResultStore:
 
     def __init__(self, root: str | Path = DEFAULT_STORE_ROOT) -> None:
         self.root = Path(root)
-        self.results_dir = self.root / "results"
-        self.quarantine_dir = self.root / "quarantine"
-        self.tmp_dir = self.root / "tmp"
+        self._records = _RecordDir(
+            self.root, "results", STORE_SCHEMA, "experiment", ("exp_id", "key")
+        )
+        self.results_dir = self._records.directory
+        self.quarantine_dir = self._records.quarantine_dir
+        self.tmp_dir = self._records.tmp_dir
+        self.quarantine_log = self._records.quarantine_log
         self.fault_injector = None
-        self.quarantine_log: list[tuple[str, str]] = []
 
     # ------------------------------------------------------------ paths
     def entry_path(self, digest: ExperimentDigest) -> Path:
-        return self.results_dir / f"{digest.exp_id}.{digest.key}.json"
-
-    def _ensure_layout(self) -> None:
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        self.tmp_dir.mkdir(parents=True, exist_ok=True)
-
-    # ------------------------------------------------------------ integrity
-    @staticmethod
-    def _payload_problem(payload: object) -> str | None:
-        """Why a parsed schema-2 payload fails integrity, or None."""
-        if not isinstance(payload, dict):
-            return "payload is not an object"
-        for key in ("exp_id", "key", "checksum", "experiment"):
-            if key not in payload:
-                return f"missing field {key!r}"
-        if not isinstance(payload["experiment"], dict):
-            return "experiment payload is not an object"
-        if payload_checksum(payload["experiment"]) != payload["checksum"]:
-            return "checksum mismatch"
-        return None
-
-    def _entry_problem(self, path: Path) -> str | None:
-        """Why an on-disk entry is corrupt, or None (valid or old schema)."""
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None  # vanished under us: a miss, not corruption
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            return "unparseable JSON"
-        if isinstance(payload, dict) and payload.get("schema") != STORE_SCHEMA:
-            return None  # older schema: a plain miss, never corrupt
-        return self._payload_problem(payload)
-
-    def _quarantine(self, path: Path, reason: str) -> Path | None:
-        """Move a corrupt entry aside, keeping the evidence."""
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        target = self.quarantine_dir / path.name
-        try:
-            os.replace(path, target)
-        except OSError:
-            return None  # already gone (racing reader quarantined it)
-        self.quarantine_log.append((path.name, reason))
-        perfmon_record("fault", {"quarantined": 1.0})
-        return target
+        return self._records.path(digest.exp_id, digest.key)
 
     # ------------------------------------------------------------ access
     def contains(self, digest: ExperimentDigest) -> bool:
@@ -200,33 +264,22 @@ class ResultStore:
 
         A corrupt entry is quarantined on the way out — it reads as a
         miss (the engine recomputes), but the evidence moves to
-        ``quarantine/`` instead of being silently overwritten.
+        ``quarantine/results/`` instead of being silently overwritten.
+        So does a checksummed payload that does not deserialize.
         """
         path = self.entry_path(digest)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            self._quarantine(path, "unparseable JSON")
-            return None
-        if isinstance(payload, dict) and payload.get("schema") != STORE_SCHEMA:
-            return None  # older schema: recompute overwrites it in place
-        problem = self._payload_problem(payload)
-        if problem is not None:
-            self._quarantine(path, problem)
+        record = self._records.read(path)
+        if record is None:
             return None
         try:
             return CachedResult(
-                exp_id=payload["exp_id"],
-                key=payload["key"],
-                experiment=experiment_from_dict(payload["experiment"]),
-                elapsed_s=float(payload.get("elapsed_s", 0.0)),
+                exp_id=record["exp_id"],
+                key=record["key"],
+                experiment=experiment_from_dict(record["experiment"]),
+                elapsed_s=float(record.get("elapsed_s", 0.0)),
             )
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path, "payload does not deserialize")
+        except (AttributeError, KeyError, TypeError, ValueError):
+            self._records.quarantine(path, "payload does not deserialize")
             return None
 
     def put(
@@ -238,23 +291,15 @@ class ResultStore:
                 f"digest is for {digest.exp_id!r} but the result is "
                 f"{experiment.exp_id!r}"
             )
-        self._ensure_layout()
-        experiment_payload = experiment_to_dict(experiment)
-        payload = {
-            "schema": STORE_SCHEMA,
-            "exp_id": digest.exp_id,
-            "key": digest.key,
-            "modules": list(digest.modules),
-            "elapsed_s": elapsed_s,
-            "checksum": payload_checksum(experiment_payload),
-            "experiment": experiment_payload,
-        }
         final = self.entry_path(digest)
-        staging = self.tmp_dir / f"{digest.key}.{os.getpid()}.tmp"
-        staging.write_text(
-            json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8"
+        self._records.write(
+            final,
+            experiment_to_dict(experiment),
+            exp_id=digest.exp_id,
+            key=digest.key,
+            modules=list(digest.modules),
+            elapsed_s=elapsed_s,
         )
-        os.replace(staging, final)
         if self.fault_injector is not None:
             from repro.faults.inject import corrupt_file, fault_point
 
@@ -266,29 +311,11 @@ class ResultStore:
     # ------------------------------------------------------------ survey
     def entries(self) -> list[StoreEntry]:
         """Every entry on disk, cheapest-first metadata only."""
-        return self._scan(self.results_dir)
+        return self._records.scan()
 
     def quarantined_entries(self) -> list[StoreEntry]:
         """What has been moved aside; all flagged corrupt."""
-        return [
-            dataclasses.replace(entry, corrupt=True)
-            for entry in self._scan(self.quarantine_dir)
-        ]
-
-    def _scan(self, directory: Path) -> list[StoreEntry]:
-        if not directory.is_dir():
-            return []
-        found = []
-        for path in sorted(directory.glob("*.json")):
-            stem = path.name[: -len(".json")]
-            exp_id, _, key = stem.rpartition(".")
-            if not exp_id or len(key) != 64:
-                continue
-            found.append(
-                StoreEntry(exp_id=exp_id, key=key, path=path,
-                           size_bytes=path.stat().st_size)
-            )
-        return found
+        return self._records.scan(quarantined=True)
 
     def stats(self, current: dict[str, ExperimentDigest] | None = None) -> StoreStats:
         """Store size, integrity, and liveness against current digests."""
@@ -297,7 +324,7 @@ class ResultStore:
         corrupt = 0
         for entry in entries:
             by_exp[entry.exp_id] = by_exp.get(entry.exp_id, 0) + 1
-            if self._entry_problem(entry.path) is not None:
+            if self._records.verify(entry.path)[1] is not None:
                 corrupt += 1
         live = stale = None
         if current is not None:
@@ -328,10 +355,10 @@ class ResultStore:
         live_keys = {d.key for d in current.values()}
         removed = []
         for entry in self.entries():
-            problem = self._entry_problem(entry.path)
+            problem = self._records.verify(entry.path)[1]
             if problem is not None:
                 if not dry_run:
-                    self._quarantine(entry.path, problem)
+                    self._records.quarantine(entry.path, problem)
                 removed.append(
                     StoreEntry(entry.exp_id, entry.key, entry.path,
                                entry.size_bytes, corrupt=True)
@@ -364,25 +391,26 @@ class ChunkStore:
     """Content-addressed JSON chunks, for callers keyed by a content hash.
 
     :class:`ResultStore` caches suite :class:`Experiment` payloads; this
-    is the same store discipline — atomic ``tmp/`` + :func:`os.replace`
-    writes, sha256 payload checksums verified on read, corrupt entries
-    quarantined and reported as misses — for arbitrary JSON payloads
-    whose key the caller derives itself (``repro.explore`` keys grid
-    sweep chunks on source digests + grid fingerprint + trace ids).
+    keeps the same records — the same :class:`_RecordDir` discipline —
+    for arbitrary JSON payloads whose key the caller derives itself
+    (``repro.explore`` keys grid sweep chunks on source digests + grid
+    fingerprint + trace ids; ``repro.service`` journals job records and
+    its drain record here).
 
-    Layout, sharing the root with the result store::
+    Layout, sharing the root and ``tmp/`` with the result store::
 
         chunks/<namespace>.<sha256-key>.json
-        quarantine/                            shared with ResultStore
+        quarantine/chunks/                     corrupt chunks only
         tmp/                                   shared with ResultStore
     """
 
     def __init__(self, root: str | Path = DEFAULT_STORE_ROOT) -> None:
         self.root = Path(root)
-        self.chunks_dir = self.root / "chunks"
-        self.quarantine_dir = self.root / "quarantine"
-        self.tmp_dir = self.root / "tmp"
-        self.quarantine_log: list[tuple[str, str]] = []
+        self._records = _RecordDir(self.root, "chunks", CHUNK_SCHEMA, "chunk", ("key",))
+        self.chunks_dir = self._records.directory
+        self.quarantine_dir = self._records.quarantine_dir
+        self.tmp_dir = self._records.tmp_dir
+        self.quarantine_log = self._records.quarantine_log
 
     # ------------------------------------------------------------ paths
     @staticmethod
@@ -394,84 +422,31 @@ class ChunkStore:
 
     def entry_path(self, namespace: str, key: str) -> Path:
         self._check_address(namespace, key)
-        return self.chunks_dir / f"{namespace}.{key}.json"
+        return self._records.path(namespace, key)
 
     # ------------------------------------------------------------ access
     def contains(self, namespace: str, key: str) -> bool:
         return self.entry_path(namespace, key).is_file()
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            os.replace(path, self.quarantine_dir / path.name)
-        except OSError:
-            return  # already gone (racing reader quarantined it)
-        self.quarantine_log.append((path.name, reason))
-        perfmon_record("fault", {"quarantined": 1.0})
-
     def get(self, namespace: str, key: str) -> dict | None:
         """The chunk payload for a key, or None (missing or corrupt)."""
-        path = self.entry_path(namespace, key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            self._quarantine(path, "unparseable JSON")
-            return None
-        if isinstance(payload, dict) and payload.get("schema") != CHUNK_SCHEMA:
-            return None  # older schema: recompute overwrites it in place
-        problem = None
-        if not isinstance(payload, dict):
-            problem = "payload is not an object"
-        elif any(field not in payload for field in ("key", "checksum", "chunk")):
-            problem = "missing field"
-        elif not isinstance(payload["chunk"], dict):
-            problem = "chunk payload is not an object"
-        elif payload_checksum(payload["chunk"]) != payload["checksum"]:
-            problem = "checksum mismatch"
-        if problem is not None:
-            self._quarantine(path, problem)
-            return None
-        return payload["chunk"]
+        record = self._records.read(self.entry_path(namespace, key))
+        return None if record is None else record["chunk"]
 
     def put(self, namespace: str, key: str, chunk: dict) -> Path:
         """Persist one chunk atomically; returns the entry path."""
         final = self.entry_path(namespace, key)
-        self.chunks_dir.mkdir(parents=True, exist_ok=True)
-        self.tmp_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": CHUNK_SCHEMA,
-            "namespace": namespace,
-            "key": key,
-            "checksum": payload_checksum(chunk),
-            "chunk": chunk,
-        }
-        staging = self.tmp_dir / f"{namespace}.{key}.{os.getpid()}.tmp"
-        staging.write_text(
-            json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8"
-        )
-        os.replace(staging, final)
+        self._records.write(final, chunk, namespace=namespace, key=key)
         return final
+
+    def delete(self, namespace: str, key: str) -> None:
+        """Remove one chunk, if present."""
+        self.entry_path(namespace, key).unlink(missing_ok=True)
 
     # ------------------------------------------------------------ survey
     def entries(self) -> list[StoreEntry]:
         """Every chunk on disk (``exp_id`` carries the namespace)."""
-        if not self.chunks_dir.is_dir():
-            return []
-        found = []
-        for path in sorted(self.chunks_dir.glob("*.json")):
-            stem = path.name[: -len(".json")]
-            namespace, _, key = stem.rpartition(".")
-            if not namespace or len(key) != 64:
-                continue
-            found.append(
-                StoreEntry(exp_id=namespace, key=key, path=path,
-                           size_bytes=path.stat().st_size)
-            )
-        return found
+        return self._records.scan()
 
     def clear(self) -> int:
         """Remove every chunk; returns how many were dropped."""

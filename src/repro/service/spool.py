@@ -4,9 +4,15 @@ Job records are JSON chunks in the engine's
 :class:`~repro.engine.store.ChunkStore` (namespace ``svcjob-<tenant>``,
 key = the job id, which is already a sha256 over the canonical request
 body).  That buys the service the store's whole discipline for free:
-atomic ``tmp/`` + ``os.replace`` writes (a crash mid-update leaves the
-previous complete record, never a torn one), payload checksums verified
-on read, and quarantine-instead-of-silent-loss for damaged entries.
+atomic ``tmp/`` + ``os.replace`` writes staged per process and thread (a
+crash mid-update leaves the previous complete record, never a torn one,
+and handler threads renewing one record's TTL at once each leave a
+complete record), payload checksums verified on read, and
+quarantine-instead-of-silent-loss: a damaged record, undecodable bytes
+included, moves to ``quarantine/chunks/`` and reads as absent, so
+:meth:`JobSpool.recover` skips it and a resubmission starts the job
+afresh.  The spool never builds chunk paths itself; records are written,
+read, listed and deleted through the ``ChunkStore``.
 
 State machine::
 
@@ -322,10 +328,7 @@ class JobSpool:
             if record.expires_at is None or record.expires_at > now:
                 continue
             if not dry_run:
-                path = self.chunks.entry_path(
-                    self.namespace(record.tenant), record.job_id
-                )
-                path.unlink(missing_ok=True)
+                self.chunks.delete(self.namespace(record.tenant), record.job_id)
             swept.append(record)
         return swept
 
@@ -335,6 +338,6 @@ class JobSpool:
         for entry in self.chunks.entries():
             if self._tenant_of(entry.exp_id) is None:
                 continue
-            entry.path.unlink(missing_ok=True)
+            self.chunks.delete(entry.exp_id, entry.key)
             removed += 1
         return removed

@@ -2,11 +2,24 @@
 
 import json
 import multiprocessing
+import sys
+import tempfile
+import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.deps import ExperimentDigest
-from repro.engine.store import ChunkStore, ResultStore, canonical_bytes, payload_checksum
+from repro.engine.store import (
+    CHUNK_SCHEMA,
+    STORE_SCHEMA,
+    CachedResult,
+    ChunkStore,
+    ResultStore,
+    canonical_bytes,
+    payload_checksum,
+)
 from repro.suite.results import Experiment
 
 needs_fork = pytest.mark.skipif(
@@ -306,10 +319,13 @@ class TestChunkStore:
         assert store.entries() == []
 
     def test_shares_root_layout_with_result_store(self, tmp_path):
+        # tmp/ is shared; each record kind quarantines into its own
+        # directory, so result stats never count a chunk's damage.
         root = tmp_path / "cache"
         chunk_store = ChunkStore(root)
         result_store = ResultStore(root)
-        assert chunk_store.quarantine_dir == result_store.quarantine_dir
+        assert chunk_store.quarantine_dir == root / "quarantine" / "chunks"
+        assert result_store.quarantine_dir == root / "quarantine" / "results"
         assert chunk_store.tmp_dir == result_store.tmp_dir
 
 
@@ -384,3 +400,280 @@ class TestChunkStoreConcurrency:
         assert writer.exitcode == 0
         assert list(store.tmp_dir.glob("*.tmp")) == []
         assert store.get("race", self.KEY)["value"] == 7
+
+
+def _race_threads(write, read, writers=4, rounds=100):
+    """Run ``write(i)`` for ``rounds`` rounds in each of ``writers``
+    threads while this thread keeps calling ``read()``; returns what
+    the writers raised.  A short switch interval makes the threads
+    interleave inside each write."""
+    errors = []
+    barrier = threading.Barrier(writers + 1)
+
+    def writer():
+        try:
+            barrier.wait(timeout=30)
+            for i in range(rounds):
+                write(i)
+        except Exception as exc:  # collected: the test asserts none
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer) for _ in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        barrier.wait(timeout=30)
+        while any(thread.is_alive() for thread in threads):
+            read()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
+def _chunk_race(root):
+    store = ChunkStore(root)
+    key = "e" * 64
+
+    def read():
+        chunk = store.get("race", key)
+        assert chunk is None or chunk["value"] == 7
+        return chunk
+
+    return store, (lambda i: store.put("race", key, {"value": 7, "round": i % 3})), read
+
+
+def _result_race(root):
+    store = ResultStore(root)
+    digest = _digest()
+    expected = canonical_bytes(_experiment())
+
+    def read():
+        cached = store.get(digest)
+        assert cached is None or canonical_bytes(cached.experiment) == expected
+        return cached
+
+    return store, (lambda i: store.put(digest, _experiment(), float(i % 3))), read
+
+
+class TestThreadedWriters:
+    """Threads of one process racing one address: the staging name is
+    unique per thread, so no writer truncates another's file, every
+    write lands, readers only ever see complete records, and nothing
+    is quarantined."""
+
+    @pytest.mark.parametrize("race", [_chunk_race, _result_race], ids=["chunks", "results"])
+    def test_racing_threads_one_valid_entry_no_quarantine(self, tmp_path, race):
+        store, write, read = race(tmp_path / "cache")
+        assert _race_threads(write, read) == []
+        assert len(store.entries()) == 1
+        assert read() is not None
+        assert store.quarantine_log == []
+        assert not store.quarantine_dir.is_dir() or not any(store.quarantine_dir.iterdir())
+        assert list(store.tmp_dir.glob("*.tmp")) == []
+
+    def test_scan_skips_records_removed_while_listing(self, tmp_path):
+        # The spool scans (admission quotas, recovery) while other
+        # threads delete or quarantine records.
+        store = ChunkStore(tmp_path / "cache")
+        keys = [f"{i:064x}" for i in range(20)]
+        for key in keys:
+            store.put("svcjob-public", key, {"v": 1})
+        stop = threading.Event()
+
+        def churn():
+            while not stop.is_set():
+                for key in keys:
+                    store.delete("svcjob-public", key)
+                    store.put("svcjob-public", key, {"v": 1})
+
+        thread = threading.Thread(target=churn)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            for _ in range(300):
+                assert all(entry.size_bytes > 0 for entry in store.entries())
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
+class TestQuarantinePerKind:
+    KEY = "b" * 64
+
+    def test_chunk_quarantine_is_not_a_result_quarantine(self, tmp_path):
+        root = tmp_path / "cache"
+        chunks = ChunkStore(root)
+        results = ResultStore(root)
+        path = chunks.put("explore", self.KEY, {"v": 1})
+        path.write_text('{"schema": 1, "key"', encoding="utf-8")  # torn
+        assert chunks.get("explore", self.KEY) is None
+        quarantined = chunks.quarantine_dir / path.name
+        assert quarantined.exists()
+        assert results.stats().quarantined == 0
+        results.clear()
+        assert quarantined.exists()
+
+
+class TestBadBytes:
+    """Bytes that once crashed a reader now end in quarantine."""
+
+    KEY = "c" * 64
+
+    def test_undecodable_result_is_quarantined_by_get_and_counted_by_stats(self, tmp_path):
+        store = ResultStore(tmp_path)
+        digest = _digest()
+        store.put(digest, _experiment(), 0.0)
+        store.entry_path(digest).write_bytes(b"\xff\xfe")
+        assert store.stats().corrupt == 1
+        assert store.get(digest) is None
+        assert store.quarantine_log == [(store.entry_path(digest).name, "unparseable JSON")]
+        assert store.stats().quarantined == 1
+
+    def test_undecodable_result_is_recomputed_by_run_engine(self, tmp_path):
+        from repro.engine import run_engine, suite_digests
+
+        store = ResultStore(tmp_path)
+        run_engine(["table2"], jobs=1, store=store)
+        path = store.entry_path(suite_digests(["table2"])["table2"])
+        path.write_bytes(b"\xff\xfe")
+        report = run_engine(["table2"], jobs=1, store=store)
+        assert [r.exp_id for r in report.successes] == ["table2"]
+        assert len(store.quarantine_log) == 1
+        assert store.get(suite_digests(["table2"])["table2"]) is not None
+
+    def test_deeply_nested_chunk_is_quarantined(self, tmp_path):
+        store = ChunkStore(tmp_path)
+        path = store.put("explore", self.KEY, {"v": 1})
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert store.get("explore", self.KEY) is None
+        assert store.quarantine_log == [(path.name, "unparseable JSON")]
+
+    def test_checksummed_result_that_does_not_deserialize_is_quarantined(self, tmp_path):
+        store = ResultStore(tmp_path)
+        digest = _digest()
+        path = store.put(digest, _experiment(), 0.0)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["experiment"]["series"] = [[1.0, 2.0]]
+        payload["checksum"] = payload_checksum(payload["experiment"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert store.get(digest) is None
+        assert store.quarantine_log == [(path.name, "payload does not deserialize")]
+
+
+# --------------------------------------------------------------- fuzzing
+#
+# Every read either returns a verified record or None; a record that is
+# not of another schema and does not verify ends in its kind's
+# quarantine; stats() and gc(dry_run=True) never raise and move nothing.
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+_EXPERIMENT_FIELDS = sorted(
+    json.loads(canonical_bytes(_experiment()).decode("utf-8"))
+)
+_FUZZ = settings(max_examples=150, deadline=None)
+
+
+def _other_schema(raw: bytes, schema: int) -> bool:
+    """Whether ``raw`` parses to an object stamped with another schema."""
+    try:
+        parsed = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(parsed, dict) and parsed.get("schema") != schema
+
+
+def _assert_read_outcome(store, path, raw, schema, got):
+    quarantined = store.quarantine_dir / path.name
+    if got is not None:
+        assert path.exists() and not quarantined.exists()
+        assert store.quarantine_log == []
+    elif _other_schema(raw, schema):
+        assert path.exists() and store.quarantine_log == []
+    else:
+        assert not path.exists() and quarantined.exists()
+        assert [name for name, _ in store.quarantine_log] == [path.name]
+
+
+def _check_result_bytes(raw: bytes) -> None:
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        digest = _digest()
+        path = store.entry_path(digest)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(raw)
+        stats = store.stats()
+        removed = store.gc({}, dry_run=True)
+        assert [entry.corrupt for entry in removed] == [stats.corrupt == 1]
+        assert path.exists() and store.quarantine_log == []
+        got = store.get(digest)
+        if got is not None:
+            assert isinstance(got, CachedResult) and isinstance(got.experiment, Experiment)
+            assert stats.corrupt == 0
+        _assert_read_outcome(store, path, raw, STORE_SCHEMA, got)
+
+
+def _check_chunk_bytes(raw: bytes) -> None:
+    with tempfile.TemporaryDirectory() as root:
+        store = ChunkStore(root)
+        path = store.entry_path("explore", TestBadBytes.KEY)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(raw)
+        got = store.get("explore", TestBadBytes.KEY)
+        if got is not None:
+            record = json.loads(raw.decode("utf-8"))
+            assert got == record["chunk"]
+            assert payload_checksum(got) == record["checksum"]
+        _assert_read_outcome(store, path, raw, CHUNK_SCHEMA, got)
+
+
+def _valid_result_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as root:
+        return ResultStore(root).put(_digest(), _experiment(), 0.5).read_bytes()
+
+
+def _valid_chunk_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as root:
+        return ChunkStore(root).put("explore", TestBadBytes.KEY, {"v": [1.0, 2.5]}).read_bytes()
+
+
+_byte_inputs = st.binary(max_size=64) | _json_values.map(
+    lambda value: json.dumps(value).encode("utf-8")
+)
+
+
+class TestReaderFuzz:
+    @given(raw=_byte_inputs)
+    @example(raw=b"\xff\xfe")
+    @example(raw=b"[" * 200_000)
+    @_FUZZ
+    def test_arbitrary_bytes(self, raw):
+        _check_result_bytes(raw)
+        _check_chunk_bytes(raw)
+
+    def test_every_truncation_of_a_valid_record(self):
+        for valid, check in ((_valid_result_bytes(), _check_result_bytes),
+                             (_valid_chunk_bytes(), _check_chunk_bytes)):
+            for end in range(len(valid) + 1):
+                check(valid[:end])
+
+    @given(field=st.sampled_from(_EXPERIMENT_FIELDS), value=_json_values)
+    @example(field="series", value=[[1.0, 2.0]])
+    @_FUZZ
+    def test_experiment_field_replaced_with_checksum_recomputed(self, field, value):
+        record = json.loads(_valid_result_bytes().decode("utf-8"))
+        record["experiment"][field] = value
+        record["checksum"] = payload_checksum(record["experiment"])
+        _check_result_bytes(json.dumps(record).encode("utf-8"))

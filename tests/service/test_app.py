@@ -7,6 +7,8 @@ status payloads.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -137,6 +139,57 @@ class TestCacheSemantics:
 
     def test_result_by_unknown_digest_is_404(self, app):
         assert app.handle("GET", f"/v1/results/{'0' * 64}", b"").status == 404
+
+
+class TestConcurrentHits:
+    """Handlers run in threads, and every hit rewrites the finished
+    record to renew its TTL.  Concurrent hits on one job must all be
+    hits: no staging collision, no torn record, no re-queued job."""
+
+    def test_threads_resubmitting_a_finished_job_all_hit(self, app):
+        _, first = submit(app)
+        assert app.run_pending() == 1
+        answers = []
+
+        def client():
+            for _ in range(50):
+                response, payload = submit(app)
+                answers.append((response.status, payload.get("cache"), payload.get("job_id")))
+
+        threads = [threading.Thread(target=client) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [(200, CACHE_HIT, first["job_id"])] * 200
+        assert app.spool.chunks.quarantine_log == []
+        assert list((app.root / "quarantine").rglob("*.json")) == []
+        assert len(app.queue) == 0
+
+
+class TestUndecodableRecords:
+    def test_recover_quarantines_an_undecodable_job_record(self, tmp_path):
+        app_1 = ServiceApp(root=tmp_path / "cache")
+        _, payload = submit(app_1)
+        job_id = payload["job_id"]
+        spool = app_1.spool
+        spool.chunks.entry_path(spool.namespace("public"), job_id).write_bytes(b"\xff\xfe")
+
+        app_2 = ServiceApp(root=tmp_path / "cache")
+        assert app_2.recover() == []
+        assert [reason for _, reason in app_2.spool.chunks.quarantine_log] == [
+            "unparseable JSON"
+        ]
+        assert app_2.handle("GET", f"/v1/jobs/{job_id}", b"").status == 404
+        response, again = submit(app_2)
+        assert response.status == 202
+        assert again["cache"] == CACHE_MISS
 
 
 class TestTenantIsolation:
