@@ -127,9 +127,8 @@ def check_grid_parity(grid: MachineGrid) -> list[str]:
 def measure_grid(sweep: ParameterSweep, rounds: int = 3) -> tuple[float, int]:
     """Best-of-``rounds`` seconds for one cold full-suite grid costing.
 
-    Each round rebuilds the grid so the per-trace cost memo starts
-    empty — the honest "price a new design space" number, not a
-    dictionary lookup.
+    Each round builds the grid afresh — the honest "price a new design
+    space" number.
     """
     best = float("inf")
     n_machines = 0

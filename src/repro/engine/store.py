@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,6 +130,41 @@ class StoreStats:
         if self.quarantined:
             parts.append(f"{self.quarantined} quarantined")
         return "; ".join(parts)
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` is a live process (signal-0 probe, no signal sent)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # alive, just not ours to signal
+    except OSError:
+        return False
+    return True
+
+
+#: The writer pid in a staging file name,
+#: ``<prefix>.<64-hex key>.<pid>[.<...>].tmp``.
+_STAGING_PID = re.compile(r"\.[0-9a-f]{64}\.(\d+)\.")
+
+
+def _sweep_staging(tmp_dir: Path) -> None:
+    """Delete the staging files in ``tmp_dir`` whose writer is gone.
+
+    A file whose writer pid is alive may be a write in progress — of
+    this process or another on the same root — so it stays; a file
+    whose name carries no pid is a leftover and goes.
+    """
+    if not tmp_dir.is_dir():
+        return
+    for leftover in tmp_dir.glob("*.tmp"):
+        match = _STAGING_PID.search(leftover.name)
+        if match is None or not _pid_alive(int(match.group(1))):
+            leftover.unlink(missing_ok=True)
 
 
 class _RecordDir:
@@ -350,7 +386,8 @@ class ResultStore:
         Corrupt entries are quarantined even when their key is live —
         a live address holding damaged bytes is exactly what must not
         sit in the cache.  Returned entries carry ``corrupt=True`` when
-        they went to quarantine rather than the bin.
+        they went to quarantine rather than the bin.  Staging files
+        left by dead writers go too; a live writer's are spared.
         """
         live_keys = {d.key for d in current.values()}
         removed = []
@@ -369,21 +406,19 @@ class ResultStore:
             if not dry_run:
                 entry.path.unlink(missing_ok=True)
             removed.append(entry)
-        if not dry_run and self.tmp_dir.is_dir():
-            for leftover in self.tmp_dir.glob("*.tmp"):
-                leftover.unlink(missing_ok=True)
+        if not dry_run:
+            _sweep_staging(self.tmp_dir)
         return removed
 
     def clear(self) -> int:
-        """Remove every entry (quarantine included); returns results dropped."""
+        """Remove every entry (quarantine included) and dead writers'
+        staging files; returns results dropped."""
         entries = self.entries()
         for entry in entries:
             entry.path.unlink(missing_ok=True)
         for entry in self.quarantined_entries():
             entry.path.unlink(missing_ok=True)
-        if self.tmp_dir.is_dir():
-            for leftover in self.tmp_dir.glob("*.tmp"):
-                leftover.unlink(missing_ok=True)
+        _sweep_staging(self.tmp_dir)
         return len(entries)
 
 
@@ -454,21 +489,6 @@ class ChunkStore:
         for entry in entries:
             entry.path.unlink(missing_ok=True)
         return len(entries)
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` is a live process (signal-0 probe, no signal sent)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # alive, just not ours to signal
-    except OSError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

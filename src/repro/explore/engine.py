@@ -158,25 +158,31 @@ def _costs_from_payload(
 
     Only cycles and the machine-independent totals are stored; the
     derived fields recompute through :meth:`GridTraceCost.from_cycles`
-    — same doubles either way, and the payload stays small.
+    — same doubles either way, and the payload stays small.  A payload
+    of the wrong shape reads as a miss, so the caller recomputes the
+    chunk and overwrites it.
     """
     if payload.get("trace_ids") != list(trace_ids):
         return None
     if payload.get("n_machines") != subgrid.n_machines:
         return None
     costs: dict[str, GridTraceCost] = {}
-    for trace_id in trace_ids:
-        entry = payload.get("traces", {}).get(trace_id)
-        if entry is None or len(entry.get("cycles", ())) != subgrid.n_machines:
-            return None
-        costs[trace_id] = GridTraceCost.from_cycles(
-            traces[trace_id].name,
-            subgrid,
-            np.array(entry["cycles"], dtype=np.float64),
-            float(entry["raw_flops"]),
-            float(entry["flop_equivalents"]),
-            float(entry["words_moved"]),
-        )
+    try:
+        for trace_id in trace_ids:
+            entry = payload["traces"][trace_id]
+            cycles = np.array(entry["cycles"], dtype=np.float64)
+            if cycles.shape != (subgrid.n_machines,):
+                return None
+            costs[trace_id] = GridTraceCost.from_cycles(
+                traces[trace_id].name,
+                subgrid,
+                cycles,
+                float(entry["raw_flops"]),
+                float(entry["flop_equivalents"]),
+                float(entry["words_moved"]),
+            )
+    except (KeyError, TypeError, ValueError):
+        return None
     return costs
 
 

@@ -1,11 +1,11 @@
 """Columnar trace compilation: structure-of-arrays lowering of a Trace.
 
-``Processor.execute`` walking a :class:`~repro.machine.operations.Trace`
-one descriptor at a time is re-run thousands of times per sweep (the
-vector-length/resolution scans of Figures 5-8, the Table 6 ensembles,
-the node model's memory-dilation sweep), so regenerating the paper's
-tables is bounded by interpreter overhead, not by the machine model.
-This module removes that bound: :func:`compile_trace` lowers a trace
+Regenerating the paper's tables costs about a thousand traces per pass
+(the vector-length/resolution scans of Figures 5-8, the Table 6
+ensembles, the node model's CPU-count scan).  Walking each
+:class:`~repro.machine.operations.Trace` one descriptor at a time would
+bound that by interpreter overhead, not by the machine model.  This
+module removes that bound: :func:`compile_trace` lowers a trace
 once into a cached :class:`CompiledTrace` — float64 columns for every
 descriptor field, an ``n_vector_ops x 6`` intrinsic-call matrix, and
 the trace's distinct strides — and :mod:`repro.machine.costmodel`
@@ -28,12 +28,10 @@ parity**:
 The parity suite (tests/machine/test_compiled*.py) exercises it, and
 ``tests/machine/golden_costing.json`` pins the totals absolutely.
 
-Caching is two-level.  A trace caches its own ``CompiledTrace``
-(invalidated by ``append``/``extend``); a ``CompiledTrace`` caches
-machine-dependent cost columns per machine via
-:meth:`CompiledTrace.machine_cache`, which is what lets the node model
-re-cost one compiled trace across all CPU counts (only the dilation
-changes) without recomputing the stride/bank arithmetic.
+A trace caches its own ``CompiledTrace`` (invalidated by
+``append``/``extend``).  The compiled trace is a plain value: costing
+is a pure function of its columns, the machine parameters and the
+memory dilation, so nothing machine-dependent is stored on it.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
-from typing import Any
 
 import numpy as np
 
@@ -292,27 +289,22 @@ class ScalarColumns:
         return cls(**_concat_column_fields(cls, parts))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledTrace:
     """A trace lowered to structure-of-arrays columns.
 
     Machine-independent: the same compiled trace costs on any
-    processor.  Machine-*dependent* cost columns (arithmetic cycles,
-    memory path cycles) are memoised per machine in
-    :meth:`machine_cache`, keyed by the identity of the machine's
-    parameters, so sweeps that re-execute one trace — possibly under
-    varying ``memory_dilation`` — recompute only the dilation-dependent
-    max.
+    processor or grid, and costing only reads it.  The aggregate
+    totals are exactly-rounded sums of the per-op columns, taken once
+    when the trace is lowered.
     """
 
     names: tuple[str, ...]
     vector: VectorColumns
     scalar: ScalarColumns
-    _machine_caches: dict[int, dict[str, Any]] = field(default_factory=dict, repr=False)
-    #: strong refs pinning cached machines so their ids stay unique.
-    _pins: list = field(default_factory=list, repr=False)
-    #: machine-independent aggregate totals, computed once per trace.
-    _totals: dict[str, float] = field(default_factory=dict, repr=False)
+    raw_flops_total: float
+    flop_equivalents_total: float
+    words_moved_total: float
 
     @property
     def n_ops(self) -> int:
@@ -331,28 +323,17 @@ class CompiledTrace:
             else:
                 s_pos.append(i)
                 s_ops.append(op)
+        vector = VectorColumns.from_ops(v_pos, v_ops)
+        scalar = ScalarColumns.from_ops(s_pos, s_ops)
         return cls(
             names=tuple(op.name for op in trace.ops),
-            vector=VectorColumns.from_ops(v_pos, v_ops),
-            scalar=ScalarColumns.from_ops(s_pos, s_ops),
+            vector=vector,
+            scalar=scalar,
+            raw_flops_total=_total(vector.raw_flops, scalar.raw_flops),
+            # ScalarOp.flop_equivalents == ScalarOp.raw_flops by definition.
+            flop_equivalents_total=_total(vector.flop_equivalents, scalar.raw_flops),
+            words_moved_total=_total(vector.words_moved, scalar.words_moved),
         )
-
-    def machine_cache(self, machine) -> dict[str, Any]:
-        """Per-machine memo dict for machine-dependent columns.
-
-        Keyed by ``id`` of ``machine`` (a processor's parameter record,
-        or a machine grid), which is pinned so a key can never be
-        recycled while this compiled trace is alive.  Calibrated machine
-        instances are treated as immutable — mutating a component's
-        parameters after the processor has been used to cost a trace is
-        unsupported (build a fresh processor instead, as
-        :mod:`repro.machine.presets` does).
-        """
-        cache = self._machine_caches.get(id(machine))
-        if cache is None:
-            cache = self._machine_caches[id(machine)] = {}
-            self._pins.append(machine)
-        return cache
 
     def scatter_cycles(
         self, vector_cycles: np.ndarray, scalar_cycles: np.ndarray
@@ -363,26 +344,10 @@ class CompiledTrace:
         out[self.scalar.index] = scalar_cycles
         return out
 
-    # -- aggregate accounting (exact: fsum of per-op columns) -------------
-    def _total(self, key: str, vector_column: np.ndarray, scalar_column: np.ndarray) -> float:
-        total = self._totals.get(key)
-        if total is None:
-            total = self._totals[key] = math.fsum(
-                vector_column.tolist() + scalar_column.tolist()
-            )
-        return total
 
-    def raw_flops_total(self) -> float:
-        return self._total("raw_flops", self.vector.raw_flops, self.scalar.raw_flops)
-
-    def flop_equivalents_total(self) -> float:
-        # ScalarOp.flop_equivalents == ScalarOp.raw_flops by definition.
-        return self._total(
-            "flop_equivalents", self.vector.flop_equivalents, self.scalar.raw_flops
-        )
-
-    def words_moved_total(self) -> float:
-        return self._total("words_moved", self.vector.words_moved, self.scalar.words_moved)
+def _total(vector_column: np.ndarray, scalar_column: np.ndarray) -> float:
+    """Exact sum of one per-op quantity over a trace's vector and scalar ops."""
+    return math.fsum(vector_column.tolist() + scalar_column.tolist())
 
 
 def compile_trace(trace: Trace) -> CompiledTrace:

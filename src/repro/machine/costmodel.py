@@ -29,9 +29,11 @@ intrinsics accumulate in the same sorted order (absent ones add an
 exact 0.0), so per-op cycles agree bit for bit
 (``tests/machine/test_compiled*.py``, ``test_golden_costing.py``).
 
-Memoised columns live in the caller's ``memo`` dict
-(:meth:`~repro.machine.compiled.CompiledTrace.machine_cache`), never in
-module globals.
+Costing is a pure function of the op columns, the machine parameters
+and the memory dilation.  The intermediate columns a costing computes
+go into the caller's ``memo`` dict, one per call, where the perfmon
+counter reductions below reread them; nothing is kept in module
+globals or on the column sets.
 """
 
 from __future__ import annotations
@@ -277,13 +279,11 @@ def vector_loop_cycles(p, v):
 
 def scalar_op_cycles(p, s, memo):
     """Total cycles of each scalar op (issue + flop + memory time, all
-    ``count`` executions); the per-execution column is memoised."""
-    per_execution = memo.get("scalar_op")
-    if per_execution is None:
-        issue = s.instructions / p.issue_width
-        fp = s.flops / p.flops_per_cycle
-        memory = s.memory_words * p.cache_hit_cycles_per_word
-        per_execution = memo["scalar_op"] = issue + fp + memory
+    ``count`` executions); the per-execution column goes into ``memo``."""
+    issue = s.instructions / p.issue_width
+    fp = s.flops / p.flops_per_cycle
+    memory = s.memory_words * p.cache_hit_cycles_per_word
+    per_execution = memo["scalar_op"] = issue + fp + memory
     return per_execution * s.count
 
 
@@ -302,22 +302,17 @@ def vector_op_cycles(p, v, memory_dilation, memo):
     A vector machine overlaps arithmetic with dilated memory time after
     the startup overhead; a cache machine runs the loop on its scalar
     unit with the whole time dilated.  The dilation-independent columns
-    are memoised, so a dilation sweep recomputes one scale and one max.
+    go into ``memo`` for the counter reductions.
     """
     any_vector, all_vector = _vector_lanes(p)
     per_execution = None
     if any_vector:
-        arithmetic = memo.get("arithmetic")
-        if arithmetic is None:
-            arithmetic = memo["arithmetic"] = arithmetic_cycles(p, v)
-            memo["overhead"] = overhead_cycles(p, v)
-            memo["transfer"] = np.maximum(*memory_path_cycles(p, v))
-        memory = memo["transfer"] * memory_dilation
-        per_execution = memo["overhead"] + np.maximum(arithmetic, memory)
+        arithmetic = memo["arithmetic"] = arithmetic_cycles(p, v)
+        overhead = memo["overhead"] = overhead_cycles(p, v)
+        transfer = memo["transfer"] = np.maximum(*memory_path_cycles(p, v))
+        per_execution = overhead + np.maximum(arithmetic, transfer * memory_dilation)
     if not all_vector:
-        loop = memo.get("vector_loop")
-        if loop is None:
-            loop = memo["vector_loop"] = vector_loop_cycles(p, v)
+        loop = memo["vector_loop"] = vector_loop_cycles(p, v)
         dilated = loop * memory_dilation
         if per_execution is None:
             per_execution = dilated
@@ -328,8 +323,8 @@ def vector_op_cycles(p, v, memory_dilation, memo):
 
 # -- perfmon counters (one machine) -------------------------------------------
 # Whole-trace totals reduced with exactly-rounded sums from the columns
-# ``vector_op_cycles``/``scalar_op_cycles`` memoised.  They equal the
-# sum of the components' per-op ``perfmon_counters*`` increments.
+# ``vector_op_cycles``/``scalar_op_cycles`` left in ``memo``.  They equal
+# the sum of the components' per-op ``perfmon_counters*`` increments.
 def vector_unit_counters(p, v, memo) -> dict[str, float]:
     """``vector_unit`` counter totals of a trace's vector loops."""
     return {

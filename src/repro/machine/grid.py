@@ -30,7 +30,7 @@ canonical presets, and on hypothesis-random machines and traces.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,8 +58,6 @@ declare_counters(
     (
         "machines",  # machines in grids handed to cost_trace_grid
         "machine_traces",  # (machine, trace) pairs costed
-        "costings",  # cost_trace_grid calls that computed columns
-        "memo_hits",  # cost_trace_grid calls served from the trace memo
     ),
 )
 
@@ -124,9 +122,6 @@ class MachineGrid:
     cache_hit_cycles_per_word: np.ndarray
     cache_miss_latency_cycles: np.ndarray
     cache_mem_words_per_cycle: np.ndarray
-    #: materialized processors, memoised per row so their component ids
-    #: stay stable across calls (the compiled-trace memo keys on them).
-    _materialized: dict[int, Processor] = field(default_factory=dict, repr=False)
 
     @property
     def n_machines(self) -> int:
@@ -145,11 +140,7 @@ class MachineGrid:
 
     def _columns(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) pairs in declaration order — the canonical layout."""
-        return [
-            (f.name, getattr(self, f.name))
-            for f in fields(self)
-            if not f.name.startswith("_") and f.name != "names"
-        ]
+        return [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "names"]
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -255,15 +246,8 @@ class MachineGrid:
 
     # -- materialization ----------------------------------------------------
     def materialize(self, index: int) -> Processor:
-        """The concrete :class:`Processor` of one grid row.
-
-        Memoised per row: repeated calls return the same instance, so
-        compiled-trace memo entries keyed on its components stay warm.
-        """
+        """A new concrete :class:`Processor` for one grid row."""
         i = int(index)
-        cached = self._materialized.get(i)
-        if cached is not None:
-            return cached
         scalar = ScalarUnit(
             issue_width=float(self.issue_width[i]),
             flops_per_cycle=float(self.flops_per_cycle[i]),
@@ -303,15 +287,13 @@ class MachineGrid:
                 contention_slope=float(self.contention_slope[i]),
                 contention_base_slope=float(self.contention_base_slope[i]),
             )
-        processor = Processor(
+        return Processor(
             name=self.names[i],
             clock=Clock(period_ns=float(self.period_ns[i])),
             scalar=scalar,
             vector=vector,
             memory=memory,
         )
-        self._materialized[i] = processor
-        return processor
 
 
 @dataclass(frozen=True)
@@ -394,47 +376,35 @@ def _segment_cycles(
     :class:`~repro.machine.suitebatch.SuiteColumns` stack; the offsets
     delimit each trace's rows.  The per-op matrices come from the
     shared cost model over ``(n, 1)`` op views; each segment reduces
-    with exactly-rounded column sums.  The result is memoised on the
-    column set per (grid, dilation).
+    with exactly-rounded column sums into a new array.
     """
-    memo = columns.machine_cache(grid)
-    key = f"grid_cost@{float(memory_dilation)!r}"
-    per_trace = memo.get(key)
-    computed = per_trace is None
+    memo: dict = {}
     m = grid.n_machines
-    if computed:
-        v, s = columns.vector, columns.scalar
-        vector_cycles = (
-            costmodel.vector_op_cycles(grid, costmodel.grid_view(v), memory_dilation, memo)
-            if v.n
-            else np.zeros((0, m))
-        )
-        scalar_cycles = (
-            costmodel.scalar_op_cycles(grid, costmodel.grid_view(s), memo)
-            if s.n
-            else np.zeros((0, m))
-        )
-        vo, so = vector_offsets, scalar_offsets
-        per_trace = memo[key] = tuple(
-            fsum_columns(
-                np.concatenate(
-                    [vector_cycles[vo[i]:vo[i + 1]], scalar_cycles[so[i]:so[i + 1]]],
-                    axis=0,
-                )
-            )
-            for i in range(len(vo) - 1)
-        )
+    v, s = columns.vector, columns.scalar
+    vector_cycles = (
+        costmodel.vector_op_cycles(grid, costmodel.grid_view(v), memory_dilation, memo)
+        if v.n
+        else np.zeros((0, m))
+    )
+    scalar_cycles = (
+        costmodel.scalar_op_cycles(grid, costmodel.grid_view(s), memo)
+        if s.n
+        else np.zeros((0, m))
+    )
+    vo, so = vector_offsets, scalar_offsets
     if perfmon_active() is not None:
         perfmon_record(
             "grid",
-            {
-                "machines": float(m),
-                "machine_traces": float(m * (len(vector_offsets) - 1)),
-                "costings": 1.0 if computed else 0.0,
-                "memo_hits": 0.0 if computed else 1.0,
-            },
+            {"machines": float(m), "machine_traces": float(m * (len(vo) - 1))},
         )
-    return per_trace
+    return tuple(
+        fsum_columns(
+            np.concatenate(
+                [vector_cycles[vo[i]:vo[i + 1]], scalar_cycles[so[i]:so[i + 1]]], axis=0
+            )
+        )
+        for i in range(len(vo) - 1)
+    )
 
 
 def cost_trace_grid(
@@ -445,8 +415,7 @@ def cost_trace_grid(
     Bit-exact with executing the trace per machine through
     ``Processor.execute``: both evaluate the same cost expressions,
     per-machine totals are exactly-rounded column sums, and the derived
-    fields replicate the report expressions.  Dilation sweeps and
-    repeat costings are dictionary lookups.
+    fields replicate the report expressions.
     """
     costmodel.check_dilation(memory_dilation)
     compiled = compile_trace(trace)
@@ -457,9 +426,9 @@ def cost_trace_grid(
         trace.name,
         grid,
         cycles,
-        compiled.raw_flops_total(),
-        compiled.flop_equivalents_total(),
-        compiled.words_moved_total(),
+        compiled.raw_flops_total,
+        compiled.flop_equivalents_total,
+        compiled.words_moved_total,
     )
 
 
@@ -481,6 +450,6 @@ def cost_suite_trace_grid(
         suite, grid, memory_dilation, suite.vector_offsets, suite.scalar_offsets
     )
     return [
-        GridTraceCost.from_cycles(suite.trace_names[i], grid, cycles, *suite.trace_totals(i))
+        GridTraceCost.from_cycles(suite.trace_names[i], grid, cycles, *suite.trace_totals[i])
         for i, cycles in enumerate(per_trace)
     ]

@@ -210,11 +210,14 @@ class Processor:
         self,
         compiled: CompiledTrace,
         memo: dict,
-        entry: tuple,
+        vector_cycles: np.ndarray,
+        scalar_cycles: np.ndarray,
+        op_cycles: np.ndarray,
         dilation: float,
     ) -> None:
         """Populate the active profile's counters from column reductions.
 
+        ``memo`` holds the columns this call's costing computed.
         Produces the same totals as recording each op's per-op
         ``perfmon_counters*`` (modulo exactly-rounded vs sequential
         accumulation), with one record per component instead of one per
@@ -222,7 +225,6 @@ class Processor:
         """
         params = self._params
         v, s = compiled.vector, compiled.scalar
-        vector_cycles, scalar_cycles, op_cycles, total_cycles = entry
         if v.n:
             if params.has_vector:
                 perfmon_record("vector_unit", costmodel.vector_unit_counters(params, v, memo))
@@ -241,7 +243,7 @@ class Processor:
         # per-op recording produces (profile diffs compare dict shapes too).
         increments = {
             "ops": float(compiled.n_ops),
-            "cycles": total_cycles,
+            "cycles": fsum(op_cycles),
             "seconds": fsum(op_cycles * self.clock.period_s),
         }
         if v.n:
@@ -259,7 +261,8 @@ class Processor:
         """Run a trace to completion and report time and rates.
 
         ``breakdown=True`` additionally materialises the per-op
-        ``(name, cycles)`` list.
+        ``(name, cycles)`` list.  Every call costs the compiled columns
+        afresh, so the report owns its ``op_cycles``.
 
         When a :mod:`repro.perfmon` profile is active, every component
         that times an op also populates its counters — this is the
@@ -270,42 +273,30 @@ class Processor:
         params = self._params
         if params is None:
             params = self._params = SimpleNamespace(**costmodel.parameter_row(self))
-        # The fully-combined cost columns are memoised per (machine,
-        # dilation), so re-costing the same trace on the same machine —
-        # the sweep and table-regeneration steady state — is a
-        # dictionary lookup plus report construction.  The cached
-        # arrays are shared with the returned report; treat
-        # ``ExecutionReport.op_cycles`` as read-only.
-        memo = compiled.machine_cache(params)
-        key = f"cost@{float(memory_dilation)!r}"
-        entry = memo.get(key)
-        if entry is None:
-            v, s = compiled.vector, compiled.scalar
-            vector_cycles = (
-                costmodel.vector_op_cycles(params, v, memory_dilation, memo)
-                if v.n
-                else _EMPTY_CYCLES
-            )
-            scalar_cycles = (
-                costmodel.scalar_op_cycles(params, s, memo) if s.n else _EMPTY_CYCLES
-            )
-            op_cycles = compiled.scatter_cycles(vector_cycles, scalar_cycles)
-            entry = memo[key] = (
-                vector_cycles, scalar_cycles, op_cycles, fsum(op_cycles)
-            )
-        op_cycles, total_cycles = entry[2], entry[3]
+        memo: dict = {}  # this call's columns, reread by the counter reductions
+        v, s = compiled.vector, compiled.scalar
+        vector_cycles = (
+            costmodel.vector_op_cycles(params, v, memory_dilation, memo)
+            if v.n
+            else _EMPTY_CYCLES
+        )
+        scalar_cycles = costmodel.scalar_op_cycles(params, s, memo) if s.n else _EMPTY_CYCLES
+        op_cycles = compiled.scatter_cycles(vector_cycles, scalar_cycles)
+        total_cycles = fsum(op_cycles)
         if perfmon_active() is not None:
             perfmon_record("processor", {"traces": 1.0})
             if compiled.n_ops:
-                self._record_counters(compiled, memo, entry, memory_dilation)
+                self._record_counters(
+                    compiled, memo, vector_cycles, scalar_cycles, op_cycles, memory_dilation
+                )
         return ExecutionReport(
             machine=self.name,
             trace_name=trace.name,
             cycles=total_cycles,
             seconds=self.clock.seconds(total_cycles),
-            raw_flops=compiled.raw_flops_total(),
-            flop_equivalents=compiled.flop_equivalents_total(),
-            words_moved=compiled.words_moved_total(),
+            raw_flops=compiled.raw_flops_total,
+            flop_equivalents=compiled.flop_equivalents_total,
+            words_moved=compiled.words_moved_total,
             op_names=compiled.names,
             op_cycles=op_cycles,
             has_breakdown=breakdown,

@@ -19,8 +19,7 @@ alone — pinned in ``tests/machine/test_suitebatch.py``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from repro.machine.compiled import ScalarColumns, VectorColumns, compile_trace
 __all__ = ["SuiteColumns"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteColumns:
     """A whole trace suite lowered to one ragged column stack.
 
@@ -38,11 +37,9 @@ class SuiteColumns:
     to its source, ``index`` still holding within-trace positions), so
     the cost model takes a ``SuiteColumns`` wherever it takes a
     ``CompiledTrace``.  ``vector_offsets``/``scalar_offsets`` delimit
-    each trace's segment.
-
-    Like :class:`~repro.machine.compiled.CompiledTrace`,
-    machine-dependent cost columns are memoised per machine in
-    :meth:`machine_cache`.
+    each trace's segment, and ``trace_totals`` holds each trace's
+    ``(raw_flops, flop_equivalents, words_moved)``.  Like a
+    :class:`~repro.machine.compiled.CompiledTrace`, it is a plain value.
     """
 
     trace_ids: tuple[str, ...]
@@ -51,11 +48,7 @@ class SuiteColumns:
     scalar: ScalarColumns
     vector_offsets: np.ndarray  # (n_traces + 1,) intp segment bounds
     scalar_offsets: np.ndarray
-    _machine_caches: dict = field(default_factory=dict, repr=False)
-    #: strong refs pinning cached machines so their ids stay unique.
-    _pins: list = field(default_factory=list, repr=False)
-    #: machine-independent per-trace totals, computed once per stack.
-    _totals: dict[str, list[float]] = field(default_factory=dict, repr=False)
+    trace_totals: tuple[tuple[float, float, float], ...]
 
     @property
     def n_traces(self) -> int:
@@ -66,7 +59,9 @@ class SuiteColumns:
         """Stack ``(trace_id, Trace)`` pairs into one suite column set.
 
         Each trace is compiled (or fetched from its compile cache) and
-        its columns concatenated bit-exactly.
+        its columns concatenated bit-exactly.  Each trace's totals are
+        its compiled trace's: the fsum of the same per-op values, so
+        the same doubles.
         """
         pairs = list(traces)
         compiled = [compile_trace(trace) for _, trace in pairs]
@@ -77,50 +72,11 @@ class SuiteColumns:
             scalar=ScalarColumns.stack([c.scalar for c in compiled]),
             vector_offsets=_offsets([c.vector.n for c in compiled]),
             scalar_offsets=_offsets([c.scalar.n for c in compiled]),
+            trace_totals=tuple(
+                (c.raw_flops_total, c.flop_equivalents_total, c.words_moved_total)
+                for c in compiled
+            ),
         )
-
-    def machine_cache(self, machine) -> dict:
-        """Per-machine memo dict (same contract as CompiledTrace)."""
-        cache = self._machine_caches.get(id(machine))
-        if cache is None:
-            cache = self._machine_caches[id(machine)] = {}
-            self._pins.append(machine)
-        return cache
-
-    # -- aggregate accounting (exact: fsum over each trace's segment) ------
-    def _segment_totals(
-        self, key: str, vector_column: np.ndarray, scalar_column: np.ndarray
-    ) -> list[float]:
-        totals = self._totals.get(key)
-        if totals is None:
-            vo, so = self.vector_offsets, self.scalar_offsets
-            totals = self._totals[key] = [
-                math.fsum(
-                    vector_column[vo[i]:vo[i + 1]].tolist()
-                    + scalar_column[so[i]:so[i + 1]].tolist()
-                )
-                for i in range(self.n_traces)
-            ]
-        return totals
-
-    def trace_totals(self, i: int) -> tuple[float, float, float]:
-        """(raw_flops, flop_equivalents, words_moved) for trace ``i``.
-
-        Each is the fsum of the same per-op values the compiled path
-        sums for that trace alone — same multiset, exact sum, identical
-        bits.  (ScalarOp flop-equivalents equal its raw flops, mirroring
-        ``CompiledTrace.flop_equivalents_total``.)
-        """
-        raw = self._segment_totals(
-            "raw_flops", self.vector.raw_flops, self.scalar.raw_flops
-        )
-        equiv = self._segment_totals(
-            "flop_equivalents", self.vector.flop_equivalents, self.scalar.raw_flops
-        )
-        words = self._segment_totals(
-            "words_moved", self.vector.words_moved, self.scalar.words_moved
-        )
-        return raw[i], equiv[i], words[i]
 
 
 def _offsets(counts: list[int]) -> np.ndarray:

@@ -14,7 +14,8 @@ Request lifecycle::
       -> spool lookup:
            done     -> 200, ``cache: hit`` — no executor, one spool read
            unfinished -> 202, ``cache: pending`` — the existing handle
-           absent   -> 202, ``cache: miss`` — journal + enqueue
+           absent   -> check_buildable (400 on a sweep that cannot build)
+                    -> 202, ``cache: miss`` — journal + enqueue
 
 The worker (``run_pending``; driven by the server's background task,
 or called directly in tests) pops pending jobs and executes them
@@ -78,6 +79,7 @@ from repro.service.lifecycle import (
 from repro.service.requests import (
     DEFAULT_TENANT,
     RequestError,
+    check_buildable,
     request_job_id,
     validate_deadline,
     validate_request,
@@ -281,15 +283,13 @@ class ServiceApp:
             )
         try:
             parsed = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, ValueError):
-            self._count(bad_requests=1.0)
-            return _error(400, "request body is not valid JSON", reason="bad_request")
+        except (RecursionError, ValueError):  # UnicodeDecodeError is a ValueError
+            return self._bad_request("request body is not valid JSON")
         try:
             request = validate_request(parsed)
             deadline_s = validate_deadline(parsed)
         except RequestError as exc:
-            self._count(bad_requests=1.0)
-            return _error(400, str(exc), reason="bad_request")
+            return self._bad_request(str(exc))
 
         tenant = self.tenants.get(request["tenant"])
         if tenant is None:
@@ -332,8 +332,12 @@ class ServiceApp:
                 202, self._submission_payload(existing, CACHE_PENDING)
             )
 
-        # Only genuinely new work faces the breaker: hits and pending
-        # twins above are already paid for.
+        # Only genuinely new work is built and faces the breaker: hits
+        # and pending twins above are already paid for.
+        try:
+            check_buildable(request)
+        except RequestError as exc:
+            return self._bad_request(str(exc))
         breaker_key = (tenant.name, request["kind"])
         decision = self.breaker.admit(breaker_key, self.clock())
         if decision.event == "probe":
@@ -384,6 +388,10 @@ class ServiceApp:
         self.queue.append((tenant.name, job_id))
         self._count(submissions=1.0, misses=1.0)
         return json_response(202, self._submission_payload(record, CACHE_MISS))
+
+    def _bad_request(self, message: str) -> Response:
+        self._count(bad_requests=1.0)
+        return _error(400, message, reason="bad_request")
 
     def _submission_payload(self, record: JobRecord, cache: str) -> dict:
         return {

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 
 from repro.faults.plan import FaultPlan
@@ -42,6 +43,7 @@ __all__ = [
     "RequestError",
     "validate_request",
     "validate_deadline",
+    "check_buildable",
     "request_bytes",
     "request_job_id",
 ]
@@ -64,10 +66,14 @@ def _canonical_axes(axes: object) -> list[dict]:
             raise RequestError(
                 "each sweep axis needs 'parameter' and 'values' fields"
             )
+        if not isinstance(axis["values"], list):
+            raise RequestError("axis 'values' must be a list of numbers")
         try:
             values = [float(v) for v in axis["values"]]
         except (OverflowError, TypeError, ValueError) as exc:
             raise RequestError(f"axis values must be numbers: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise RequestError("axis values must be finite numbers")
         canonical.append({"parameter": str(axis["parameter"]), "values": values})
     return canonical
 
@@ -79,9 +85,11 @@ def _canonical_suite(payload: dict) -> dict:
     canonical: dict = {"ids": list(ids)}
     fault_plan = payload.get("fault_plan")
     if fault_plan is not None:
+        if not isinstance(fault_plan, dict):
+            raise RequestError("invalid fault plan: it must be an object")
         try:
             canonical["fault_plan"] = FaultPlan.from_dict(fault_plan).to_dict()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise RequestError(f"invalid fault plan: {exc}") from exc
     return canonical
 
@@ -100,10 +108,13 @@ def _canonical_sweep(payload: dict) -> dict:
         raise RequestError("sweep 'dilation' must be a number")
     if not 1.0 <= dilation <= sys.float_info.max:  # rejects NaN and inf too
         raise RequestError("sweep 'dilation' must be a finite number >= 1")
+    include_presets = payload.get("include_presets", False)
+    if not isinstance(include_presets, bool):  # bool("false") would be True
+        raise RequestError("sweep 'include_presets' must be true or false")
     return {
         "anchor": anchor,
         "axes": _canonical_axes(payload.get("axes", [])),
-        "include_presets": bool(payload.get("include_presets", False)),
+        "include_presets": include_presets,
         "traces": list(traces),
         "dilation": float(dilation),
     }
@@ -120,7 +131,7 @@ def validate_request(body: object, default_tenant: str = DEFAULT_TENANT) -> dict
     if not isinstance(body, dict):
         raise RequestError("request body must be a JSON object")
     kind = body.get("kind")
-    if kind not in JOB_RESOLVERS:
+    if not isinstance(kind, str) or kind not in JOB_RESOLVERS:
         raise RequestError(
             f"unknown job kind {kind!r}; know {', '.join(JOB_RESOLVERS)}"
         )
@@ -145,7 +156,8 @@ def validate_request(body: object, default_tenant: str = DEFAULT_TENANT) -> dict
     # a job that fails later.
     try:
         JOB_RESOLVERS[kind](canonical_payload)
-    except (KeyError, TypeError, ValueError) as exc:
+        request_bytes(request)  # the job id digests these: finite numbers only
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from exc
     return request
 
@@ -162,15 +174,43 @@ def validate_deadline(body: object) -> float | None:
     raw = body["deadline_s"]
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise RequestError("'deadline_s' must be a number of seconds")
-    deadline = float(raw)
-    if not deadline > 0 or deadline != deadline:  # rejects 0, negatives, NaN
-        raise RequestError("'deadline_s' must be a positive number of seconds")
+    try:
+        deadline = float(raw)
+    except OverflowError as exc:
+        raise RequestError(f"'deadline_s' is out of range: {exc}") from exc
+    if not 0 < deadline <= sys.float_info.max:  # rejects 0, negatives, NaN, inf
+        raise RequestError("'deadline_s' must be a positive, finite number of seconds")
     return deadline
 
 
+def check_buildable(request: dict) -> None:
+    """Build the work a new job for ``request`` would run, or raise.
+
+    A sweep's range checks (positive clock, at least one pipe left
+    after degradation, no vector axis on a cache anchor, ...) all live
+    in :meth:`~repro.explore.sweep.ParameterSweep.build`, so a
+    submission that would create a sweep job builds it once here: an
+    unbuildable sweep is a 400 before any record is written, not a job
+    that fails later.  Suite requests are fully checked by
+    :func:`validate_request`.
+    """
+    if request["kind"] != "sweep":
+        return
+    try:
+        JOB_RESOLVERS["sweep"](request["sweep"]).build()
+    except (KeyError, MemoryError, OverflowError, TypeError, ValueError) as exc:
+        # MemoryError: a grid too large to allocate (no size cap yet).
+        raise RequestError(f"sweep cannot be built: {exc}") from exc
+
+
 def request_bytes(request: dict) -> bytes:
-    """The canonical serialized request — the bytes the job id digests."""
-    return json.dumps(request, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """The canonical serialized request — the bytes the job id digests.
+
+    Strict JSON: a non-finite number raises ``ValueError``.
+    """
+    return json.dumps(
+        request, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
 
 
 def request_job_id(request: dict) -> str:

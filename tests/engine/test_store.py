@@ -2,6 +2,8 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -235,6 +237,46 @@ class TestHygiene:
         store.put(_digest(), _experiment(), 0.0)
         assert store.clear() == 1
         assert store.entries() == []
+
+
+class TestStagingSweep:
+    """``gc`` and ``clear`` sweep ``tmp/`` by the writer pid each staging
+    name carries: a live writer's file stays, a dead writer's goes."""
+
+    @pytest.mark.parametrize("sweep", ["gc", "clear"])
+    def test_live_writer_survives_a_sweep_loop(self, tmp_path, sweep):
+        # A sweep that unlinks the staging file between the write and
+        # os.replace fails the write with FileNotFoundError.
+        results = ResultStore(tmp_path / "cache")
+        chunks = ChunkStore(tmp_path / "cache")
+        key = "e" * 64
+        sweep_once = (lambda: results.gc({})) if sweep == "gc" else results.clear
+        errors = _race_threads(
+            lambda i: chunks.put("race", key, {"value": 7, "round": i}),
+            sweep_once,
+            writers=1,
+            rounds=300,
+        )
+        assert errors == []
+        assert chunks.get("race", key)["value"] == 7
+
+    @pytest.mark.parametrize("sweep", ["gc", "clear"])
+    def test_dead_writers_staging_is_swept(self, tmp_path, sweep):
+        store = ResultStore(tmp_path / "cache")
+        store.tmp_dir.mkdir(parents=True)
+        dead = subprocess.Popen([sys.executable, "-c", ""])
+        dead.wait()
+        key = "e" * 64
+        orphan = store.tmp_dir / f"sec4.7.3.{key}.{dead.pid}.1.tmp"
+        nameless = store.tmp_dir / "stray.tmp"
+        live = store.tmp_dir / f"sec4.7.3.{key}.{os.getpid()}.1.tmp"
+        for path in (orphan, nameless, live):
+            path.write_text("{}", encoding="utf-8")
+        if sweep == "gc":
+            store.gc({})
+        else:
+            store.clear()
+        assert sorted(store.tmp_dir.iterdir()) == [live]
 
 
 class TestCanonicalBytes:

@@ -125,6 +125,36 @@ class TestChunkCaching:
         assert again.chunk_hits == cold.chunk_misses - 1
         assert (again.traces["hint"].cycles == cold.traces["hint"].cycles).all()
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda chunk: chunk.update(traces=[]),
+            lambda chunk: chunk.update(traces="nope"),
+            lambda chunk: chunk["traces"].update(hint=[]),
+            # as long as the chunk, so only its type is wrong
+            lambda chunk: chunk["traces"]["hint"].update(cycles="x" * chunk["n_machines"]),
+            lambda chunk: chunk["traces"]["hint"].pop("raw_flops"),
+        ],
+        ids=["traces-list", "traces-string", "entry-list", "cycles-string", "no-raw-flops"],
+    )
+    def test_checksummed_chunk_of_wrong_shape_is_a_miss(self, sweep_grid, tmp_path, damage):
+        # The checksum is recomputed, so the store hands the payload over
+        # and the sweep itself must reject its shape.
+        store = ChunkStore(root=tmp_path)
+        kwargs = {"trace_ids": ("hint",), "store": store, "chunk_machines": 4}
+        cold = cost_suite_grid(sweep_grid, **kwargs)
+        victim = store.entries()[0]
+        chunk = store.get(CHUNK_NAMESPACE, victim.key)
+        damage(chunk)
+        store.put(CHUNK_NAMESPACE, victim.key, chunk)
+        again = cost_suite_grid(sweep_grid, **kwargs)
+        plain = cost_suite_grid(sweep_grid, trace_ids=("hint",))
+        assert again.chunk_misses == 1
+        assert np.array_equal(again.traces["hint"].cycles, plain.traces["hint"].cycles)
+        assert np.array_equal(again.suite_seconds, plain.suite_seconds)
+        warm = cost_suite_grid(sweep_grid, **kwargs)
+        assert warm.chunk_misses == 0 and warm.chunk_hits == cold.chunk_misses
+
     def test_dilation_partitions_the_cache(self, sweep_grid, tmp_path):
         store = ChunkStore(root=tmp_path)
         cost_suite_grid(sweep_grid, trace_ids=("hint",), store=store)

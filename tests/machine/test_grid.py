@@ -94,9 +94,6 @@ class TestMaterialize:
             trace = build_registered_trace("hint")
             assert rebuilt.execute(trace) == processor.execute(trace)
 
-    def test_memoised(self, grid):
-        assert grid.materialize(0) is grid.materialize(0)
-
     def test_integral_parameters_are_ints(self, grid, machines):
         sx4 = grid.materialize(list(machines).index("NEC SX-4 (9.2 ns)"))
         assert isinstance(sx4.vector.pipes, int)
@@ -141,6 +138,14 @@ class TestExactParity:
         first = cost_trace_grid(trace, grid)
         second = cost_trace_grid(trace, grid)
         assert (first.cycles == second.cycles).all()
+
+    def test_grid_costs_own_their_cycles(self, grid):
+        trace = build_registered_trace("linpack")
+        first = cost_trace_grid(trace, grid)
+        expected = first.cycles.tolist()
+        first.cycles[:] = 0.0
+        second = cost_trace_grid(trace, grid)
+        assert second.cycles.tolist() == expected
 
 
 class TestHomogeneousGrids:

@@ -21,6 +21,22 @@ from repro.service.tenants import Tenant, TenantRegistry
 SUITE_BODY = {"kind": "suite", "suite": {"ids": ["table2"]}}
 
 
+#: Sweeps that pass request validation but fail ParameterSweep.build().
+UNBUILDABLE_SWEEPS = [
+    {"axes": [{"parameter": "clock.period_ns", "values": [-1]}]},
+    {"axes": [{"parameter": "vector.pipes", "values": [float("nan")]}]},
+    {"axes": [{"parameter": "memory.banks", "values": [float("inf")]}]},
+    {"axes": [{"parameter": "degraded.offline_pipes", "values": [99]}]},
+    {"anchor": "sparc20", "axes": [{"parameter": "vector.pipes", "values": [4]}]},
+    # 10**18 points: the first grid column (8e18 bytes) cannot be allocated
+    # on any 64-bit host, so nothing is touched.
+    {"axes": [{"parameter": parameter, "values": [float(v) for v in range(1, 1001)]}
+              for parameter in ("clock.period_ns", "vector.startup_cycles",
+                                "vector.stripmine_cycles", "memory.bank_busy_cycles",
+                                "scalar.issue_width", "scalar.flops_per_cycle")]},
+]
+
+
 def submit(app, body=SUITE_BODY):
     response = app.handle("POST", "/v1/jobs", json.dumps(body).encode())
     return response, json.loads(response.body)
@@ -71,6 +87,43 @@ class TestSubmission:
     def test_malformed_sweep_is_400_not_a_job(self, app, body):
         assert app.handle("POST", "/v1/jobs", body).status == 400
         assert app.spool.records() == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"kind": "suite", "suite": {"fault_plan": []}}',
+            b"[" * 100_000,  # under the 1 MB limit, too deep for the parser
+            b'{"kind": "suite", "deadline_s": 1e400}',  # parses as inf
+        ],
+        ids=["fault-plan-list", "deep-nesting", "infinite-deadline"],
+    )
+    def test_malformed_submission_is_400_not_a_job(self, app, body):
+        response = app.handle("POST", "/v1/jobs", body)
+        assert response.status == 400
+        assert json.loads(response.body)["reason"] == "bad_request"
+        assert app.spool.records() == []
+
+    @pytest.mark.parametrize(
+        "sweep",
+        UNBUILDABLE_SWEEPS,
+        ids=["negative-clock", "nan-pipes", "infinite-banks", "no-pipes-left", "cache-anchor",
+             "too-large"],
+    )
+    def test_unbuildable_sweep_is_400_not_a_job(self, app, sweep):
+        response, payload = submit(app, {"kind": "sweep", "sweep": sweep})
+        assert response.status == 400
+        assert payload["reason"] == "bad_request"
+        assert app.spool.records() == []
+
+    def test_unbuildable_sweeps_cannot_open_the_breaker(self, app):
+        for sweep in UNBUILDABLE_SWEEPS:
+            submit(app, {"kind": "sweep", "sweep": sweep})
+        app.run_pending()
+        valid = {"axes": [{"parameter": "vector.pipes", "values": [4, 8]}],
+                 "traces": ["hint"]}
+        response, payload = submit(app, {"kind": "sweep", "sweep": valid})
+        assert response.status == 202
+        assert payload["cache"] == CACHE_MISS
 
     def test_unknown_tenant_is_403(self, app):
         response, _ = submit(app, dict(SUITE_BODY, tenant="ghost"))

@@ -79,6 +79,9 @@ class TestValidation:
             ({"anchor": "cray-2"}, "anchor"),
             ({"anchor": ["sx4"]}, "anchor"),
             ({"axes": [{"parameter": "vector.pipes", "values": [10**400]}]}, "axis"),
+            ({"axes": [{"parameter": "vector.pipes", "values": [float("inf")]}]}, "finite"),
+            ({"axes": [{"parameter": "vector.pipes", "values": "48"}]}, "list"),
+            ({"include_presets": "false"}, "include_presets"),
         ],
     )
     def test_malformed_sweep_rejected(self, sweep, message):
@@ -103,6 +106,26 @@ class TestValidation:
             validate_request(
                 {"kind": "suite", "suite": {"fault_plan": {"actions": "nope"}}}
             )
+
+    @pytest.mark.parametrize(
+        "fault_plan",
+        [[], {"schema": 1, "seed": 1e400, "actions": []}],
+        ids=["not-an-object", "infinite-seed"],
+    )
+    def test_mistyped_fault_plan_rejected(self, fault_plan):
+        with pytest.raises(RequestError, match="fault plan"):
+            validate_request({"kind": "suite", "suite": {"fault_plan": fault_plan}})
+
+    def test_non_finite_fault_delay_rejected(self):
+        plan = {"schema": 1, "seed": 1, "actions": [
+            {"site": "executor_job", "exp_id": "table2", "kind": "slow",
+             "delay_s": float("nan")}]}
+        with pytest.raises(RequestError):
+            validate_request({"kind": "suite", "suite": {"fault_plan": plan}})
+
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(RequestError, match="unknown job kind"):
+            validate_request({"kind": ["suite"]})
 
 
 class TestJobIds:
