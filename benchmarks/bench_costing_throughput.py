@@ -3,23 +3,20 @@
 The workload: cost every registered trace — the 13 NCAR kernels plus
 the three applications — on the calibrated SX-4.
 ``Processor.execute`` has one costing path: it lowers each trace to
-structure-of-arrays columns once (the compile is cached on the trace)
-and costs every op in a handful of NumPy expressions over those
-columns.  The timed loop re-costs compiled traces, so it measures the
-costing itself; the one-time compile is reported separately as
-``execute_cold_s``.  This is a diagnostic: the end-to-end numbers come
-from ``benchmarks/e2e``.
+structure-of-arrays columns and costs every op in a handful of NumPy
+expressions over those columns.  Nothing is cached between calls, so
+every timed pass pays what each workload pays per trace: the lowering
+and the costing.  This is a diagnostic with no timing gate: the
+end-to-end numbers, and CI's timed gate, come from ``benchmarks/e2e``.
 
 Before timing, the benchmark asserts that ``execute`` agrees *exactly*
 with the per-op oracle (the ``math.fsum`` of
 ``Processor.per_op_cycles``) on every canonical machine, then records
 the result in ``BENCH_engine.json``.
 
-Standalone (writes the JSON report, exit 1 on parity drift or a
-regression against a baseline)::
+Standalone (writes the JSON report, exit 1 on parity drift)::
 
-    python benchmarks/bench_costing_throughput.py \\
-        --baseline BENCH_engine.json --max-slowdown 0.25
+    python benchmarks/bench_costing_throughput.py
 
 Under pytest the parity gate runs as an ordinary test::
 
@@ -103,10 +100,10 @@ def measure_execute(
     rounds: int = 5,
     repeats: int = 20,
 ) -> float:
-    """Best-of-``rounds`` seconds for one full-suite costing of compiled traces.
+    """Best-of-``rounds`` seconds for one full-suite lowering and costing.
 
-    One untimed pass first compiles the traces, so the timed passes
-    measure costing alone: the column expressions and the reports.
+    One untimed pass first warms the interpreter and NumPy, so the timed
+    passes measure the lowering, the column expressions and the reports.
     """
     _cost_suite(processor, suite)
     best = float("inf")
@@ -123,25 +120,16 @@ def run_benchmark(rounds: int = 5, repeats: int = 20) -> dict:
     suite = build_suite()
     mismatches = check_parity(suite, parity_machines())
     processor = sx4_processor()
-
-    # Cold pass on fresh traces: compile + costing, the price a one-shot
-    # run pays before the compile cache exists.
-    cold_suite = build_suite()
-    start = time.perf_counter()
-    _cost_suite(processor, cold_suite)
-    execute_cold_s = time.perf_counter() - start
-
     return {
-        "schema_version": 3,
+        "schema_version": 4,
         "benchmark": "costing_throughput",
         "machine": processor.name,
-        "workload": "cost all registered traces once (traces compiled)",
+        "workload": "lower and cost all registered traces once",
         "traces": len(suite),
         "ops": sum(len(trace) for _, trace in suite),
         "rounds": rounds,
         "repeats": repeats,
         "execute_s_per_suite": measure_execute(processor, suite, rounds, repeats),
-        "execute_cold_s": execute_cold_s,
         "parity": {
             "fields": list(PARITY_FIELDS),
             "oracle": "math.fsum of Processor.per_op_cycles",
@@ -169,12 +157,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
                                              / "BENCH_engine.json"),
                         help="report path (default: repo-root BENCH_engine.json)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="committed BENCH_engine.json to regress against")
-    parser.add_argument("--max-slowdown", type=float, default=0.25, metavar="F",
-                        help="fail when execute_s_per_suite exceeds the "
-                             "baseline by more than this fraction "
-                             "(default: 0.25)")
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
 
     payload = run_benchmark(rounds=args.rounds, repeats=args.repeats)
@@ -183,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     parity = payload["parity"]
     print(f"traces: {payload['traces']} ({payload['ops']} ops) on {payload['machine']}")
     print(f"execute:  {payload['execute_s_per_suite'] * 1e3:8.3f} ms / suite "
-          f"(cold first pass {payload['execute_cold_s'] * 1e3:.3f} ms)")
+          "(lowering and costing)")
     print(f"parity:   {'exact' if parity['exact'] else 'DRIFT'} vs the per-op "
           f"oracle over {parity['machines_checked']} machines x "
           f"{parity['traces_checked']} traces")
@@ -193,19 +175,6 @@ def main(argv: list[str] | None = None) -> int:
         for line in parity["mismatches"][:20]:
             print(f"  parity drift: {line}", file=sys.stderr)
         return 1
-    if args.baseline is not None:
-        baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-        reference = float(baseline["execute_s_per_suite"])
-        measured = payload["execute_s_per_suite"]
-        slowdown = measured / reference - 1.0
-        print(f"baseline: {reference * 1e3:8.3f} ms / suite ({args.baseline}); "
-              f"slowdown {slowdown:+.1%} (gate {args.max_slowdown:+.0%})")
-        if slowdown > args.max_slowdown:
-            print(f"error: costing regressed {slowdown:+.1%} vs baseline "
-                  f"(allowed {args.max_slowdown:+.0%}): "
-                  f"{measured * 1e3:.3f} ms vs {reference * 1e3:.3f} ms",
-                  file=sys.stderr)
-            return 1
     return 0
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.machine.compiled import compile_trace, fsum
+from repro.machine.compiled import fsum
 from repro.machine.operations import INTRINSIC_FLOP_EQUIV, ScalarOp, Trace, VectorOp
 from repro.machine.processor import Processor
 
@@ -186,10 +186,9 @@ def rule_vec004_scalar_dominated(trace: Trace, processor: Processor) -> list[Dia
     so any trace whose scalar bookkeeping exceeds ~30% of modelled time is
     style-broken.  Impact is the Amdahl bound 1/(1-f) currently forfeited.
     """
-    op_cycles = processor.execute(trace).op_cycles
-    compiled = compile_trace(trace)
-    scalar_cycles = fsum(op_cycles[compiled.scalar.index])
-    vector_cycles = fsum(op_cycles[compiled.vector.index])
+    costed = list(zip(trace.ops, processor.execute(trace).op_cycles.tolist()))
+    scalar_cycles = fsum(c for op, c in costed if isinstance(op, ScalarOp))
+    vector_cycles = fsum(c for op, c in costed if isinstance(op, VectorOp))
     total_cycles = scalar_cycles + vector_cycles
     if total_cycles <= 0:
         return []

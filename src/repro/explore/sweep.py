@@ -15,11 +15,12 @@ Two axis families exist:
   (``"clock.period_ns"``, ``"vector.pipes"``, ``"memory.banks"``, ...)
   and overwrite the column;
 * **degradation** parameters (``"degraded.offline_pipes"``,
-  ``"degraded.offline_banks"``) replicate
-  :func:`repro.faults.degraded.degrade_processor`'s arithmetic on the
-  columns — pipes shrink and the surviving pipes' intrinsic rates scale
-  up by ``pipes / remaining``, exactly as the per-machine constructor
-  does, so a sweep point materializes to the same machine a
+  ``"degraded.offline_banks"``) run
+  :meth:`~repro.machine.grid.MachineGrid.take_offline` on the columns —
+  pipes shrink and the surviving pipes' intrinsic rates scale up by
+  ``pipes / remaining`` — the same code
+  :func:`repro.faults.degraded.degrade_processor` runs on a processor's
+  one-row grid, so a sweep point materializes to the same machine a
   ``DegradedMachine`` would build.
 
 Direct axes apply before degradation axes (degradations read the swept
@@ -28,6 +29,7 @@ pipe/bank counts), matching "build the variant, then degrade it".
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -132,6 +134,13 @@ def explicit_axis(parameter: str, values) -> Axis:
     return Axis(parameter, tuple(float(v) for v in values))
 
 
+#: Why a degradation axis is refused, per resource.
+_ALL_OFFLINE = {
+    "pipes": "takes every pipe offline at some sweep point (a degraded vector unit keeps >= 1)",
+    "banks": "takes every bank offline at some sweep point (a degraded memory keeps >= 1)",
+}
+
+
 def _format_value(value: float, integer: bool) -> str:
     return str(int(round(value))) if integer else format(value, "g")
 
@@ -196,31 +205,12 @@ class ParameterSweep:
             column[:] = values.astype(column.dtype)
 
         for axis, values in degradations:
-            spec = PARAMETERS[axis.parameter]
-            offline = np.rint(values)
-            if spec.degrade == "pipes":
-                remaining = grid.pipes - offline
-                if (remaining < 1.0).any():
-                    raise ValueError(
-                        f"axis {axis.parameter!r} takes every pipe offline at "
-                        f"some sweep point (a degraded vector unit keeps >= 1)"
-                    )
-                # Exactly degrade_processor's arithmetic: surviving pipes
-                # carry the intrinsic load, so per-element rates scale by
-                # pipes / remaining.
-                scale = grid.pipes / remaining
-                grid.vector_intrinsic_rates[:] = grid.vector_intrinsic_rates * scale[:, None]
-                grid.pipes[:] = remaining
-            else:
-                remaining_banks = grid.banks - offline.astype(np.int64)
-                if (remaining_banks < 1).any():
-                    raise ValueError(
-                        f"axis {axis.parameter!r} takes every bank offline at "
-                        f"some sweep point (a degraded memory keeps >= 1)"
-                    )
-                grid.banks[:] = remaining_banks
+            resource = PARAMETERS[axis.parameter].degrade
+            grid.take_offline(
+                resource, np.rint(values), f"axis {axis.parameter!r} {_ALL_OFFLINE[resource]}"
+            )
 
-        names = self._point_names(flattened)
+        names = self._point_names()
         swept = MachineGrid(names=names, **{k: v for k, v in grid._columns()})
         swept.validate()
         if not self.include_presets:
@@ -228,14 +218,19 @@ class ParameterSweep:
         presets = MachineGrid.from_processors(list(canonical_machines().values()))
         return MachineGrid.concat([presets, swept])
 
-    def _point_names(self, flattened: list[np.ndarray]) -> tuple[str, ...]:
+    def _point_names(self) -> tuple[str, ...]:
+        """One name per point: each axis's values are formatted once and
+        combined in grid order (first axis slowest, as the meshgrid)."""
         if not self.axes:
             return (self.anchor,)
-        names = []
-        for i in range(self.n_points):
-            parts = ",".join(
-                f"{axis.parameter}={_format_value(values[i], PARAMETERS[axis.parameter].integer)}"
-                for axis, values in zip(self.axes, flattened)
-            )
-            names.append(f"{self.anchor}[{parts}]")
-        return tuple(names)
+        labels = [
+            [
+                f"{axis.parameter}="
+                f"{_format_value(value, PARAMETERS[axis.parameter].integer)}"
+                for value in axis.values
+            ]
+            for axis in self.axes
+        ]
+        return tuple(
+            f"{self.anchor}[{','.join(parts)}]" for parts in itertools.product(*labels)
+        )

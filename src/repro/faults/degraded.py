@@ -9,11 +9,13 @@ many of each resource are offline, and the ``degrade_*`` constructors
 rebuild the component with the survivors.
 
 Nothing here adds new cost formulas — a degraded machine is an
-ordinary machine with smaller parameters, so fewer banks raise
-conflict factors through :class:`~repro.machine.memory.BankedMemory`'s
-existing gcd arithmetic, and ``Processor.execute`` prices it
-bit-identically to the per-op oracle because both are handed the same
-component instances (asserted in ``tests/faults``).
+ordinary machine with smaller parameters (the pipe and bank arithmetic
+is the machine grid's, shared with the explorer's degradation axes), so
+fewer banks raise conflict factors through
+:class:`~repro.machine.memory.BankedMemory`'s existing gcd arithmetic,
+and ``Processor.execute`` prices it bit-identically to the per-op
+oracle because both are handed the same component instances (asserted
+in ``tests/faults``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro.machine.grid import MachineGrid
 from repro.machine.iop import DiskArray, IOProcessor
 from repro.machine.ixs import InternodeCrossbar
 from repro.machine.node import Node
@@ -105,47 +108,37 @@ def degrade_processor(processor: Processor, degradation: Degradation) -> Process
     per-element rates stretch by the surviving-pipe ratio — intrinsics
     run on the same pipes); banks shrink the interleave, which raises
     stride/gather conflict factors through the existing bank-busy
-    arithmetic.  The scalar side is untouched.
+    arithmetic.  The arithmetic is :meth:`MachineGrid.take_offline
+    <repro.machine.grid.MachineGrid.take_offline>` on the processor's
+    one-row grid, the same a sweep's degradation axes run.  The scalar
+    side is untouched.
     """
     if degradation.is_baseline:
         return processor
-    vector = processor.vector
-    memory = processor.memory
     if degradation.offline_pipes or degradation.offline_banks:
+        vector, memory = processor.vector, processor.memory
         if vector is None or memory is None:
             raise ValueError(
                 f"{processor.name} has no vector/memory subsystem to degrade"
             )
-    if vector is not None and degradation.offline_pipes:
-        remaining = vector.pipes - degradation.offline_pipes
-        if remaining < 1:
-            raise ValueError(
-                f"{processor.name} has {vector.pipes} pipes; cannot offline "
-                f"{degradation.offline_pipes}"
-            )
-        scale = vector.pipes / remaining
-        vector = dataclasses.replace(
-            vector,
-            pipes=remaining,
-            intrinsic_cycles_per_element={
-                name: rate * scale
-                for name, rate in vector.intrinsic_cycles_per_element.items()
-            },
+        grid = MachineGrid.from_processors([processor])
+        grid.take_offline(
+            "pipes",
+            degradation.offline_pipes,
+            f"{processor.name} has {vector.pipes} pipes; cannot offline "
+            f"{degradation.offline_pipes}",
         )
-    if memory is not None and degradation.offline_banks:
-        remaining_banks = memory.banks - degradation.offline_banks
-        if remaining_banks < 1:
-            raise ValueError(
-                f"{processor.name} has {memory.banks} banks; cannot offline "
-                f"{degradation.offline_banks}"
-            )
-        memory = dataclasses.replace(memory, banks=remaining_banks)
-    return dataclasses.replace(
-        processor,
-        name=f"{processor.name} [{degradation.name}]",
-        vector=vector,
-        memory=memory,
-    )
+        grid.take_offline(
+            "banks",
+            degradation.offline_banks,
+            f"{processor.name} has {memory.banks} banks; cannot offline "
+            f"{degradation.offline_banks}",
+        )
+        degraded = grid.materialize(0)
+        processor = dataclasses.replace(
+            processor, vector=degraded.vector, memory=degraded.memory
+        )
+    return dataclasses.replace(processor, name=f"{processor.name} [{degradation.name}]")
 
 
 def degrade_node(node: Node, degradation: Degradation) -> Node:

@@ -5,12 +5,12 @@ Regenerating the paper's tables costs about a thousand traces per pass
 ensembles, the node model's CPU-count scan).  Walking each
 :class:`~repro.machine.operations.Trace` one descriptor at a time would
 bound that by interpreter overhead, not by the machine model.  This
-module removes that bound: :func:`compile_trace` lowers a trace
-once into a cached :class:`CompiledTrace` — float64 columns for every
-descriptor field, an ``n_vector_ops x 6`` intrinsic-call matrix, and
-the trace's distinct strides — and :mod:`repro.machine.costmodel`
-costs every op of a trace in a handful of NumPy expressions over those
-columns, for one machine or a whole grid of them.
+module removes that bound: :func:`compile_trace` lowers a trace into a
+:class:`CompiledTrace` — float64 columns for every descriptor field, an
+``n_vector_ops x 6`` intrinsic-call matrix, and the trace's distinct
+strides — and :mod:`repro.machine.costmodel` costs every op of a trace
+in a handful of NumPy expressions over those columns, for one machine
+or a whole grid of them.
 
 The contract with the per-op oracle (the components' ``*_cycles``
 methods, walked by
@@ -28,10 +28,12 @@ parity**:
 The parity suite (tests/machine/test_compiled*.py) exercises it, and
 ``tests/machine/golden_costing.json`` pins the totals absolutely.
 
-A trace caches its own ``CompiledTrace`` (invalidated by
-``append``/``extend``).  The compiled trace is a plain value: costing
-is a pure function of its columns, the machine parameters and the
-memory dilation, so nothing machine-dependent is stored on it.
+Nothing is cached.  :func:`compile_trace` is the only way to lower a
+trace, and it lowers afresh on every call: each builder makes its
+traces anew, so a regeneration pass would never find a lowering to
+reuse, and a trace edited in place is never costed from stale columns.
+The compiled trace is a plain value too: costing is a pure function of
+its columns, the machine parameters and the memory dilation.
 """
 
 from __future__ import annotations
@@ -293,10 +295,10 @@ class ScalarColumns:
 class CompiledTrace:
     """A trace lowered to structure-of-arrays columns.
 
-    Machine-independent: the same compiled trace costs on any
-    processor or grid, and costing only reads it.  The aggregate
-    totals are exactly-rounded sums of the per-op columns, taken once
-    when the trace is lowered.
+    Built by :func:`compile_trace`.  Machine-independent: the same
+    compiled trace costs on any processor or grid, and costing only
+    reads it.  The aggregate totals are exactly-rounded sums of the
+    per-op columns, taken once when the trace is lowered.
     """
 
     names: tuple[str, ...]
@@ -309,31 +311,6 @@ class CompiledTrace:
     @property
     def n_ops(self) -> int:
         return len(self.names)
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "CompiledTrace":
-        v_pos: list[int] = []
-        v_ops: list[VectorOp] = []
-        s_pos: list[int] = []
-        s_ops: list[ScalarOp] = []
-        for i, op in enumerate(trace.ops):
-            if isinstance(op, VectorOp):
-                v_pos.append(i)
-                v_ops.append(op)
-            else:
-                s_pos.append(i)
-                s_ops.append(op)
-        vector = VectorColumns.from_ops(v_pos, v_ops)
-        scalar = ScalarColumns.from_ops(s_pos, s_ops)
-        return cls(
-            names=tuple(op.name for op in trace.ops),
-            vector=vector,
-            scalar=scalar,
-            raw_flops_total=_total(vector.raw_flops, scalar.raw_flops),
-            # ScalarOp.flop_equivalents == ScalarOp.raw_flops by definition.
-            flop_equivalents_total=_total(vector.flop_equivalents, scalar.raw_flops),
-            words_moved_total=_total(vector.words_moved, scalar.words_moved),
-        )
 
     def scatter_cycles(
         self, vector_cycles: np.ndarray, scalar_cycles: np.ndarray
@@ -351,16 +328,26 @@ def _total(vector_column: np.ndarray, scalar_column: np.ndarray) -> float:
 
 
 def compile_trace(trace: Trace) -> CompiledTrace:
-    """Lower a trace to columns, caching the result on the trace.
-
-    The cache is invalidated by ``Trace.append``/``extend`` (and, as a
-    belt-and-braces guard, whenever the op count has changed behind the
-    trace's back).  ``scaled``/``+``/``*`` build fresh traces and
-    therefore compile fresh.
-    """
-    cache = trace._cache
-    compiled = cache.get("compiled")
-    if compiled is None or compiled.n_ops != len(trace.ops):
-        compiled = CompiledTrace.from_trace(trace)
-        cache["compiled"] = compiled
-    return compiled
+    """Lower a trace to columns, reading its ops as they are now."""
+    v_pos: list[int] = []
+    v_ops: list[VectorOp] = []
+    s_pos: list[int] = []
+    s_ops: list[ScalarOp] = []
+    for i, op in enumerate(trace.ops):
+        if isinstance(op, VectorOp):
+            v_pos.append(i)
+            v_ops.append(op)
+        else:
+            s_pos.append(i)
+            s_ops.append(op)
+    vector = VectorColumns.from_ops(v_pos, v_ops)
+    scalar = ScalarColumns.from_ops(s_pos, s_ops)
+    return CompiledTrace(
+        names=tuple(op.name for op in trace.ops),
+        vector=vector,
+        scalar=scalar,
+        raw_flops_total=_total(vector.raw_flops, scalar.raw_flops),
+        # ScalarOp.flop_equivalents == ScalarOp.raw_flops by definition.
+        flop_equivalents_total=_total(vector.flop_equivalents, scalar.raw_flops),
+        words_moved_total=_total(vector.words_moved, scalar.words_moved),
+    )

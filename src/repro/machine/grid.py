@@ -188,6 +188,32 @@ class MachineGrid:
         }
         return cls(names=names, **columns)
 
+    def take_offline(self, resource: str, offline, refusal: str) -> None:
+        """Configure ``offline`` pipe-sets or banks out of every row, in place.
+
+        ``resource`` is ``"pipes"`` or ``"banks"``; ``offline`` is one
+        count or a count per row.  The surviving pipes carry the
+        intrinsic load, so per-element intrinsic rates scale by
+        ``pipes / survivors``; fewer banks shrink the interleave, which
+        the cost model's gcd arithmetic turns into conflicts.  Raises
+        ``ValueError(refusal)``, leaving the grid untouched, when a row
+        would keep none.  Sweeps and
+        :func:`repro.faults.degraded.degrade_processor` both degrade
+        through here.
+        """
+        if resource == "pipes":
+            remaining = self.pipes - offline
+            if (remaining < 1.0).any():
+                raise ValueError(refusal)
+            scale = self.pipes / remaining
+            self.vector_intrinsic_rates[:] = self.vector_intrinsic_rates * scale[:, None]
+            self.pipes[:] = remaining
+        else:
+            remaining_banks = self.banks - np.asarray(offline).astype(np.int64)
+            if (remaining_banks < 1).any():
+                raise ValueError(refusal)
+            self.banks[:] = remaining_banks
+
     def validate(self) -> None:
         """Raise if any row violates a component constructor constraint.
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "INTRINSICS",
@@ -247,6 +247,11 @@ class Trace:
     Traces are the interface between benchmark code and machine models.
     They support concatenation (``+``), uniform scaling (``trace * 12`` =
     "run twelve timesteps of this"), and aggregate accounting.
+
+    A trace is a plain value: it caches nothing.  Every aggregate and
+    every :func:`~repro.machine.compiled.compile_trace` reads ``ops`` as
+    they are at that moment, so an edit in place (``trace.ops[i] = op``)
+    is seen by the next read.
     """
 
     ops: list[Op] = field(default_factory=list)
@@ -256,22 +261,6 @@ class Trace:
         for op in self.ops:
             if not isinstance(op, (VectorOp, ScalarOp)):
                 raise TypeError(f"trace entries must be VectorOp/ScalarOp, got {type(op)!r}")
-        # Memo for aggregate accounting and the compiled (columnar) form.
-        # ``append``/``extend`` invalidate it; mutating ``ops`` directly
-        # behind the trace's back is unsupported.
-        self._cache: dict[str, object] = {}
-
-    def _cached(self, key: str, compute: Callable[[], object]) -> object:
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = self._cache[key] = compute()
-            return value
-
-    def __getstate__(self) -> dict[str, object]:
-        state = self.__dict__.copy()
-        state["_cache"] = {}  # compiled columns are cheap to rebuild
-        return state
 
     def __iter__(self) -> Iterator[Op]:
         return iter(self.ops)
@@ -283,7 +272,6 @@ class Trace:
         if not isinstance(op, (VectorOp, ScalarOp)):
             raise TypeError(f"trace entries must be VectorOp/ScalarOp, got {type(op)!r}")
         self.ops.append(op)
-        self._cache.clear()
 
     def extend(self, ops: Iterable[Op]) -> None:
         for op in ops:
@@ -302,28 +290,20 @@ class Trace:
         return Trace(ops=[op.scaled(factor) for op in self.ops], name=self.name)
 
     # -- aggregate accounting ---------------------------------------------
-    # Aggregates are computed once per trace (invalidated on append) with
-    # ``math.fsum``, whose exactly-rounded result is independent of
-    # summation order — so the compiled engine's column reductions return
-    # bit-identical totals.
+    # Every read sums the ops afresh with ``math.fsum``, whose
+    # exactly-rounded result is independent of summation order — so the
+    # compiled engine's column reductions return bit-identical totals.
     @property
     def raw_flops(self) -> float:
-        return self._cached(
-            "raw_flops", lambda: math.fsum(op.raw_flops for op in self.ops)
-        )
+        return math.fsum(op.raw_flops for op in self.ops)
 
     @property
     def flop_equivalents(self) -> float:
-        return self._cached(
-            "flop_equivalents",
-            lambda: math.fsum(op.flop_equivalents for op in self.ops),
-        )
+        return math.fsum(op.flop_equivalents for op in self.ops)
 
     @property
     def words_moved(self) -> float:
-        return self._cached(
-            "words_moved", lambda: math.fsum(op.words_moved for op in self.ops)
-        )
+        return math.fsum(op.words_moved for op in self.ops)
 
     @property
     def bytes_moved(self) -> float:
@@ -341,13 +321,8 @@ class Trace:
     @property
     def indexed_words_total(self) -> float:
         """Data words moved via gather/scatter over the whole trace."""
-        return self._cached(
-            "indexed_words_total",
-            lambda: math.fsum(
-                op.indexed_words * op.count
-                for op in self.ops
-                if isinstance(op, VectorOp)
-            ),
+        return math.fsum(
+            op.indexed_words * op.count for op in self.ops if isinstance(op, VectorOp)
         )
 
     @property
@@ -361,14 +336,7 @@ class Trace:
     @property
     def irregular_words(self) -> float:
         """Data words that are indexed *or* strided above 2."""
-        return self._cached(
-            "irregular_words",
-            lambda: math.fsum(
-                op.irregular_words
-                for op in self.ops
-                if isinstance(op, VectorOp)
-            ),
-        )
+        return math.fsum(op.irregular_words for op in self.ops if isinstance(op, VectorOp))
 
     @property
     def irregular_fraction(self) -> float:

@@ -58,10 +58,10 @@ class SuiteColumns:
     def from_traces(cls, traces) -> "SuiteColumns":
         """Stack ``(trace_id, Trace)`` pairs into one suite column set.
 
-        Each trace is compiled (or fetched from its compile cache) and
-        its columns concatenated bit-exactly.  Each trace's totals are
-        its compiled trace's: the fsum of the same per-op values, so
-        the same doubles.
+        Each trace is lowered by ``compile_trace`` and its columns
+        concatenated bit-exactly.  Each trace's totals are its compiled
+        trace's: the fsum of the same per-op values, so the same
+        doubles.
         """
         pairs = list(traces)
         compiled = [compile_trace(trace) for _, trace in pairs]

@@ -1,4 +1,4 @@
-"""Columnar costing: exact parity with the per-op oracle, cache behavior."""
+"""Columnar costing: exact parity with the per-op oracle, no stale lowering."""
 
 import dataclasses
 
@@ -122,30 +122,41 @@ class TestExactParity:
 
 
 class TestCompileCaching:
-    def test_compile_is_cached_on_the_trace(self):
-        trace = mixed_trace()
-        assert compile_trace(trace) is compile_trace(trace)
+    """Nothing is cached: every lowering and aggregate reads the ops as
+    they are at that moment."""
 
     def test_append_invalidates(self):
         trace = mixed_trace()
         first = compile_trace(trace)
         trace.append(ScalarOp("extra", instructions=10))
         second = compile_trace(trace)
-        assert second is not first
         assert second.n_ops == first.n_ops + 1
+
+    def test_in_place_edit_is_seen(self):
+        proc = sx4_processor()
+        trace = mixed_trace()
+        before = proc.execute(trace)
+        compile_trace(trace)
+        assert trace.raw_flops == before.raw_flops
+        trace.ops[0] = VectorOp("axpy", length=4096, count=40, flops_per_element=2.0,
+                                loads_per_element=2.0, stores_per_element=1.0)
+        fresh = Trace(list(trace.ops), name=trace.name)
+        assert (compile_trace(trace).vector.length.tolist()
+                == compile_trace(fresh).vector.length.tolist() == [4096.0, 64.0])
+        after = proc.execute(trace)
+        assert after.cycles == proc.execute(fresh).cycles != before.cycles
+        assert trace.raw_flops == fresh.raw_flops == after.raw_flops != before.raw_flops
 
     def test_distinct_machines_do_not_share_costs(self):
         trace = mixed_trace()
         reports = [proc.execute(trace) for proc in ALL_MACHINES]
         assert len({report.cycles for report in reports}) > 1
 
-    def test_pickled_trace_drops_compile_cache(self):
+    def test_pickled_trace_costs_the_same(self):
         import pickle
 
         trace = mixed_trace()
-        compile_trace(trace)
         clone = pickle.loads(pickle.dumps(trace))
-        assert clone._cache == {}
         assert sx4_processor().execute(clone).cycles == pytest.approx(
             sx4_processor().execute(trace).cycles
         )
