@@ -11,7 +11,8 @@ didn't build?* — without giving up the repo's exact-parity discipline:
     :class:`~repro.machine.grid.MachineGrid`;
 ``engine``
     :func:`~repro.explore.engine.cost_suite_grid` — the full trace
-    suite against the full grid, with content-addressed chunk caching
+    suite against the full grid, costing once each machine that differs
+    in more than the clock, with content-addressed chunk caching
     through :class:`~repro.engine.store.ChunkStore`;
 ``pareto``
     Mflops/bandwidth/cost-proxy frontier extraction over a costed

@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--chunk-machines", type=int, default=256,
-            help="machines per cached chunk (default: 256)",
+            help="distinct machines per chunk (default: 256)",
         )
         sub.add_argument(
             "--format", choices=("json", "csv"), default="json",
@@ -365,7 +365,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.write(text)
     print(
-        f"{args.command}: {result.n_machines} machines x {len(result.trace_ids)} traces"
+        f"{args.command}: {result.n_machines} machines ({result.distinct_machines} distinct)"
+        f" x {len(result.trace_ids)} traces"
         + (
             f" (chunks: {result.chunk_hits} hits, {result.chunk_misses} misses)"
             if args.store

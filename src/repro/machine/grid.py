@@ -21,6 +21,13 @@ of every result is bit-identical to costing that machine alone:
 * per-machine totals reduce with :func:`~repro.machine.compiled.fsum_columns`
   (exactly-rounded column sums), matching the per-machine ``fsum``.
 
+No cost term reads ``period_ns``: the clock only turns cycles into
+seconds in :meth:`GridTraceCost.from_cycles`.  Rows that differ in
+nothing else cost the same cycles, so
+:meth:`MachineGrid.distinct_rows` finds the rows worth costing and
+:meth:`MachineGrid.fingerprint` leaves the clock out of the key a
+cached chunk of cycles is stored under.
+
 ``tests/machine/test_grid*.py`` pins the contract down: every
 :class:`GridTraceCost` field equals the per-machine report (and hence
 the per-op oracle) bit-for-bit on all registered traces across the six
@@ -142,6 +149,14 @@ class MachineGrid:
         """(name, array) pairs in declaration order — the canonical layout."""
         return [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "names"]
 
+    def _cycle_columns(self) -> list[tuple[str, np.ndarray]]:
+        """The columns that determine cycles: every column but ``period_ns``.
+
+        No cost term reads the clock; it only turns cycles into seconds
+        in :meth:`GridTraceCost.from_cycles`.
+        """
+        return [(name, column) for name, column in self._columns() if name != "period_ns"]
+
     # -- construction -------------------------------------------------------
     @classmethod
     def from_processors(cls, processors: list[Processor]) -> "MachineGrid":
@@ -254,16 +269,42 @@ class MachineGrid:
                     f"{self.names[i]!r} (row {i}, {bad.size} row(s) total)"
                 )
 
-    def fingerprint(self) -> str:
-        """Content hash of the numeric columns (names excluded).
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each distinct cycle-parameter row, and every row's map back to it.
 
-        Two grids with the same parameters share a fingerprint no matter
-        what the rows are called — chunk caching keys on the numbers
-        that determine cost, nothing else.
+        Returns ``(index, inverse)``: ``index`` holds the first row of
+        each set of rows that agree on every column but ``period_ns``,
+        and ``index[inverse]`` maps each row to its set's first row.
+        Rows compare on their exact bytes, so two rows merge only when
+        their cycle parameters are bit-identical (``0.0`` and ``-0.0``
+        stay apart); merged rows then evaluate the same cost expressions
+        on the same doubles, and cost the same cycles.  The sets come in
+        the order of their bytes, not of the rows, so a grid with its
+        rows permuted has the same distinct rows.
+        """
+        m = self.n_machines
+        key = np.concatenate(
+            [
+                np.ascontiguousarray(column).reshape(m, -1).view(np.uint8)
+                for _, column in self._cycle_columns()
+            ],
+            axis=1,
+        )
+        rows = key.view(np.dtype((np.void, key.shape[1]))).ravel()
+        _, index, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        return index, inverse.ravel()
+
+    def fingerprint(self) -> str:
+        """Content hash of the cycle columns (names and clock excluded).
+
+        Two grids share a fingerprint when their rows cost the same
+        cycles, whatever the rows are called and whatever their clocks:
+        a sweep chunk stores only cycles and clock-free totals, and
+        seconds are derived from each caller's own ``period_ns``.
         """
         hasher = hashlib.sha256()
         hasher.update(b"machine-grid\x00")
-        for name, column in self._columns():
+        for name, column in self._cycle_columns():
             hasher.update(name.encode("ascii"))
             hasher.update(b"\x00")
             hasher.update(np.ascontiguousarray(column).tobytes())

@@ -70,7 +70,8 @@ class TestSweepCommand:
         assert payload["trace_ids"] == ["hint", "stream"]
         machine = payload["machines"][0]
         assert set(machine["traces"]) == {"hint", "stream"}
-        assert "6 machines x 2 traces" in err
+        # three clocks x two pipe counts: two rows differ in more than the clock
+        assert "6 machines (2 distinct) x 2 traces" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(SWEEP_ARGS + ["--format", "csv"], capsys)

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.traces import build_registered_trace
 from repro.engine.deps import dependency_closure
 from repro.engine.store import ChunkStore
 from repro.explore.engine import (
@@ -15,9 +18,11 @@ from repro.explore.engine import (
     grid_chunk_key,
     suite_trace_ids,
 )
-from repro.explore.sweep import ParameterSweep, explicit_axis, linear_axis
+from repro.explore import engine
+from repro.explore.sweep import ParameterSweep, explicit_axis, linear_axis, log_axis
 from repro.machine.grid import MachineGrid
 from repro.machine.presets import canonical_machines
+from repro.perfmon.collector import profile
 
 TRACE_SUBSET = ("hint", "radabs", "stream")
 
@@ -56,8 +61,6 @@ class TestAggregates:
         assert len(result.trace_ids) == 16
 
     def test_per_machine_suite_matches_per_machine_execution(self, grid):
-        from repro.analysis.traces import build_registered_trace
-
         result = cost_suite_grid(grid, trace_ids=TRACE_SUBSET)
         machines = list(canonical_machines().values())
         for j, processor in enumerate(machines):
@@ -134,8 +137,11 @@ class TestChunkCaching:
             # as long as the chunk, so only its type is wrong
             lambda chunk: chunk["traces"]["hint"].update(cycles="x" * chunk["n_machines"]),
             lambda chunk: chunk["traces"]["hint"].pop("raw_flops"),
+            lambda chunk: chunk["traces"]["hint"].pop("trace_name"),
+            lambda chunk: chunk["traces"]["hint"].update(trace_name=7),
         ],
-        ids=["traces-list", "traces-string", "entry-list", "cycles-string", "no-raw-flops"],
+        ids=["traces-list", "traces-string", "entry-list", "cycles-string", "no-raw-flops",
+             "no-trace-name", "trace-name-int"],
     )
     def test_checksummed_chunk_of_wrong_shape_is_a_miss(self, sweep_grid, tmp_path, damage):
         # The checksum is recomputed, so the store hands the payload over
@@ -164,12 +170,135 @@ class TestChunkCaching:
         assert dilated.chunk_hits == 0
 
 
+TRACE_FIELDS = ("cycles", "seconds", "mflops", "bandwidth_bytes_per_s")
+TOTAL_FIELDS = ("trace_name", "raw_flops", "flop_equivalents", "words_moved")
+SUITE_FIELDS = ("suite_seconds", "suite_mflops", "suite_bandwidth_bytes_per_s")
+
+
+def assert_rows_match_alone(grid, result, trace_ids, dilation):
+    """Every field of every row equals that row costed on a one-row grid."""
+    assert result.machine_names == grid.names
+    for j in range(grid.n_machines):
+        alone = cost_suite_grid(grid.subset([j]), trace_ids=trace_ids, memory_dilation=dilation)
+        for name in SUITE_FIELDS:
+            assert getattr(result, name)[j] == getattr(alone, name)[0], (j, name)
+        for trace_id in trace_ids:
+            ours, theirs = result.traces[trace_id], alone.traces[trace_id]
+            assert ours.machine_names == grid.names
+            for name in TRACE_FIELDS:
+                assert getattr(ours, name)[j] == getattr(theirs, name)[0], (j, trace_id, name)
+                assert getattr(ours, name).dtype == np.float64
+            for name in TOTAL_FIELDS:
+                assert getattr(ours, name) == getattr(theirs, name)
+
+
+class TestDistinctRowCosting:
+    """Rows that differ only in clock are costed once, then re-clocked."""
+
+    @pytest.fixture(scope="class")
+    def repeated_grid(self, grid):
+        rows = grid.subset(np.array([0, 3, 0, 4, 3, 0, 5, 4]))
+        rows.period_ns[:] = [9.2, 4.0, 8.0, 16.0, 6.5, 9.2, 3.25, 11.0]
+        return rows
+
+    @pytest.mark.parametrize("dilation", [1.0, 1.5])
+    @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+    def test_each_row_equals_the_row_costed_alone(
+        self, repeated_grid, tmp_path, dilation, with_store
+    ):
+        store = ChunkStore(root=tmp_path) if with_store else None
+        for _ in range(2 if with_store else 1):  # cold, then warm
+            result = cost_suite_grid(
+                repeated_grid, trace_ids=TRACE_SUBSET, memory_dilation=dilation,
+                store=store, chunk_machines=2,
+            )
+            # SPARC20, Y-MP and SX-4: both SX-4 presets are one row re-clocked
+            assert result.distinct_machines == 3
+            assert_rows_match_alone(repeated_grid, result, TRACE_SUBSET, dilation)
+        if with_store:
+            assert (result.chunk_hits, result.chunk_misses) == (2, 0)
+
+    @pytest.mark.parametrize("reordered", [False, True], ids=["same-order", "reordered"])
+    def test_new_clock_axis_is_all_chunk_hits(self, tmp_path, reordered):
+        def sweep(start, stop, steps, clock_last=False):
+            axes = (linear_axis("clock.period_ns", start, stop, steps),
+                    linear_axis("vector.pipes", 2, 16, 8),
+                    log_axis("memory.banks", 128, 2048, 5))
+            return ParameterSweep(
+                "sx4", axes[1:] + axes[:1] if clock_last else axes, include_presets=True
+            ).build()
+
+        store = ChunkStore(root=tmp_path)
+        filled = cost_suite_grid(sweep(4, 16, 25), trace_ids=("hint",), store=store)
+        assert filled.distinct_machines == 44 and filled.chunk_misses == 1
+        reclocked = sweep(5, 15, 7, clock_last=reordered)
+        warm = cost_suite_grid(reclocked, trace_ids=("hint",), store=store)
+        assert (warm.chunk_hits, warm.chunk_misses) == (filled.chunk_misses, 0)
+        plain = cost_suite_grid(reclocked, trace_ids=("hint",))
+        for name in TRACE_FIELDS:
+            assert np.array_equal(getattr(warm.traces["hint"], name),
+                                  getattr(plain.traces["hint"], name))
+        assert np.array_equal(warm.suite_seconds, plain.suite_seconds)
+
+    def test_warm_sweep_builds_no_traces(self, sweep_grid, tmp_path, monkeypatch):
+        store = ChunkStore(root=tmp_path)
+        cold = cost_suite_grid(sweep_grid, trace_ids=TRACE_SUBSET, store=store)
+
+        def refuse(trace_id):
+            raise AssertionError(f"a warm sweep built {trace_id!r}")
+
+        monkeypatch.setattr(engine, "build_registered_trace", refuse)
+        warm = cost_suite_grid(sweep_grid, trace_ids=TRACE_SUBSET, store=store)
+        assert warm.chunk_misses == 0
+        for trace_id in TRACE_SUBSET:
+            assert warm.traces[trace_id].trace_name == cold.traces[trace_id].trace_name
+        assert np.array_equal(warm.suite_seconds, cold.suite_seconds)
+
+    def test_counter_and_span_record_distinct_machines(self, sweep_grid):
+        with profile() as prof:
+            result = cost_suite_grid(sweep_grid, trace_ids=("hint",))
+        # 6 presets + 5 clocks x 3 pipe counts: 5 distinct preset rows, and
+        # the 4- and 16-pipe SX-4 (the 8-pipe rows are the preset re-clocked)
+        assert result.distinct_machines == 7
+        assert prof.counters.get("explore", "machines") == sweep_grid.n_machines
+        assert prof.counters.get("explore", "distinct_machines") == 7
+        (span,) = [s for s in prof.spans if s.name == "explore:cost_suite_grid"]
+        assert span.attrs["machines"] == sweep_grid.n_machines
+        assert span.attrs["distinct_machines"] == 7
+
+
+@st.composite
+def reclocked_presets(draw):
+    """Canonical-preset rows, repeated, each at a random clock."""
+    rows = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8))
+    clocks = draw(st.lists(
+        st.floats(min_value=0.5, max_value=50.0), min_size=len(rows), max_size=len(rows)
+    ))
+    return rows, clocks
+
+
+@given(drawn=reclocked_presets(), dilation=st.sampled_from([1.0, 1.5]))
+@settings(max_examples=15, deadline=None)
+def test_reclocked_presets_equal_each_row_alone(drawn, dilation):
+    rows, clocks = drawn
+    grid = MachineGrid.from_processors(list(canonical_machines().values())).subset(rows)
+    grid.period_ns[:] = clocks
+    result = cost_suite_grid(grid, trace_ids=TRACE_SUBSET, memory_dilation=dilation)
+    assert result.distinct_machines == len(grid.distinct_rows()[0])
+    assert_rows_match_alone(grid, result, TRACE_SUBSET, dilation)
+
+
 class TestChunkKeys:
     def test_key_depends_on_grid_values(self, grid):
         tweaked = grid.subset(np.arange(grid.n_machines))
-        tweaked.period_ns[0] *= 2.0
+        tweaked.pipes[0] *= 2.0
         assert grid_chunk_key(grid, TRACE_SUBSET, 1.0) != grid_chunk_key(
             tweaked, TRACE_SUBSET, 1.0
+        )
+        clocked = grid.subset(np.arange(grid.n_machines))
+        clocked.period_ns[0] *= 2.0
+        assert grid_chunk_key(grid, TRACE_SUBSET, 1.0) == grid_chunk_key(
+            clocked, TRACE_SUBSET, 1.0
         )
 
     def test_key_depends_on_traces_and_dilation(self, grid):
@@ -203,4 +332,8 @@ class TestChunkKeys:
         entry = next(store.root.joinpath("chunks").glob(f"{CHUNK_NAMESPACE}.*.json"))
         payload = json.loads(entry.read_text(encoding="utf-8"))
         assert payload["namespace"] == CHUNK_NAMESPACE
-        assert payload["chunk"]["n_machines"] == grid.n_machines
+        # Six presets, five distinct rows: the two SX-4 presets (9.2 and
+        # 8.0 ns) differ only in clock.
+        assert payload["chunk"]["n_machines"] == 5
+        trace_name = payload["chunk"]["traces"]["hint"]["trace_name"]
+        assert trace_name == build_registered_trace("hint").name

@@ -17,6 +17,16 @@ from repro.machine.presets import canonical_machines, cray_ymp, sx4_processor
 
 ALL_TRACE_IDS = tuple(TRACE_BUILDERS)
 
+#: Every grid column but the clock: the ones that determine cycles.
+CYCLE_COLUMNS = tuple(
+    name for name, _ in MachineGrid.from_processors([sx4_processor()])._cycle_columns()
+)
+
+
+def nudge(column: np.ndarray, row: int) -> None:
+    """Change one row of a grid column, whatever its dtype."""
+    column[row] = ~column[row] if column.dtype == bool else column[row] + 1
+
 
 @pytest.fixture(scope="module")
 def machines():
@@ -79,11 +89,58 @@ class TestFingerprint:
 
     def test_sensitive_to_values(self, grid):
         tweaked = grid.subset(np.arange(6))
-        tweaked.period_ns[0] *= 2.0
+        tweaked.pipes[0] *= 2.0
+        assert tweaked.fingerprint() != grid.fingerprint()
+        # A chunk stores cycles and clock-free totals; no cycle reads the clock.
+        clocked = grid.subset(np.arange(6))
+        clocked.period_ns[0] *= 2.0
+        assert clocked.fingerprint() == grid.fingerprint()
+
+    @pytest.mark.parametrize("name", CYCLE_COLUMNS)
+    def test_sensitive_to_every_cycle_column(self, grid, name):
+        tweaked = grid.subset(np.arange(6))
+        nudge(getattr(tweaked, name), 0)
         assert tweaked.fingerprint() != grid.fingerprint()
 
     def test_sensitive_to_order(self, grid):
         assert grid.subset(np.arange(5, -1, -1)).fingerprint() != grid.fingerprint()
+
+
+class TestDistinctRows:
+    def test_rows_that_differ_only_in_clock_merge(self, grid):
+        repeated = grid.subset(np.array([0, 1, 0, 2, 1, 0]))
+        repeated.period_ns[:] = [9.2, 8.0, 4.0, 6.0, 12.5, 16.0]
+        index, inverse = repeated.distinct_rows()
+        assert sorted(index.tolist()) == [0, 1, 3]
+        assert index[inverse].tolist() == [0, 1, 0, 3, 1, 0]
+        distinct = repeated.subset(index)
+        for name, column in repeated._cycle_columns():
+            assert np.array_equal(getattr(distinct, name)[inverse], column)
+
+    def test_permuted_rows_have_the_same_distinct_rows(self, grid):
+        # Sweeps that list the same machines in another axis order share chunks.
+        permuted = grid.subset(np.array([3, 5, 0, 2, 4, 1]))
+        assert grid.subset(grid.distinct_rows()[0]).fingerprint() == (
+            permuted.subset(permuted.distinct_rows()[0]).fingerprint()
+        )
+
+    def test_canonical_presets_share_one_sx4_row(self, grid):
+        # The SX-4 at 9.2 ns and at 8.0 ns differ only in clock.
+        index, inverse = grid.distinct_rows()
+        assert len(index) == 5
+        sx4 = [j for j, name in enumerate(grid.names) if name.startswith("NEC SX-4")]
+        assert len(sx4) == 2 and inverse[sx4[0]] == inverse[sx4[1]]
+
+    @pytest.mark.parametrize("name", CYCLE_COLUMNS)
+    def test_every_cycle_column_separates_rows(self, grid, name):
+        pair = grid.subset(np.array([0, 0]))
+        nudge(getattr(pair, name), 1)
+        assert sorted(pair.distinct_rows()[0].tolist()) == [0, 1]
+
+    def test_rows_compare_on_exact_bytes(self, grid):
+        pair = grid.subset(np.array([0, 0]))
+        pair.startup_cycles[:] = [0.0, -0.0]
+        assert sorted(pair.distinct_rows()[0].tolist()) == [0, 1]
 
 
 class TestMaterialize:
@@ -133,7 +190,7 @@ class TestExactParity:
             assert report.seconds == direct.seconds
             assert report.machine == direct.machine
 
-    def test_memoised_costing_is_identical(self, grid):
+    def test_repeated_costing_is_identical(self, grid):
         trace = build_registered_trace("hint")
         first = cost_trace_grid(trace, grid)
         second = cost_trace_grid(trace, grid)
