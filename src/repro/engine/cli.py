@@ -14,13 +14,19 @@ shape check passed; its non-zero exits distinguish the failure kind::
 
     1   all jobs ran, but a shape check failed
     2   the request itself is invalid (unknown experiment id)
-    3   at least one job errored (builder raised)
+    3   at least one job errored (builder raised, or a pool worker
+        refused it because its loaded source drifted)
     4   at least one worker crashed
     5   at least one job timed out
 
 Mixed failures report the highest applicable code.  ``plan``/
 ``stats``/``gc`` are bookkeeping and exit 0 unless the request is
 invalid (exit 2, listing the valid ids).
+
+Every command warns on stderr when a source file the process loaded
+has changed on disk since (:func:`repro.engine.deps.code_drift`): its
+results stay keyed to the code it ran, and the next process keys the
+edit.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import argparse
 import json
 import sys
 
+from repro.engine.deps import code_drift
 from repro.engine.executor import EngineReport, JobFailure, run_engine
 from repro.engine.plan import plan_suite
 from repro.engine.store import ResultStore
@@ -251,4 +258,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     handlers = {"run": _cmd_run, "plan": _cmd_plan, "stats": _cmd_stats,
                 "gc": _cmd_gc}
-    return handlers[args.command](args)
+    code = handlers[args.command](args)
+    drifted = code_drift()
+    if drifted:
+        print(
+            f"engine: warning: source changed on disk since this process loaded it: "
+            f"{', '.join(drifted)}; results stay keyed to the loaded code",
+            file=sys.stderr,
+        )
+    return code

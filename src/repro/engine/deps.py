@@ -22,21 +22,30 @@ the transitive ``repro.*`` closure of only those seeds.  Editing
 ``table1``.  The experiments module itself is always part of the key —
 an edit there conservatively invalidates everything.
 
-A digest sits on the blocking path of every engine call, so its cost
-is a handful of file reads.  Each module's import edges, and each
-builder's seeds, are memoised under the sha256 of the source bytes the
-digest reads anyway: a module version is parsed once per process, an
-edit is seen on the next call, and no AST is kept.  Within one call
-each file is read and hashed once, however many experiments share it.
+A digest sits on the blocking path of every engine call, so it must
+describe the code this process runs and cost nothing once known.  Each
+module's sha256 is *pinned* once per process, from the file the loaded
+module came from (``module.__file__``, read after the import), beside
+the file's ``(st_mtime_ns, st_size)``.  Import edges and builder seeds
+are parsed once from the pinned bytes, which are dropped once parsed,
+and every experiment and closure digest is then memoised for the life
+of the process: a warm call opens, stats and hashes no file.  A
+running process never sees an edit; a fresh one does.  The pinned stats
+serve only :func:`code_drift`, which names the modules edited on disk
+since they were pinned: the server's health check and the engine CLI
+report it, and the keys stay the loaded code's.  Pool workers check the
+pins the job carries against the code they loaded (:func:`code_mismatch`).
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
 import os
+import sys
 import threading
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -60,6 +69,10 @@ __all__ = [
     "machine_fingerprint",
     "experiment_digest",
     "suite_digests",
+    "experiment_code",
+    "code_mismatch",
+    "code_drift",
+    "pin_loaded",
 ]
 
 #: Bump when the keying scheme changes: old cache entries become stale.
@@ -77,19 +90,52 @@ _PACKAGE = "repro"
 
 declare_counters("deps", ("modules_hashed", "modules_parsed"))
 
-#: module name -> (sha256 of its bytes, the ``repro.*`` modules they
-#: import).  One entry per module, replaced when its bytes change.
-_IMPORT_EDGES: dict[str, tuple[bytes, frozenset[str]]] = {}
 
-#: ``EXPERIMENTS_MODULE`` -> (sha256 of its bytes, top-level function
-#: name -> the modules it references, following local helpers).
-_BUILDER_SEEDS: dict[str, tuple[bytes, dict[str, frozenset[str]]]] = {}
+@dataclass(frozen=True)
+class ExperimentDigest:
+    """The content-addressed identity of one experiment's result."""
 
-#: Serialises ``ast.parse``: some CPython releases keep the tree
+    exp_id: str
+    key: str  # sha256 hex over id + dep sources + machine config
+    modules: tuple[str, ...]  # sorted dependency module names
+
+
+@dataclass(frozen=True)
+class _Pin:
+    """The source file a loaded module came from, as first read here."""
+
+    path: str
+    sha256: bytes
+    stat: tuple[int, int]  # (st_mtime_ns, st_size), taken before the read
+
+
+#: module name -> its pin; taken once, never replaced.
+_PINS: dict[str, _Pin] = {}
+
+#: module name -> its pinned source bytes, kept until they are parsed.
+_UNPARSED: dict[str, bytes] = {}
+
+#: module name -> the ``repro.*`` modules its pinned source imports.
+_IMPORT_EDGES: dict[str, frozenset[str]] = {}
+
+#: ``EXPERIMENTS_MODULE``'s top-level function name -> the modules it
+#: references, following local helpers; filled when that module is parsed.
+_BUILDER_SEEDS: dict[str, frozenset[str]] = {}
+
+#: ``(exp_id, builder __module__, builder __name__)`` -> digest.  Not the
+#: function object: a ``functools.wraps`` wrapper keeps its builder's
+#: digest, and a builder registered from another module gets its own.
+_EXPERIMENT_DIGESTS: dict[tuple[str, str, str], ExperimentDigest] = {}
+
+#: seed tuple -> :func:`closure_digest`.
+_CLOSURE_DIGESTS: dict[tuple[str, ...], str] = {}
+
+#: Held to fill any table above (see ``_memoised``).  It also keeps
+#: ``ast.parse`` to one thread: some CPython releases keep the tree
 #: converter's recursion counter in interpreter-wide state, and two
 #: threads parsing at once can fail with "SystemError: AST constructor
 #: recursion depth mismatch" (seen on 3.11.7).
-_PARSE_LOCK = threading.Lock()
+_LOCK = threading.RLock()
 
 
 @lru_cache(maxsize=1)
@@ -109,65 +155,50 @@ def module_path(dotted: str) -> Path | None:
     return None
 
 
-def _memoised(memo: dict, name: str, digest: bytes, derive: Callable[[], object]):
-    """``memo[name]``'s value if it was derived from bytes hashing to
-    ``digest``; else ``derive()``, stored in its place.
+def _memoised(table: dict, key, compute):
+    """``table[key]``, computed under the lock on first use.
 
-    The store is one dict assignment of an immutable pair, so threads
-    that race on a module at worst each derive the same value once
-    (their parses take turns; see ``_PARSE_LOCK``).
+    A warm read is one dict lookup and takes no lock; threads racing on
+    an empty entry compute it once and agree.
     """
-    entry = memo.get(name)
-    if entry is None or entry[0] != digest:
-        entry = memo[name] = (digest, derive())
-    return entry[1]
+    value = table.get(key)
+    if value is None:
+        with _LOCK:
+            value = table.get(key)
+            if value is None:
+                value = table[key] = compute()
+    return value
 
 
-class _Reads:
-    """One digest call's view of the tree, each file read once.
+def _pin(name: str) -> _Pin:
+    """A module's pin, taken on first use from the file it was loaded from."""
+    return _memoised(_PINS, name, lambda: _read_pin(name))
 
-    Holds every module's resolved path and its ``(bytes, sha256)`` for
-    the call's lifetime, so the closure walk, the seed lookup and the
-    digest share them, as do all the experiments of one call.
-    """
 
-    def __init__(self) -> None:
-        self.paths: dict[str, Path | None] = {}
-        self.sources: dict[str, tuple[bytes, bytes]] = {}
-        self.parsed = 0
+def _read_pin(name: str) -> _Pin:
+    path = importlib.import_module(name).__file__
+    with open(path, "rb") as source:
+        stat = os.fstat(source.fileno())
+        blob = source.read()
+    _UNPARSED[name] = blob
+    perfmon_record("deps", {"modules_hashed": 1.0})
+    return _Pin(path, hashlib.sha256(blob).digest(), (stat.st_mtime_ns, stat.st_size))
 
-    def path(self, name: str) -> Path | None:
-        if name not in self.paths:
-            self.paths[name] = module_path(name)
-        return self.paths[name]
 
-    def source(self, name: str) -> tuple[bytes, bytes]:
-        """``(bytes, sha256 digest)`` of a module that exists."""
-        if name not in self.sources:
-            blob = self.path(name).read_bytes()
-            self.sources[name] = (blob, hashlib.sha256(blob).digest())
-        return self.sources[name]
+def _import_edges(name: str) -> frozenset[str]:
+    """The ``repro.*`` modules a module's pinned source imports."""
+    return _memoised(_IMPORT_EDGES, name, lambda: _parse_pinned(name))
 
-    def parse(self, name: str) -> ast.Module:
-        self.parsed += 1
-        with _PARSE_LOCK:
-            return ast.parse(self.source(name)[0], filename=str(self.path(name)))
 
-    def imports(self, name: str) -> frozenset[str]:
-        """The ``repro.*`` modules a module imports, parsed once per version."""
-        return _memoised(
-            _IMPORT_EDGES, name, self.source(name)[1],
-            lambda: frozenset(_imported_modules(self.parse(name), name.rsplit(".", 1)[0])),
-        )
-
-    def record(self) -> None:
-        """Fold the call's work into the active perfmon profile, if any.
-
-        ``suite_digests`` and ``closure_digest``, the program's two ways
-        in, record; the helpers they call do not.
-        """
-        perfmon_record("deps", {"modules_hashed": float(len(self.sources)),
-                                "modules_parsed": float(self.parsed)})
+def _parse_pinned(name: str) -> frozenset[str]:
+    """Parse a module's pinned bytes and drop them: its import edges, and
+    for the experiments module the builder seed table too."""
+    path = _pin(name).path
+    tree = ast.parse(_UNPARSED.pop(name), filename=path)
+    perfmon_record("deps", {"modules_parsed": 1.0})
+    if name == EXPERIMENTS_MODULE:
+        _BUILDER_SEEDS.update(_builder_seed_table(tree))
+    return frozenset(_imported_modules(tree, name.rsplit(".", 1)[0]))
 
 
 def _imported_modules(tree: ast.AST, current_package: str) -> set[str]:
@@ -197,7 +228,7 @@ def _imported_modules(tree: ast.AST, current_package: str) -> set[str]:
 
 
 def dependency_closure(
-    seeds: Iterable[str], no_traverse: Iterable[str] = (), *, _reads: _Reads | None = None
+    seeds: Iterable[str], no_traverse: Iterable[str] = ()
 ) -> dict[str, Path]:
     """Transitive ``repro.*`` import closure of the seed modules.
 
@@ -208,17 +239,17 @@ def dependency_closure(
     repo's modules import submodules directly, which is the path the
     tracer follows.  ``no_traverse`` marks additional hash-only modules
     (the experiments module, whose imports span the suite by design).
-    ``_reads`` shares one digest call's file reads.
+    Edges come from the pinned sources, so the closure is the loaded
+    code's.
     """
-    reads = _Reads() if _reads is None else _reads
     closure: dict[str, Path] = {}
     hash_only = set(no_traverse)
-    frontier = [s for s in seeds if reads.path(s) is not None]
+    frontier = list(seeds)
     while frontier:
         name = frontier.pop()
         if name in closure:
             continue
-        path = reads.path(name)
+        path = module_path(name)
         if path is None:
             continue
         closure[name] = path
@@ -228,12 +259,12 @@ def dependency_closure(
         for i in range(1, len(parts)):
             ancestor = ".".join(parts[:i])
             if ancestor not in closure:
-                ancestor_path = reads.path(ancestor)
+                ancestor_path = module_path(ancestor)
                 if ancestor_path is not None:
                     closure[ancestor] = ancestor_path
         if name in hash_only or path.name == "__init__.py":
             continue
-        frontier.extend(reads.imports(name))
+        frontier.extend(_import_edges(name))
     return closure
 
 
@@ -266,12 +297,14 @@ def _registry_entry_points(
     Returns ``(key, module, function)`` for every entry whose key is a
     string constant and whose value names a top-level function of the
     module.  An absent module yields no entries — the engine must keep
-    working in trees that ship without the optional registries.
+    working in trees that ship without the optional registries.  The
+    source is read from disk, as the effect analyzer reads the tree.
     """
-    reads = _Reads()
-    if reads.path(module) is None:
+    path = module_path(module)
+    if path is None:
         return ()
-    tree = reads.parse(module)
+    with _LOCK:
+        tree = ast.parse(path.read_bytes(), filename=str(path))
     functions = {
         node.name for node in tree.body if isinstance(node, ast.FunctionDef)
     }
@@ -348,62 +381,72 @@ def _builder_seed_table(tree: ast.Module) -> dict[str, frozenset[str]]:
     return table
 
 
-def _builder_seeds(builder_name: str, reads: _Reads) -> frozenset[str]:
+def _builder_seeds(builder_name: str) -> frozenset[str]:
     """Modules a builder function references, following local helpers."""
-    table = _memoised(
-        _BUILDER_SEEDS, EXPERIMENTS_MODULE, reads.source(EXPERIMENTS_MODULE)[1],
-        lambda: _builder_seed_table(reads.parse(EXPERIMENTS_MODULE)),
-    )
-    if builder_name not in table:
+    _import_edges(EXPERIMENTS_MODULE)  # parsing it fills the seed table
+    if builder_name not in _BUILDER_SEEDS:
         raise KeyError(f"no builder function {builder_name!r} in {EXPERIMENTS_MODULE}")
-    return table[builder_name]
+    return _BUILDER_SEEDS[builder_name]
 
 
-def _seeds_for(exp_id: str, reads: _Reads) -> frozenset[str]:
+def _builder(exp_id: str):
     from repro.suite.experiments import EXPERIMENTS
 
     if exp_id not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {exp_id!r}; available: {sorted(EXPERIMENTS)}"
         )
-    builder = EXPERIMENTS[exp_id]
+    return EXPERIMENTS[exp_id]
+
+
+def _seeds_for(exp_id: str) -> frozenset[str]:
+    builder = _builder(exp_id)
     module = getattr(builder, "__module__", "")
     if module == EXPERIMENTS_MODULE:
-        return _builder_seeds(builder.__name__, reads)
+        return _builder_seeds(builder.__name__)
     # A builder registered from elsewhere (tests, extensions): seed from
     # its defining module if that is a repro module, else nothing — the
     # experiments module below still anchors the digest.
-    return frozenset({module} if reads.path(module) is not None else ())
+    return frozenset({module} if module_path(module) is not None else ())
+
+
+def _hash_modules(hasher, names: Iterable[str], sources: Mapping[str, bytes]) -> None:
+    """Fold each module's pinned sha256 (or its ``sources`` override) in."""
+    for name in sorted(names):
+        if name in sources:
+            blob_digest = hashlib.sha256(sources[name]).digest()
+        else:
+            blob_digest = _pin(name).sha256
+        hasher.update(f"{name}\x00".encode())
+        hasher.update(blob_digest)
+        hasher.update(b"\x00")
 
 
 def closure_digest(seeds: Iterable[str]) -> str:
-    """Digest over the source bytes of the seeds' transitive closure.
+    """Digest over the pinned sources of the seeds' transitive closure.
 
     The generic form of :func:`experiment_digest`'s module section:
     callers that key a cache on "the code that computes this value"
     (``repro.explore`` keys grid-sweep chunks this way) fold it into
     their own content hash, so any edit to a costing module invalidates
-    exactly the chunks it could have changed.
+    exactly the chunks it could have changed.  Memoised per seed tuple
+    for the life of the process.
     """
-    reads = _Reads()
-    deps = dependency_closure(seeds, _reads=reads)
-    hasher = hashlib.sha256()
-    hasher.update(f"schema={DIGEST_SCHEMA}\x00".encode())
-    for name in sorted(deps):
-        hasher.update(f"{name}\x00".encode())
-        hasher.update(reads.source(name)[1])
-        hasher.update(b"\x00")
-    reads.record()
-    return hasher.hexdigest()
+    seeds = tuple(seeds)
+
+    def compute() -> str:
+        hasher = hashlib.sha256()
+        hasher.update(f"schema={DIGEST_SCHEMA}\x00".encode())
+        _hash_modules(hasher, dependency_closure(seeds), {})
+        return hasher.hexdigest()
+
+    return _memoised(_CLOSURE_DIGESTS, seeds, compute)
 
 
-def experiment_dependencies(
-    exp_id: str, *, _reads: _Reads | None = None
-) -> dict[str, Path]:
+def experiment_dependencies(exp_id: str) -> dict[str, Path]:
     """Module name -> source file for everything the experiment depends on."""
-    reads = _Reads() if _reads is None else _reads
-    seeds = _seeds_for(exp_id, reads) | {EXPERIMENTS_MODULE}
-    return dependency_closure(seeds, no_traverse={EXPERIMENTS_MODULE}, _reads=reads)
+    seeds = _seeds_for(exp_id) | {EXPERIMENTS_MODULE}
+    return dependency_closure(seeds, no_traverse={EXPERIMENTS_MODULE})
 
 
 def machine_fingerprint() -> str:
@@ -416,43 +459,32 @@ def machine_fingerprint() -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ExperimentDigest:
-    """The content-addressed identity of one experiment's result."""
-
-    exp_id: str
-    key: str  # sha256 hex over id + dep sources + machine config
-    modules: tuple[str, ...]  # sorted dependency module names
-
-
-def experiment_digest(
-    exp_id: str,
-    sources: Mapping[str, bytes] | None = None,
-    *,
-    _reads: _Reads | None = None,
-) -> ExperimentDigest:
-    """Digest for one experiment.
-
-    ``sources`` overrides the on-disk bytes per module name — the seam
-    tests (and ``plan --what-if`` style tooling) use to ask "what would
-    an edit to module X invalidate?" without touching the tree.
-    """
-    reads = _Reads() if _reads is None else _reads
-    deps = experiment_dependencies(exp_id, _reads=reads)
+def _experiment_digest(exp_id: str, sources: Mapping[str, bytes]) -> ExperimentDigest:
+    deps = experiment_dependencies(exp_id)
     hasher = hashlib.sha256()
     hasher.update(f"schema={DIGEST_SCHEMA}\x00".encode())
     hasher.update(f"exp_id={exp_id}\x00".encode())
     hasher.update(f"machine={machine_fingerprint()}\x00".encode())
-    for name in sorted(deps):
-        if sources is not None and name in sources:
-            blob_digest = hashlib.sha256(sources[name]).digest()
-        else:
-            blob_digest = reads.source(name)[1]
-        hasher.update(f"{name}\x00".encode())
-        hasher.update(blob_digest)
-        hasher.update(b"\x00")
+    _hash_modules(hasher, deps, sources)
     return ExperimentDigest(exp_id=exp_id, key=hasher.hexdigest(),
                             modules=tuple(sorted(deps)))
+
+
+def experiment_digest(
+    exp_id: str, sources: Mapping[str, bytes] | None = None
+) -> ExperimentDigest:
+    """Digest for one experiment, memoised for the life of the process.
+
+    ``sources`` overrides the pinned bytes per module name — the seam
+    tests (and ``plan --what-if`` style tooling) use to ask "what would
+    an edit to module X invalidate?" without touching the tree.  Such a
+    digest is computed afresh each call.
+    """
+    builder = _builder(exp_id)
+    if sources is not None:
+        return _experiment_digest(exp_id, sources)
+    key = (exp_id, getattr(builder, "__module__", ""), getattr(builder, "__name__", ""))
+    return _memoised(_EXPERIMENT_DIGESTS, key, lambda: _experiment_digest(exp_id, {}))
 
 
 def suite_digests(
@@ -462,10 +494,66 @@ def suite_digests(
     """Digests for the requested experiments (default: all, paper order)."""
     from repro.suite.experiments import EXPERIMENTS
 
-    ids = list(EXPERIMENTS) if exp_ids is None else list(exp_ids)
-    reads = _Reads()
-    digests = {
-        exp_id: experiment_digest(exp_id, sources, _reads=reads) for exp_id in ids
-    }
-    reads.record()
-    return digests
+    ids = EXPERIMENTS if exp_ids is None else exp_ids
+    return {exp_id: experiment_digest(exp_id, sources) for exp_id in ids}
+
+
+def experiment_code(exp_id: str) -> tuple[tuple[str, bytes], ...]:
+    """``(module, pinned sha256)`` for every module of the experiment's key.
+
+    A pool job carries it, so the worker can check that the code it
+    loaded is the code the result will be stored under.
+    """
+    return tuple((name, _pin(name).sha256) for name in experiment_digest(exp_id).modules)
+
+
+def code_mismatch(code: Iterable[tuple[str, bytes]]) -> tuple[str, ...]:
+    """Modules whose source, as loaded here, differs from the sha256 given.
+
+    A process that pinned a module (a forked pool worker inherits its
+    parent's pins) compares the pin.  Otherwise, as in a worker started
+    by ``spawn``, it hashes the file the module was loaded from without
+    pinning it, so the check writes no module state.
+    """
+    return tuple(name for name, sha256 in code if _loaded_sha256(name) != sha256)
+
+
+def _loaded_sha256(name: str) -> bytes:
+    pin = _PINS.get(name)
+    if pin is not None:
+        return pin.sha256
+    with open(importlib.import_module(name).__file__, "rb") as source:
+        return hashlib.sha256(source.read()).digest()
+
+
+def code_drift() -> tuple[str, ...]:
+    """Pinned modules whose file changed on disk since it was pinned.
+
+    One ``stat`` per pin, against the ``(st_mtime_ns, st_size)`` taken
+    with it.  Nothing on the digest path calls it: a drifted process
+    keeps serving under its pinned keys, which still describe the code
+    it runs.  A same-size edit within one mtime tick goes unreported; it
+    cannot make a wrong key.
+    """
+    return tuple(name for name, pin in sorted(_PINS.items()) if _stat(pin.path) != pin.stat)
+
+
+def _stat(path: str) -> tuple[int, int] | None:
+    try:
+        stat = os.stat(path)
+    except OSError:  # deleted or unreadable: drifted
+        return None
+    return stat.st_mtime_ns, stat.st_size
+
+
+def pin_loaded() -> None:
+    """Pin every ``repro`` module this process has loaded.
+
+    A long-lived process calls it at start, so its keys date from then
+    and not from its first digest.  It hashes; it parses nothing.
+    """
+    for name, module in sorted(sys.modules.items()):
+        if (name == _PACKAGE or name.startswith(_PACKAGE + ".")) and getattr(
+            module, "__file__", None
+        ):
+            _pin(name)

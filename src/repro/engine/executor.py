@@ -11,6 +11,10 @@ isolation contract:
   surfaces as kind ``crash``;
 * a job that exceeds its **timeout** surfaces as kind ``timeout``,
   naming the job and the measured elapsed time;
+* a worker whose loaded source differs from the pinned source the job
+  was keyed on (a ``spawn`` worker importing an edited tree) refuses
+  the job as kind ``code_drift``; nothing is stored and it is not
+  retried;
 * in every case the remaining jobs keep running and results come back
   in the order the ids were requested — never completion order.
 
@@ -43,7 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 
-from repro.engine.deps import ExperimentDigest
+from repro.engine.deps import ExperimentDigest, code_mismatch, experiment_code
 from repro.engine.plan import HIT, ExecutionPlan, plan_suite
 from repro.engine.store import ResultStore, canonical_bytes
 from repro.perfmon.collector import record as perfmon_record
@@ -92,7 +96,7 @@ class JobFailure:
     """
 
     exp_id: str
-    kind: str  # "error" | "crash" | "timeout"
+    kind: str  # "error" | "crash" | "timeout" | "code_drift"
     message: str
     traceback: str = ""
 
@@ -147,18 +151,35 @@ def _apply_worker_fault(exp_id: str, fault: dict, start: float) -> dict | None:
     raise ValueError(f"unknown fault kind {kind!r}")
 
 
-def _execute_job(exp_id: str, fault: dict | None = None) -> dict:
+def _execute_job(
+    exp_id: str, fault: dict | None = None, code: tuple[tuple[str, bytes], ...] = ()
+) -> dict:
     """Worker entry: build one experiment, serialized for the pipe.
 
     Returns a plain dict (picklable regardless of what the builder
     touched); builder exceptions are caught here so they come back as
     data, not as a poisoned future.  ``fault`` is an injected-fault
     directive decided by the parent (see :mod:`repro.faults.inject`).
+    ``code`` is the parent's ``(module, sha256)`` pins for the job's
+    key (:func:`~repro.engine.deps.experiment_code`); a worker that
+    loaded other source refuses the job.
     """
     from repro.suite.archive import experiment_to_dict
     from repro.suite.experiments import EXPERIMENTS
 
     start = time.perf_counter()
+    drifted = code_mismatch(code)
+    if drifted:
+        return {
+            "ok": False,
+            "exp_id": exp_id,
+            "kind": "code_drift",
+            "message": (
+                "worker loaded other source than the job is keyed on: "
+                + ", ".join(drifted)
+            ),
+            "traceback": "",
+        }
     if fault is not None:
         payload = _apply_worker_fault(exp_id, fault, start)
         if payload is not None:
@@ -199,6 +220,15 @@ def _from_payload(payload: dict) -> JobResult | JobFailure:
         message=payload["message"],
         traceback=payload.get("traceback", ""),
     )
+
+
+def _job_code(exp_id: str) -> tuple[tuple[str, bytes], ...]:
+    """The pins a pool job carries; none for an id the registry lacks
+    (the worker reports that as the job's error)."""
+    try:
+        return experiment_code(exp_id)
+    except KeyError:
+        return ()
 
 
 def _pool_context():
@@ -283,6 +313,8 @@ def execute_jobs(
         return results
 
     results = []
+    # Pinned before the pool forks, so forked workers inherit every pin.
+    codes = {exp_id: _job_code(exp_id) for exp_id in ids}
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(ids)), mp_context=_pool_context())
     try:
         submitted = time.perf_counter()
@@ -293,6 +325,7 @@ def execute_jobs(
                     _execute_job,
                     exp_id,
                     _poll_fault(injector, exp_id, in_worker=True),
+                    codes[exp_id],
                 ),
             )
             for exp_id in ids

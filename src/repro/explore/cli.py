@@ -41,7 +41,6 @@ from repro.explore.ranks import (
     rank_inversion_map,
 )
 from repro.explore.sweep import (
-    PARAMETERS,
     Axis,
     ParameterSweep,
     explicit_axis,

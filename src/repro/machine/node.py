@@ -130,9 +130,8 @@ class Node:
             raise ValueError(
                 f"{cpus}+{other_active_cpus} active CPUs exceed node size {self.cpu_count}"
             )
-        # Aggregate accounting comes from the per-trace caches (replicated
-        # runs hand the same trace object to every CPU, so the whole scan
-        # below is computed once per trace, not once per CPU count) — no
+        # Aggregate accounting sums each trace's ops afresh (a Trace caches
+        # no totals; replicated runs rescan the one trace per CPU) — no
         # combined Trace is materialised.
         words = math.fsum(trace.words_moved for trace in cpu_traces)
         if words == 0:
@@ -145,9 +144,8 @@ class Node:
         dilation = self.processor.memory.contention_factor(
             cpus + other_active_cpus, irregular
         )
-        # Each execute reuses the trace's compiled columns and the
-        # machine-cached cost vectors; only the dilation-dependent scale
-        # is recomputed per CPU count.
+        # Each CPU's trace is lowered to columns and costed afresh at the
+        # shared dilation; nothing is cached between calls.
         per_cpu = [
             self.processor.time(trace, memory_dilation=dilation) for trace in cpu_traces
         ]

@@ -44,7 +44,8 @@ watchdog (:meth:`ServiceApp.beat` / :meth:`ServiceApp.watchdog_check`)
 that requeues a wedged worker's job behind an epoch fence.  All of it
 surfaces as ``drain.*``/``breaker.*``/``watchdog.*``/``deadline.*``
 counters in ``/metrics`` and as ``ready``/``degraded``/``draining`` in
-``/v1/health``.
+``/v1/health``, with the reasons for ``degraded``: a serial fallback, or
+code drift (:func:`repro.engine.deps.code_drift`).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.engine.deps import code_drift
 from repro.engine.executor import run_engine
 from repro.engine.store import DEFAULT_STORE_ROOT, ColumnCache, ResultStore
 from repro.explore.engine import cost_suite_grid
@@ -66,12 +68,14 @@ from repro.perfmon.collector import profile as perfmon_profile
 from repro.perfmon.counters import declare_counters
 from repro.perfmon.export import to_prometheus
 from repro.service.lifecycle import (
+    CODE_DRIFT,
     DEGRADED,
     DRAIN_NAMESPACE,
     DRAIN_SCHEMA,
     DRAINING,
     LIFECYCLE_COUNTERS,
     READY,
+    SERIAL_FALLBACK,
     CircuitBreaker,
     drain_key,
     retry_after_header,
@@ -500,18 +504,21 @@ class ServiceApp:
             content_type="text/plain; version=0.0.4",
         )
 
-    def health_state(self) -> str:
-        if self.draining:
-            return DRAINING
-        if self.degraded:
-            return DEGRADED
-        return READY
-
     def health(self) -> Response:
+        drifted = code_drift()
+        reasons = [SERIAL_FALLBACK] if self.degraded else []
+        if drifted:
+            reasons.append(CODE_DRIFT)
+        if self.draining:
+            status = DRAINING
+        else:
+            status = DEGRADED if reasons else READY
         return json_response(
             200,
             {
-                "status": self.health_state(),
+                "status": status,
+                "reasons": reasons,
+                "code_drift": list(drifted),
                 "draining": self.draining,
                 "degraded": self.degraded,
                 "pending": len(self.queue),

@@ -5,10 +5,12 @@ this module holds the state machines and constants they share so
 :mod:`repro.service.app` stays the single wiring point:
 
 * **Health states** — :data:`READY`/:data:`DEGRADED`/:data:`DRAINING`,
-  what ``GET /v1/health`` truthfully reports.  ``degraded`` means the
-  engine abandoned its process pool (serial fallback) on a recent job;
-  ``draining`` means a shutdown signal arrived and new submissions
-  bounce with ``503 + Retry-After``.
+  what ``GET /v1/health`` truthfully reports.  ``degraded`` names its
+  reasons: :data:`SERIAL_FALLBACK` (the engine abandoned its process
+  pool on a recent job) and :data:`CODE_DRIFT` (a source file the
+  server loaded has changed on disk since; its results stay keyed to
+  the code it runs).  ``draining`` means a shutdown signal arrived and
+  new submissions bounce with ``503 + Retry-After``.
 * **Circuit breaker** — :class:`CircuitBreaker` tracks consecutive
   execution failures per ``(tenant, kind)`` key.  After
   ``failure_threshold`` consecutive failures the breaker *opens*:
@@ -41,6 +43,8 @@ __all__ = [
     "DEGRADED",
     "DRAINING",
     "HEALTH_STATES",
+    "SERIAL_FALLBACK",
+    "CODE_DRIFT",
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
@@ -59,6 +63,10 @@ DEGRADED = "degraded"
 DRAINING = "draining"
 
 HEALTH_STATES = (READY, DEGRADED, DRAINING)
+
+#: Reasons ``degraded`` gives, in the order the health payload lists them.
+SERIAL_FALLBACK = "serial_fallback"
+CODE_DRIFT = "code_drift"
 
 # ------------------------------------------------------------ counters
 #: Lifecycle counters by component.  The app seeds every name at zero

@@ -44,6 +44,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro.engine.deps import pin_loaded
 from repro.service.app import Response, ServiceApp
 
 __all__ = [
@@ -191,7 +192,13 @@ async def serve(
     Retry-After``, status/result reads still work) while the in-flight
     job gets ``drain_timeout_s`` to finish, then the coroutine returns
     normally so the CLI exits 0.
+
+    Every loaded ``repro`` source is pinned first
+    (:func:`repro.engine.deps.pin_loaded`), so the server's result keys
+    describe the code it started with, and ``/v1/health`` reports any
+    later edit on disk as ``code_drift``.
     """
+    pin_loaded()
     resumed = app.recover()
     server = await asyncio.start_server(
         lambda r, w: _handle_connection(app, r, w), host=host, port=port

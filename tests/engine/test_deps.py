@@ -1,11 +1,15 @@
 """Tests for static dependency tracing and content-addressed digests."""
 
+import builtins
+import functools
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -15,7 +19,9 @@ from repro.engine import ResultStore, deps, run_engine
 from repro.engine.deps import (
     EXPERIMENTS_MODULE,
     closure_digest,
+    code_mismatch,
     dependency_closure,
+    experiment_code,
     experiment_dependencies,
     experiment_digest,
     machine_fingerprint,
@@ -160,28 +166,99 @@ def _digest_document() -> dict:
     }
 
 
+def _empty_tables(monkeypatch) -> None:
+    """The digest tables of a process that has not digested anything yet."""
+    for table in ("_PINS", "_UNPARSED", "_IMPORT_EDGES", "_BUILDER_SEEDS",
+                  "_EXPERIMENT_DIGESTS", "_CLOSURE_DIGESTS"):
+        monkeypatch.setattr(deps, table, {})
+
+
+def _copy_tree(tmp_path: Path) -> Path:
+    """A private copy of the ``repro`` sources; returns its import root."""
+    src = tmp_path / "src"
+    shutil.copytree(package_root(), src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _run_on(src: Path, script: str) -> dict:
+    """Run ``script`` in a fresh process importing ``repro`` from ``src``.
+
+    No bytecode is written: the edits below keep file sizes, so a fresh
+    process could otherwise load a stale ``.pyc`` written the same
+    second.  Returns the JSON object the script prints last.
+    """
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+#: Table 2's disk capacity, and an edit that keeps the file's size.
+SPECS_LINE = "disk_capacity_gb=282.0"
+SPECS_EDIT = "disk_capacity_gb=999.0"
+
+
+def _edit_specs(src: Path) -> str:
+    """A statement that makes the edit, for a script run on ``src``."""
+    specs = src / "repro" / "machine" / "specs.py"
+    assert SPECS_LINE in specs.read_text()
+    return (f"specs = pathlib.Path({str(specs)!r}); "
+            f"specs.write_text(specs.read_text().replace({SPECS_LINE!r}, {SPECS_EDIT!r}))")
+
+
 class TestContentKeyedMemo:
-    """Import edges and builder seeds are memoised by source bytes."""
+    """Sources are pinned by content once per process; digests are memoised."""
 
-    def test_edit_is_seen_in_the_same_process(self, tmp_path, monkeypatch):
-        copy = tmp_path / "repro"
-        shutil.copytree(package_root(), copy, ignore=shutil.ignore_patterns("__pycache__"))
-        monkeypatch.setattr(deps, "package_root", lambda: copy)
-        rfft = copy / "kernels" / "rfft.py"
-        original = rfft.read_bytes()
-        closure = dependency_closure(["repro.kernels.rfft"])
-        digest = closure_digest(["repro.kernels.rfft"])
-        assert "repro.kernels.radabs" not in closure
+    def test_edit_is_drift_here_and_a_miss_in_a_fresh_process(self, tmp_path):
+        src = _copy_tree(tmp_path)
+        store = tmp_path / "store"
+        running = _run_on(src, f"""
+            import json, pathlib
+            from repro.engine import ResultStore, canonical_bytes, run_engine
+            from repro.engine.deps import code_drift
+            store = ResultStore({str(store)!r})
+            first = run_engine(["table2"], store=store)
+            {_edit_specs(src)}
+            second = run_engine(["table2"], store=store, verify=True)
+            text = canonical_bytes(second.experiments[0]).decode()
+            print(json.dumps({{
+                "keys": [first.plan.entries[0].digest.key, second.plan.entries[0].digest.key],
+                "status": second.plan.entries[0].status,
+                "source": second.results[0].source,
+                "282": "282 GB" in text, "999": "999 GB" in text,
+                "drift": list(code_drift()),
+            }}))
+        """)
+        # The running process: a sound hit under its pinned key, and the
+        # drift named.
+        assert running["keys"][0] == running["keys"][1]
+        assert (running["status"], running["source"]) == ("hit", "cache")
+        assert running["282"] and not running["999"]
+        assert running["drift"] == ["repro.machine.specs"]
 
-        rfft.write_bytes(original + b"\nimport repro.kernels.radabs\n")
-        with profile() as prof:
-            assert closure_digest(["repro.kernels.rfft"]) != digest
-        assert prof.counters.get("deps", "modules_parsed") >= 1
-        assert "repro.kernels.radabs" in dependency_closure(["repro.kernels.rfft"])
-
-        rfft.write_bytes(original)
-        assert dependency_closure(["repro.kernels.rfft"]) == closure
-        assert closure_digest(["repro.kernels.rfft"]) == digest
+        fresh = _run_on(src, f"""
+            import json
+            from repro.engine import ResultStore, canonical_bytes, run_engine
+            report = run_engine(["table2"], store=ResultStore({str(store)!r}))
+            text = canonical_bytes(report.experiments[0]).decode()
+            print(json.dumps({{
+                "key": report.plan.entries[0].digest.key,
+                "status": report.plan.entries[0].status,
+                "source": report.results[0].source,
+                "282": "282 GB" in text, "999": "999 GB" in text,
+            }}))
+        """)
+        # A fresh process keys the edit: a miss, built from the new code.
+        assert fresh["key"] != running["keys"][0]
+        assert (fresh["status"], fresh["source"]) == ("stale", "executed")
+        assert fresh["999"] and not fresh["282"]
+        entries = {entry.key: entry.path for entry in ResultStore(store).entries()}
+        assert set(entries) == {running["keys"][0], fresh["key"]}
+        assert "282 GB" in entries[running["keys"][0]].read_text()
+        assert "282 GB" not in entries[fresh["key"]].read_text()
+        assert "999 GB" in entries[fresh["key"]].read_text()
 
     def test_warm_digests_equal_a_fresh_process(self):
         script = (
@@ -203,21 +280,56 @@ class TestContentKeyedMemo:
         second = _digest_document()
         assert first == second == expected
 
-    def test_one_call_reads_each_file_once(self, monkeypatch):
-        union = set().union(*(d.modules for d in suite_digests().values()))
-        read = []
-        real_read_bytes = Path.read_bytes
+    def test_a_warm_digest_opens_stats_and_hashes_nothing(self, monkeypatch):
+        expected = _digest_document()
+        calls = []
 
-        def spy(path):
-            read.append(path)
-            return real_read_bytes(path)
+        def spy(owner, name):
+            real = getattr(owner, name)
 
-        monkeypatch.setattr(Path, "read_bytes", spy)
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((builtins, "open"), (io, "open"), (os, "stat"),
+                            (os, "fstat"), (hashlib, "sha256")):
+            spy(owner, name)
         with profile() as prof:
-            suite_digests()
-        assert len(read) == len(set(read)) == len(union)
-        assert prof.counters.get("deps", "modules_hashed") == len(union)
-        assert prof.counters.get("deps", "modules_parsed") == 0
+            warm = _digest_document()
+        seen = list(calls)
+        monkeypatch.undo()
+        assert warm == expected
+        assert seen == []
+        assert prof.counters.component("deps") == {}
+
+    def test_first_digest_hashes_each_module_once(self, monkeypatch):
+        _empty_tables(monkeypatch)
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        with profile() as prof:
+            document = _digest_document()
+        monkeypatch.setattr(builtins, "open", real_open)
+        modules = set(dependency_closure(CHUNK_KEY_SEEDS)).union(
+            *(d.modules for d in suite_digests().values()))
+        files = sorted(sys.modules[name].__file__ for name in modules)
+        assert sorted(opened) == files
+        assert prof.counters.get("deps", "modules_hashed") == len(modules)
+        # Every module but the hash-only package __init__ files is parsed
+        # once, and its bytes are then dropped.
+        parsed = {name for name in modules
+                  if not sys.modules[name].__file__.endswith("__init__.py")}
+        assert prof.counters.get("deps", "modules_parsed") == len(parsed)
+        assert set(deps._IMPORT_EDGES) == parsed
+        assert set(deps._UNPARSED) == modules - parsed
+        assert len(document["suite"]) == 18
 
     def test_second_warm_run_engine_parses_nothing(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -227,10 +339,8 @@ class TestContentKeyedMemo:
         with profile() as prof:
             report = run_engine(["table2"], jobs=1, store=store)
         assert report.cache_counts()["hits"] == 1
-        assert prof.counters.component("deps") == {
-            "modules_hashed": float(len(experiment_dependencies("table2"))),
-            "modules_parsed": 0.0,
-        }
+        assert prof.counters.get("deps", "modules_hashed") == 0
+        assert prof.counters.get("deps", "modules_parsed") == 0
 
     def test_threads_racing_on_an_empty_memo_agree(self, monkeypatch):
         """The service plans on its worker thread while sweep jobs digest."""
@@ -242,8 +352,7 @@ class TestContentKeyedMemo:
             )
 
         expected = digests()
-        monkeypatch.setattr(deps, "_IMPORT_EDGES", {})
-        monkeypatch.setattr(deps, "_BUILDER_SEEDS", {})
+        _empty_tables(monkeypatch)
         results = []
         threads = [threading.Thread(target=lambda: results.append(digests())) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -257,6 +366,99 @@ class TestContentKeyedMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * len(threads)
-        # Every surviving memo entry belongs to the bytes on disk.
-        for name, (digest, _) in deps._IMPORT_EDGES.items():
-            assert digest == hashlib.sha256(module_path(name).read_bytes()).digest()
+        # Every pin belongs to the bytes on disk, and no parsed module
+        # keeps its bytes.
+        assert deps._PINS
+        for pin in deps._PINS.values():
+            assert pin.sha256 == hashlib.sha256(Path(pin.path).read_bytes()).digest()
+        assert not set(deps._UNPARSED) & set(deps._IMPORT_EDGES)
+
+    def test_a_wrapped_builder_keeps_its_digest(self, monkeypatch):
+        before = experiment_digest("table2")
+        builder = EXPERIMENTS["table2"]
+        monkeypatch.setitem(EXPERIMENTS, "table2", functools.wraps(builder)(lambda: builder()))
+        assert experiment_digest("table2") is before
+
+    def test_a_builder_from_another_module_gets_its_own_digest(self, monkeypatch):
+        before = experiment_digest("table2")
+        builder = EXPERIMENTS["table2"]
+
+        def table2():
+            return builder()
+
+        table2.__module__ = "repro.kernels.rfft"
+        monkeypatch.setitem(EXPERIMENTS, "table2", table2)
+        moved = experiment_digest("table2")
+        assert moved.key != before.key
+        assert "repro.kernels.rfft" in moved.modules
+        monkeypatch.undo()
+        assert experiment_digest("table2") is before
+
+
+class TestCodeDrift:
+    def test_health_and_engine_cli_report_a_touched_source(self, tmp_path):
+        src = _copy_tree(tmp_path)
+        out = _run_on(src, f"""
+            import contextlib, io, json, os, sys
+            from repro.engine import cli, deps
+            from repro.service.app import ServiceApp
+            app = ServiceApp({str(tmp_path / "service")!r})
+            health = lambda: json.loads(app.handle("GET", "/v1/health", b"").body)
+            deps.pin_loaded()
+            before = health()
+            path = sys.modules["repro.machine.specs"].__file__
+            stat = os.stat(path)
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+            after = health()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["plan", "table2", "--cache-dir", {str(tmp_path / "cache")!r}])
+            print(json.dumps({{"before": before, "after": after, "stderr": err.getvalue(),
+                               "code": code}}))
+        """)
+        assert out["before"]["status"] == "ready"
+        assert (out["before"]["reasons"], out["before"]["code_drift"]) == ([], [])
+        assert out["after"]["status"] == "degraded"
+        assert out["after"]["reasons"] == ["code_drift"]
+        assert out["after"]["code_drift"] == ["repro.machine.specs"]
+        assert out["after"]["degraded"] is False  # no serial fallback
+        assert out["code"] == 0
+        assert "warning" in out["stderr"] and "repro.machine.specs" in out["stderr"]
+
+
+class TestWorkerCodeCheck:
+    def test_pins_match_the_loaded_code(self):
+        code = experiment_code("table2")
+        assert [name for name, _ in code] == list(experiment_digest("table2").modules)
+        assert code_mismatch(code) == ()
+        name = code[0][0]
+        assert code_mismatch(((name, bytes(32)),)) == (name,)
+
+    def test_a_spawned_worker_refuses_drifted_code(self, tmp_path):
+        src = _copy_tree(tmp_path)
+        store = tmp_path / "store"
+        out = _run_on(src, f"""
+            import json, multiprocessing, pathlib
+            from repro.engine import ResultStore, executor, plan_suite
+            from repro.faults.retry import chaos_retry_policy
+            executor._pool_context = lambda: multiprocessing.get_context("spawn")
+            store = ResultStore({str(store)!r})
+            plan_suite(store, ["table2"])
+            clean = executor.execute_jobs(["table2"], jobs=2)[0]
+            {_edit_specs(src)}
+            report = executor.run_engine(["table2"], jobs=2, store=store,
+                                         retry=chaos_retry_policy())
+            failure = report.results[0]
+            print(json.dumps({{
+                "clean": type(clean).__name__,
+                "kind": getattr(failure, "kind", None),
+                "message": getattr(failure, "message", ""),
+                "attempts": report.attempts,
+                "stored": len(store.entries()),
+            }}))
+        """)
+        assert out["clean"] == "JobResult"
+        assert out["kind"] == "code_drift"
+        assert "repro.machine.specs" in out["message"]
+        assert out["attempts"] == {"table2": 1}
+        assert out["stored"] == 0

@@ -8,6 +8,7 @@ in EXPERIMENTS.md, and every benchmark target exists.
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import repro
 from repro.suite.experiments import EXPERIMENTS
@@ -54,6 +55,16 @@ class TestDocumentationSync:
         assert set(labels) == set(EXPERIMENTS), "registry/docs label map drifted"
         for exp_id, label in labels.items():
             assert label in text, f"{exp_id} ({label}) missing from EXPERIMENTS.md"
+
+    def test_headline_check_count_matches_the_suite(self):
+        from repro.suite.runner import run_suite
+
+        text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+        headline = re.search(r"All (\d+) shape checks pass \((\d+) experiments\)", text)
+        assert headline, "EXPERIMENTS.md lost its headline check count"
+        passed, total = run_suite().check_counts
+        assert passed == total
+        assert (int(headline[1]), int(headline[2])) == (total, len(EXPERIMENTS))
 
     def test_every_tabled_experiment_has_a_bench_file(self):
         bench_dir = REPO_ROOT / "benchmarks"
