@@ -141,20 +141,20 @@ def parallel_step(
     """
     grid = grid or OceanGrid.benchmark()
     base, rem = divmod(grid.nlat, cpus)
-    iterations = sor_iterations_for(cpus)
-    traces = []
-    for i in range(cpus):
-        rows = base + (1 if i < rem else 0)
-        share = rows / grid.nlat
-        traces.append(
-            baroclinic_trace(grid).scaled(share)
-            + barotropic_trace(grid, iterations).scaled(share)
-        )
+    baroclinic = baroclinic_trace(grid)
+    barotropic = barotropic_trace(grid, sor_iterations_for(cpus))
+    shares = [(base + (1 if i < rem else 0)) / grid.nlat for i in range(cpus)]
+    # One trace per distinct row share, handed to every CPU with that
+    # share: the node model costs a shared trace once.
+    by_share = {
+        share: baroclinic.scaled(share) + barotropic.scaled(share)
+        for share in dict.fromkeys(shares)
+    }
     serial = None
     if with_diagnostics:
         serial = diagnostics_trace(grid).scaled(1.0 / DIAGNOSTIC_INTERVAL)
     return node.run_parallel(
-        traces,
+        [by_share[share] for share in shares],
         serial=serial,
         regions=REGIONS_PER_STEP,
         trace_name=f"MOM step/{cpus}cpu",

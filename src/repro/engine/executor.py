@@ -316,6 +316,7 @@ def execute_jobs(
     # Pinned before the pool forks, so forked workers inherit every pin.
     codes = {exp_id: _job_code(exp_id) for exp_id in ids}
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(ids)), mp_context=_pool_context())
+    timed_out = False
     try:
         submitted = time.perf_counter()
         futures = [
@@ -341,6 +342,7 @@ def execute_jobs(
                     outcome = _from_payload(future.result(timeout=timeout_s))
                 except FutureTimeoutError:
                     future.cancel()
+                    timed_out = True
                     elapsed = time.perf_counter() - submitted
                     outcome = JobFailure(
                         exp_id=exp_id,
@@ -365,7 +367,10 @@ def execute_jobs(
                 _finish_span(job_span, outcome)
             results.append(outcome)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        # Waiting lets the pool's manager thread close its wake-up pipe
+        # before the interpreter's exit hook writes to it.  After a
+        # timeout a hung worker must not block the caller, so don't wait.
+        pool.shutdown(wait=not timed_out, cancel_futures=True)
     return results
 
 

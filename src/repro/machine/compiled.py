@@ -1,6 +1,6 @@
 """Columnar trace compilation: structure-of-arrays lowering of a Trace.
 
-Regenerating the paper's tables costs about a thousand traces per pass
+Regenerating the paper's tables costs over four hundred traces per pass
 (the vector-length/resolution scans of Figures 5-8, the Table 6
 ensembles, the node model's CPU-count scan).  Walking each
 :class:`~repro.machine.operations.Trace` one descriptor at a time would

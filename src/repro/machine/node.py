@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 from repro.machine.operations import Trace
 from repro.machine.processor import ExecutionReport, Processor
+from repro.perfmon.collector import replay as perfmon_replay
+from repro.perfmon.collector import tape as perfmon_tape
 from repro.units import MEGA
 
 __all__ = ["Node", "ParallelReport", "block_imbalance"]
@@ -122,6 +124,13 @@ class Node:
         ``other_active_cpus`` models unrelated jobs sharing the node (the
         ensemble test and PRODLOAD): they raise the contention the bank
         model sees but contribute no work to this report.
+
+        CPUs handed the same trace object are costed once: that trace is
+        lowered, costed and summed a single time, and every CPU holding
+        it takes its seconds and aggregates.  Under a :mod:`repro.perfmon`
+        profile each further CPU replays the first costing's counter
+        records, so a profile still counts every CPU.  Builders hand
+        CPUs with the same share of the work one trace object.
         """
         if not cpu_traces:
             raise ValueError("run_parallel needs at least one per-CPU trace")
@@ -130,35 +139,44 @@ class Node:
             raise ValueError(
                 f"{cpus}+{other_active_cpus} active CPUs exceed node size {self.cpu_count}"
             )
-        # Aggregate accounting sums each trace's ops afresh (a Trace caches
-        # no totals; replicated runs rescan the one trace per CPU) — no
-        # combined Trace is materialised.
-        words = math.fsum(trace.words_moved for trace in cpu_traces)
-        if words == 0:
-            irregular = 0.0
-        else:
-            irregular = (
-                math.fsum(trace.irregular_words for trace in cpu_traces) / words
-            )
+        # Grouped by object, not by content: identity is exact and free,
+        # and it lasts only while this list holds the traces.  Each fsum
+        # still reads one value per CPU, so every total is bit-identical
+        # to summing each CPU's trace afresh.
+        distinct = {id(trace): trace for trace in cpu_traces}
+        sums = {
+            key: (t.words_moved, t.irregular_words, t.raw_flops, t.flop_equivalents)
+            for key, t in distinct.items()
+        }
+        words, irregular_words, raw, equiv = (
+            math.fsum(column) for column in zip(*(sums[id(t)] for t in cpu_traces))
+        )
+        irregular = 0.0 if words == 0 else irregular_words / words
         assert self.processor.memory is not None  # enforced in __post_init__
         dilation = self.processor.memory.contention_factor(
             cpus + other_active_cpus, irregular
         )
-        # Each CPU's trace is lowered to columns and costed afresh at the
-        # shared dilation; nothing is cached between calls.
-        per_cpu = [
-            self.processor.time(trace, memory_dilation=dilation) for trace in cpu_traces
-        ]
+        # Each distinct trace is costed at the shared dilation by the first
+        # CPU that holds it; later CPUs replay its counter records, in CPU
+        # order, as their own costing would have made them.
+        costed: dict[int, tuple[float, list]] = {}
+        per_cpu = []
+        for trace in cpu_traces:
+            known = costed.get(id(trace))
+            if known is None:
+                with perfmon_tape() as calls:
+                    seconds = self.processor.time(trace, memory_dilation=dilation)
+                known = costed[id(trace)] = (seconds, calls)
+            else:
+                perfmon_replay(known[1])
+            per_cpu.append(known[0])
         parallel_seconds = max(per_cpu)
         serial_seconds = self.processor.time(serial) if serial is not None else 0.0
         sync = self.sync_seconds(cpus, regions)
         total = parallel_seconds + serial_seconds + sync
-        raw = math.fsum(trace.raw_flops for trace in cpu_traces) + (
-            serial.raw_flops if serial is not None else 0.0
-        )
-        equiv = math.fsum(trace.flop_equivalents for trace in cpu_traces) + (
-            serial.flop_equivalents if serial is not None else 0.0
-        )
+        if serial is not None:
+            raw += serial.raw_flops
+            equiv += serial.flop_equivalents
         return ParallelReport(
             machine=self.name,
             trace_name=trace_name or cpu_traces[0].name,
@@ -175,7 +193,7 @@ class Node:
     def run_replicated(
         self, trace: Trace, cpus: int, regions: float = 1.0, other_active_cpus: int = 0
     ) -> ParallelReport:
-        """Convenience: the same per-CPU trace on ``cpus`` processors."""
+        """The same per-CPU trace on ``cpus`` processors, costed once."""
         return self.run_parallel(
             [trace] * cpus,
             regions=regions,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -133,11 +132,9 @@ class VectorOp:
         )
 
     # -- accounting -------------------------------------------------------
-    # Accounting is cached (the ops are frozen, so the values can never
-    # change): sweeps touch the same descriptors thousands of times, and
-    # the compiled engine's derived columns replicate these expressions
+    # The compiled engine's derived columns replicate these expressions
     # term-for-term, so per-op values agree bitwise between engines.
-    @cached_property
+    @property
     def elements(self) -> float:
         """Total elements processed over all executions."""
         return self.length * self.count
@@ -146,32 +143,32 @@ class VectorOp:
     def intrinsic_calls_total(self) -> dict[str, float]:
         return {name: per * self.elements for name, per in self.intrinsic_calls}
 
-    @cached_property
+    @property
     def raw_flops(self) -> float:
         return self.flops_per_element * self.elements
 
-    @cached_property
+    @property
     def flop_equivalents(self) -> float:
         total = self.raw_flops
         for name, per in self.intrinsic_calls:
             total += INTRINSIC_FLOP_EQUIV[name] * per * self.elements
         return total
 
-    @cached_property
+    @property
     def sequential_words(self) -> float:
         """Strided (non-indexed) words per execution of the loop."""
         return (self.loads_per_element + self.stores_per_element) * self.length
 
-    @cached_property
+    @property
     def indexed_words(self) -> float:
         return (self.gather_loads_per_element + self.scatter_stores_per_element) * self.length
 
-    @cached_property
+    @property
     def words_moved(self) -> float:
         """Total data words moved over all executions (excluding indices)."""
         return (self.sequential_words + self.indexed_words) * self.count
 
-    @cached_property
+    @property
     def irregular_words(self) -> float:
         """Data words that are indexed *or* strided above 2, all executions.
 
@@ -219,7 +216,7 @@ class ScalarOp:
         if self.flops > self.instructions:
             raise ValueError("flops are a subset of instructions")
 
-    @cached_property
+    @property
     def raw_flops(self) -> float:
         return self.flops * self.count
 
@@ -227,7 +224,7 @@ class ScalarOp:
     def flop_equivalents(self) -> float:
         return self.raw_flops
 
-    @cached_property
+    @property
     def words_moved(self) -> float:
         return self.memory_words * self.count
 

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -38,6 +39,14 @@ def _sleepy_builder():
 
 def _dying_builder():
     os._exit(13)  # simulates a segfaulting / OOM-killed worker
+
+
+def _pool_manager_threads() -> set[threading.Thread]:
+    return {
+        thread
+        for thread in threading.enumerate()
+        if type(thread).__name__ == "_ExecutorManagerThread"
+    }
 
 
 class TestExecuteJobs:
@@ -94,6 +103,23 @@ class TestExecuteJobs:
         assert isinstance(results[0], JobFailure)
         assert results[0].kind == "timeout"
         assert isinstance(results[1], JobResult)
+
+    @needs_fork
+    def test_pool_is_shut_down_before_returning(self):
+        # A pool still shutting down when the call returns races the
+        # interpreter's exit hook, which writes to the wake-up pipe the
+        # pool's manager thread is closing ("Bad file descriptor").
+        before = _pool_manager_threads()
+        execute_jobs(["table2", "sec2"], jobs=2)
+        assert not _pool_manager_threads() - before
+
+    @needs_fork
+    def test_a_timed_out_job_does_not_hold_the_caller(self, monkeypatch):
+        monkeypatch.setitem(EXPERIMENTS, "sleepy", _sleepy_builder)
+        start = time.perf_counter()
+        results = execute_jobs(["sleepy"], jobs=2, timeout_s=0.2)
+        assert results[0].kind == "timeout"
+        assert time.perf_counter() - start < 1.5  # the sleeper's own length
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,10 @@ from repro.perfmon.collector import (
     active,
     profile,
     record,
+    replay,
     sim_tracer,
     span,
+    tape,
 )
 
 
@@ -42,6 +44,68 @@ class TestActivation:
                 record("processor", {"cycles": 10.0})
         assert outer.counters.get("processor", "cycles") == 1.0
         assert inner.counters.get("processor", "cycles") == 10.0
+
+
+class TestTape:
+    def test_tape_records_calls_in_order_and_still_counts(self):
+        with profile() as prof:
+            with tape() as calls:
+                record("processor", {"cycles": 1.0})
+                record("memory", {"sequential_words": 2.0})
+        assert calls == [("processor", {"cycles": 1.0}), ("memory", {"sequential_words": 2.0})]
+        assert prof.counters.get("processor", "cycles") == 1.0
+
+    def test_tape_without_profile_stays_empty(self):
+        with tape() as calls:
+            record("processor", {"cycles": 1.0})
+        assert calls == []
+
+    def test_nested_tape_extends_its_outer_tape(self):
+        with profile():
+            with tape() as outer:
+                record("processor", {"cycles": 1.0})
+                with tape() as inner:
+                    record("processor", {"cycles": 2.0})
+                record("processor", {"cycles": 3.0})
+        assert inner == [("processor", {"cycles": 2.0})]
+        assert [c[1]["cycles"] for c in outer] == [1.0, 2.0, 3.0]
+
+    def test_replay_counts_again_and_extends_an_open_tape(self):
+        with profile() as prof:
+            with tape() as calls:
+                record("processor", {"cycles": 1.0})
+            with tape() as outer:
+                replay(calls)
+        assert prof.counters.get("processor", "cycles") == 2.0
+        assert outer == calls
+
+    def test_replay_with_no_active_profile_is_a_noop(self):
+        with profile() as prof:
+            with tape() as calls:
+                record("processor", {"cycles": 1.0})
+        replay(calls)  # must not raise, and lands nowhere
+        assert prof.counters.get("processor", "cycles") == 1.0
+        assert active() is None
+
+    def test_replay_keeps_call_order(self):
+        # Float sums depend on order: 1e16 + 1 + 1 rounds away both ones,
+        # 1 + 1 + 1e16 keeps them.
+        with profile() as first:
+            with tape() as calls:
+                for value in (1.0, 1.0, 1e16):
+                    record("processor", {"cycles": value})
+        with profile() as again:
+            replay(calls)
+        assert again.counters.get("processor", "cycles") == 1e16 + 2.0
+        assert again.counters.to_dict() == first.counters.to_dict()
+
+    def test_taped_increments_are_copies(self):
+        increments = {"cycles": 1.0}
+        with profile():
+            with tape() as calls:
+                record("processor", increments)
+        increments["cycles"] = 5.0
+        assert calls == [("processor", {"cycles": 1.0})]
 
 
 class TestHostSpans:
