@@ -43,6 +43,8 @@ __all__ = [
     "RequestError",
     "validate_request",
     "validate_deadline",
+    "MAX_WAIT_S",
+    "validate_wait",
     "check_buildable",
     "request_bytes",
     "request_job_id",
@@ -51,6 +53,11 @@ __all__ = [
 REQUEST_SCHEMA = 1
 
 DEFAULT_TENANT = "public"
+
+#: The longest a status request may wait for its job to settle, in
+#: seconds; below the client's 30 s socket timeout, so a long poll
+#: never outlasts the connection carrying it.
+MAX_WAIT_S = 20.0
 
 
 class RequestError(ValueError):
@@ -181,6 +188,22 @@ def validate_deadline(body: object) -> float | None:
     if not 0 < deadline <= sys.float_info.max:  # rejects 0, negatives, NaN, inf
         raise RequestError("'deadline_s' must be a positive, finite number of seconds")
     return deadline
+
+
+def validate_wait(raw: str) -> float:
+    """A status request's ``wait_s`` query value, capped at :data:`MAX_WAIT_S`.
+
+    Checked like :func:`validate_deadline`: a value that is not a
+    number, negative, NaN or infinite raises :class:`RequestError`;
+    zero answers at once.
+    """
+    try:
+        wait = float(raw)
+    except ValueError as exc:
+        raise RequestError("'wait_s' must be a number of seconds") from exc
+    if not 0 <= wait <= sys.float_info.max:  # rejects negatives, NaN, inf
+        raise RequestError("'wait_s' must be a non-negative, finite number of seconds")
+    return min(wait, MAX_WAIT_S)
 
 
 def check_buildable(request: dict) -> None:

@@ -35,6 +35,7 @@ run it.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,6 +52,7 @@ __all__ = [
     "JOB_STATES",
     "JobRecord",
     "JobSpool",
+    "state_counts",
 ]
 
 SPOOL_SCHEMA = 1
@@ -162,6 +164,19 @@ class JobRecord:
         )
 
 
+def _submission_order(record: JobRecord) -> tuple[float, str]:
+    return record.submitted_at, record.job_id
+
+
+def state_counts(records: Iterable[JobRecord]) -> dict[str, int]:
+    """Records per state, plus ``total``."""
+    counts = dict.fromkeys(JOB_STATES, 0)
+    for record in records:
+        counts[record.state] += 1
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 class JobSpool:
     """The durable queue: job records keyed by deterministic job id."""
 
@@ -197,28 +212,29 @@ class JobSpool:
         except (KeyError, TypeError, ValueError):
             return None  # pre-schema record: treat as absent, never crash
 
-    def records(self, tenant: str | None = None) -> list[JobRecord]:
-        """Every journaled record, oldest submission first."""
-        found: list[JobRecord] = []
-        for entry in self.chunks.entries():
+    def iter_records(self, tenant: str | None = None) -> Iterator[JobRecord]:
+        """Every journaled record (or one tenant's), read one at a time.
+
+        Nothing accumulates: a whole-spool pass holds one decoded
+        record, results included, at a time.  One tenant's records are
+        listed by file name, so other tenants' records are never opened.
+        """
+        namespace = None if tenant is None else self.namespace(tenant)
+        for entry in self.chunks.entries(namespace):
             entry_tenant = self._tenant_of(entry.exp_id)
             if entry_tenant is None:
                 continue
-            if tenant is not None and entry_tenant != tenant:
-                continue
             record = self.get(entry_tenant, entry.key)
             if record is not None:
-                found.append(record)
-        found.sort(key=lambda r: (r.submitted_at, r.job_id))
-        return found
+                yield record
+
+    def records(self, tenant: str | None = None) -> list[JobRecord]:
+        """Every journaled record, oldest submission first (job listings)."""
+        return sorted(self.iter_records(tenant), key=_submission_order)
 
     def counts(self, tenant: str) -> dict[str, int]:
         """Records per state for one tenant (quota accounting)."""
-        counts = {state: 0 for state in JOB_STATES}
-        for record in self.records(tenant):
-            counts[record.state] += 1
-        counts["total"] = sum(counts[state] for state in JOB_STATES)
-        return counts
+        return state_counts(self.iter_records(tenant))
 
     # ------------------------------------------------------- transitions
     def mark_running(self, record: JobRecord) -> JobRecord:
@@ -303,33 +319,35 @@ class JobSpool:
         what never finished.
         """
         resumed: list[JobRecord] = []
-        for record in self.records():
+        for record in self.iter_records():
             if record.finished:
                 continue
             if record.state == RUNNING:
                 record = self.mark_pending(record)
             resumed.append(record)
+        resumed.sort(key=_submission_order)
         return resumed
 
     # ------------------------------------------------------------ sweeping
     def sweep_expired(
         self, now: float | None = None, dry_run: bool = False
     ) -> list[JobRecord]:
-        """Drop finished records whose TTL has lapsed; returns them.
+        """Drop finished records whose TTL has lapsed; returns them
+        without their result payloads, which a sweep has no use for.
 
         Unfinished jobs are never swept — a queue that garbage-collects
         its own backlog is not a queue.
         """
         now = time.time() if now is None else now
         swept: list[JobRecord] = []
-        for record in self.records():
+        for record in self.iter_records():
             if not record.finished:
                 continue
             if record.expires_at is None or record.expires_at > now:
                 continue
             if not dry_run:
                 self.chunks.delete(self.namespace(record.tenant), record.job_id)
-            swept.append(record)
+            swept.append(replace(record, result=None))
         return swept
 
     def clear(self) -> int:

@@ -1,5 +1,8 @@
 """Tests for the durable ChunkStore-backed job spool."""
 
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
 from repro.engine.store import ChunkStore
@@ -233,3 +236,72 @@ class TestCheckpointDemotion:
         demoted = spool.mark_pending(spool.mark_running(record))
         assert demoted.deadline_s == 30.0
         assert demoted.deadline_at == 31.0
+
+
+class TestStreaming:
+    """Whole-spool passes hold one record at a time, and one tenant's
+    pass never touches another tenant's records."""
+
+    def test_counts_opens_and_stats_no_other_tenants_records(
+        self, tmp_path, monkeypatch
+    ):
+        spool = JobSpool(tmp_path)
+        for i in range(200):
+            spool.put(_record(job_id=f"{i:064x}", tenant="b"))
+        spool.put(_record(tenant="a", state=RUNNING))
+        touched: list[str] = []
+        real_stat, real_read_bytes = Path.stat, Path.read_bytes
+
+        def stat(self, *args, **kwargs):
+            touched.append(self.name)
+            return real_stat(self, *args, **kwargs)
+
+        def read_bytes(self):
+            touched.append(self.name)
+            return real_read_bytes(self)
+
+        monkeypatch.setattr(Path, "stat", stat)
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        counts = spool.counts("a")
+        assert counts["running"] == 1 and counts["total"] == 1
+        assert not [name for name in touched if name.startswith("svcjob-b.")]
+
+    def test_recover_and_sweep_list_nothing(self, tmp_path, monkeypatch):
+        spool = JobSpool(tmp_path)
+        spool.put(_record(job_id="bb" * 32, state=RUNNING, submitted_at=2.0))
+        spool.put(_record(job_id="aa" * 32, submitted_at=1.0))
+        spool.mark_done(_record(job_id="cc" * 32), result={"big": "x" * 100},
+                        meta={}, now=1.0, ttl_s=1.0)
+
+        def listed(*args, **kwargs):
+            raise AssertionError("a whole-spool pass built a list of records")
+
+        monkeypatch.setattr(JobSpool, "records", listed)
+        # Still resumed oldest submission first.
+        assert [r.job_id for r in spool.recover()] == ["aa" * 32, "bb" * 32]
+        swept = spool.sweep_expired(now=100.0)
+        assert [r.job_id for r in swept] == ["cc" * 32]
+        assert swept[0].result is None  # nothing held for a deleted record
+
+    @staticmethod
+    def _pass_peak_bytes(root, records: int) -> int:
+        """Peak bytes allocated by one recover pass over ``records``
+        finished jobs, each with a ~20 kB result."""
+        spool = JobSpool(root)
+        result = {"rows": [f"{i:08d}" * 4 for i in range(500)]}
+        for i in range(records):
+            spool.mark_done(_record(job_id=f"{i:064x}"), result=result,
+                            meta={}, now=1.0, ttl_s=None)
+        tracemalloc.start()
+        try:
+            assert spool.recover() == []
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_pass_does_not_grow_with_the_spool(self, tmp_path):
+        small = self._pass_peak_bytes(tmp_path / "small", 10)
+        large = self._pass_peak_bytes(tmp_path / "large", 100)
+        # Listing 10x the records costs a little per file name; holding
+        # them would cost 10x the decoded results.
+        assert large < 2 * small

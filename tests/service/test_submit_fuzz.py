@@ -5,7 +5,8 @@ surface without a socket.  The inputs are arbitrary bytes, every
 truncation of a valid suite and sweep body, and valid bodies with one
 field (at any depth) swapped for a JSON value of another type or a
 non-finite number.  Whatever the body, the handler must answer without
-raising, and never with a 500.
+raising, and never with a 500.  The status long poll's ``wait_s`` (and
+the job id beside it) is fuzzed the same way.
 """
 
 import copy
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.app import ServiceApp
+from repro.service.requests import MAX_WAIT_S, request_job_id, validate_request
 
 SUITE_BODY = {
     "kind": "suite",
@@ -137,3 +139,27 @@ def test_every_truncation_is_a_400(app):
 )
 def test_submit_never_answers_500(app, body):
     _assert_answered(app, body)
+
+
+SUITE_JOB_ID = request_job_id(validate_request(SUITE_BODY))
+
+status_targets = st.builds(
+    "/v1/jobs/{}?wait_s={}".format,
+    st.sampled_from([SUITE_JOB_ID, "f" * 64])
+    | st.text(st.characters(blacklist_characters="/?&#"), max_size=70),
+    st.text(max_size=12)
+    | st.floats().map(repr)
+    | st.integers().map(str)
+    | st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "0"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=status_targets)
+def test_status_wait_never_answers_500(app, target):
+    response = app.handle("GET", target)
+    assert 200 <= response.status < 500, (target, response.body[:300])
+    poll = app.long_poll("GET", target)
+    if poll is not None:
+        assert response.status != 400
+        assert 0 <= poll[2] <= MAX_WAIT_S
