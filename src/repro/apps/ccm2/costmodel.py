@@ -404,7 +404,7 @@ def multinode_scaling(
     res: Resolution | str = "T170L18",
     node_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
 ) -> list[tuple[int, float]]:
-    """Gflops vs node count for one resolution (ablation bench target)."""
+    """Gflops vs node count for one resolution (an ablation target)."""
     system = system or MultiNodeSystem(node=sx4_node(), node_count=16)
     return [(n, multinode_gflops(system, res, n)) for n in node_counts]
 

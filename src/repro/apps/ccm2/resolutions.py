@@ -5,7 +5,7 @@ resolution by the truncation wave number and the number of vertical
 layers": T42L18 is triangular truncation 42 with 18 levels on the
 64×128 Gaussian grid.  Table 4 lists the five resolutions the benchmark
 runs, their grids, nominal spacings and timesteps — regenerated verbatim
-by ``benchmarks/bench_table4_resolutions.py``.
+by the ``table4`` experiment.
 """
 
 from __future__ import annotations

@@ -17,9 +17,6 @@ package is the harness that treats it that way:
     parallel fan-out over a process pool with per-job timeouts and
     crash isolation (a dying worker yields a :class:`JobFailure`, never
     kills the run), results always in deterministic paper order;
-``jobs``
-    the bridge feeding measured job metadata to the NQS batch model
-    and the PRODLOAD job shapes;
 ``cli``
     ``python -m repro.engine run|plan|gc|stats``.
 

@@ -10,7 +10,7 @@ The paper's benchmarks all ran inside a single node, so the multi-node
 model exists to (a) regenerate the architecture numbers quoted in
 Section 2 (8 TB/s aggregate memory bandwidth, 128 GB/s bisection for an
 SX-4/512) and (b) support the scalability *extension* experiments in
-``benchmarks/ablations``.
+``tests/test_ablations.py``.
 """
 
 from __future__ import annotations

@@ -64,10 +64,7 @@ class ExecutionReport:
     ``op_names``/``op_cycles`` carry the per-op cycle columns in trace
     order (``op_names`` is shared with the compiled trace, ``op_cycles``
     is the costed cycle vector), so :meth:`dominant_op` is an argmax
-    over a column rather than a walk over Python tuples.  The
-    ``breakdown`` list of ``(name, cycles)`` pairs is only materialised
-    when ``execute(..., breakdown=True)`` asked for it — sweeps that
-    never read it skip the per-op list allocation entirely.
+    over a column rather than a walk over Python tuples.
     """
 
     machine: str
@@ -80,17 +77,6 @@ class ExecutionReport:
     op_names: tuple[str, ...] = field(default=(), repr=False, compare=False)
     #: per-op cycles in trace order (ndarray), parallel to op_names.
     op_cycles: object = field(default=(), repr=False, compare=False)
-    has_breakdown: bool = field(default=False, repr=False, compare=False)
-
-    @property
-    def breakdown(self) -> list[tuple[str, float]]:
-        """Per-op (name, cycles) pairs; empty unless requested at execute."""
-        if not self.has_breakdown:
-            return []
-        return [
-            (name, float(cycles))
-            for name, cycles in zip(self.op_names, self.op_cycles)
-        ]
 
     @property
     def mflops(self) -> float:
@@ -118,11 +104,7 @@ class ExecutionReport:
         return self.bytes_moved / self.seconds
 
     def dominant_op(self) -> str:
-        """Name of the op that consumed the most cycles (for reports).
-
-        Works from the cycle column regardless of whether the
-        ``breakdown`` list was requested.
-        """
+        """Name of the op that consumed the most cycles (for reports)."""
         if not self.op_names:
             return "<empty>"
         return self.op_names[int(np.argmax(self.op_cycles))]
@@ -255,14 +237,11 @@ class Processor:
         perfmon_record("processor", increments)
 
     # -- trace execution ------------------------------------------------------
-    def execute(
-        self, trace: Trace, memory_dilation: float = 1.0, *, breakdown: bool = False
-    ) -> ExecutionReport:
+    def execute(self, trace: Trace, memory_dilation: float = 1.0) -> ExecutionReport:
         """Run a trace to completion and report time and rates.
 
-        ``breakdown=True`` additionally materialises the per-op
-        ``(name, cycles)`` list.  Every call costs the compiled columns
-        afresh, so the report owns its ``op_cycles``.
+        Every call costs the compiled columns afresh, so the report owns
+        its ``op_cycles``.
 
         When a :mod:`repro.perfmon` profile is active, every component
         that times an op also populates its counters — this is the
@@ -299,7 +278,6 @@ class Processor:
             words_moved=compiled.words_moved_total,
             op_names=compiled.names,
             op_cycles=op_cycles,
-            has_breakdown=breakdown,
         )
 
     def time(self, trace: Trace, memory_dilation: float = 1.0) -> float:

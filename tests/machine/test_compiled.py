@@ -38,11 +38,19 @@ def mixed_trace():
 
 
 class TestExactParity:
-    @pytest.mark.parametrize("trace_id", sorted(TRACE_BUILDERS))
-    def test_registered_traces_all_machines(self, trace_id):
+    @pytest.mark.parametrize(
+        ("trace_id", "dilation"),
+        [
+            pytest.param(trace_id, dilation,
+                         id=trace_id if dilation == 1.0 else f"{trace_id}-{dilation}")
+            for dilation in (1.0, 1.37)
+            for trace_id in sorted(TRACE_BUILDERS)
+        ],
+    )
+    def test_registered_traces_all_machines(self, trace_id, dilation):
         trace = build_registered_trace(trace_id)
         for proc in ALL_MACHINES:
-            assert_matches_oracle(proc.execute(trace), proc, trace)
+            assert_matches_oracle(proc.execute(trace, dilation), proc, trace, dilation)
 
     @pytest.mark.parametrize("dilation", [1.0, 1.37, 2.5])
     def test_memory_dilation_parity(self, dilation):

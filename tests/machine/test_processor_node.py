@@ -73,16 +73,9 @@ class TestProcessor:
     def test_breakdown_names_and_dominant(self):
         proc = sx4_processor()
         trace = axpy_trace() + Trace([ScalarOp("tiny", instructions=1)])
-        report = proc.execute(trace, breakdown=True)
-        assert [name for name, _ in report.breakdown] == ["axpy", "tiny"]
-        assert report.dominant_op() == "axpy"
-
-    def test_breakdown_is_opt_in(self):
-        proc = sx4_processor()
-        trace = axpy_trace() + Trace([ScalarOp("tiny", instructions=1)])
         report = proc.execute(trace)
-        assert report.breakdown == []
-        # dominant_op works from the cycle columns even without it.
+        assert report.op_names == ("axpy", "tiny")
+        assert len(report.op_cycles) == 2
         assert report.dominant_op() == "axpy"
 
     def test_vector_unit_requires_memory_model(self):

@@ -154,16 +154,22 @@ class TestCacheSemantics:
         assert result_2.body == result_1.body
 
     def test_hit_never_invokes_engine(self, app, monkeypatch):
-        _, first = submit(app)
-        app.run_pending()
+        # A tag varies the job id, not the work: each tagged body is a
+        # miss when cold, although the store already holds its result.
+        bodies = [SUITE_BODY] + [dict(SUITE_BODY, tag=f"burst-{i}") for i in range(3)]
+        for body in bodies:
+            _, cold = submit(app, body)
+            assert cold["cache"] == CACHE_MISS
+            app.run_pending()
 
         def forbidden(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("cache hit reached the executor")
 
         monkeypatch.setattr(app_module, "run_engine", forbidden)
-        response, payload = submit(app)
-        assert payload["cache"] == CACHE_HIT
-        assert response.status == 200
+        for body in bodies:
+            response, payload = submit(app, body)
+            assert payload["cache"] == CACHE_HIT
+            assert response.status == 200
 
     def test_result_payload_is_deterministic_content(self, app):
         _, payload = submit(app)

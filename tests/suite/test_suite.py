@@ -118,8 +118,8 @@ class TestRunner:
 class TestFastExperiments:
     """Each cheap experiment passes its own shape checks.
 
-    (The expensive ones — prodload, the full figure sweeps — are
-    exercised by the benchmark harness; here we run the quick ones.)
+    (The full suite runs in ``test_repo_consistency.py``'s headline-count
+    test and in the golden archives; here we run the quick ones.)
     """
 
     @pytest.mark.parametrize("exp_id", ["table1", "table2", "table3", "table4",
