@@ -175,16 +175,16 @@ def model_curve(
     ``trace_builder(n, m)`` describes the kernel at one sweep point;
     ``elements_counter(n, m)`` says how many elements of ``a`` it moves
     (default ``n * m``).  The machine model is deterministic, so KTRIES
-    best-of is a no-op here and is not applied.
+    best-of is a no-op here and is not applied.  Every point is costed
+    in one ``execute_all`` call.
     """
     if axes is None:
         axes = sweep_axes()
     counter = elements_counter or (lambda n, m: n * m)
     curve = BandwidthCurve(name=name, machine=processor.name)
-    for n, m in axes:
-        trace = trace_builder(n, m)
-        seconds = processor.time(trace)
+    reports = processor.execute_all([trace_builder(n, m) for n, m in axes])
+    for (n, m), report in zip(axes, reports):
         curve.points.append(
-            BandwidthPoint(n=n, m=m, seconds=seconds, elements_moved=counter(n, m))
+            BandwidthPoint(n=n, m=m, seconds=report.seconds, elements_moved=counter(n, m))
         )
     return curve

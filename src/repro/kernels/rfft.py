@@ -96,13 +96,25 @@ def model_mflops(processor: Processor, n: int, m: int | None = None) -> float:
     """Benchmark-convention Mflops of RFFT at axis length N on a model."""
     if m is None:
         m = fftpack.rfft_instance_count(n)
-    seconds = processor.time(build_trace(n, m))
+    return _mflops(n, m, processor.time(build_trace(n, m)))
+
+
+def _mflops(n: int, m: int, seconds: float) -> float:
     return fftpack.real_fft_flops(n) * m / seconds / MEGA
 
 
 def model_family(processor: Processor) -> dict[str, list[tuple[int, float]]]:
-    """All three Figure 6 curves: family name -> [(N, Mflops), ...]."""
-    return {
-        family: [(n, model_mflops(processor, n)) for n in lengths]
-        for family, lengths in fftpack.rfft_axis_lengths().items()
-    }
+    """All three Figure 6 curves: family name -> [(N, Mflops), ...].
+
+    Every point is costed in one ``execute_all`` call.
+    """
+    families = fftpack.rfft_axis_lengths()
+    points = [
+        (family, n, fftpack.rfft_instance_count(n))
+        for family, lengths in families.items() for n in lengths
+    ]
+    reports = processor.execute_all([build_trace(n, m) for _, n, m in points])
+    curves: dict[str, list[tuple[int, float]]] = {family: [] for family in families}
+    for (family, n, m), report in zip(points, reports):
+        curves[family].append((n, _mflops(n, m, report.seconds)))
+    return curves

@@ -73,19 +73,27 @@ def build_trace(n: int, m: int) -> Trace:
 
 def model_mflops(processor: Processor, n: int, m: int) -> float:
     """Benchmark-convention Mflops of VFFT at (N, M) on a machine model."""
-    seconds = processor.time(build_trace(n, m))
+    return _mflops(n, m, processor.time(build_trace(n, m)))
+
+
+def _mflops(n: int, m: int, seconds: float) -> float:
     return fftpack.real_fft_flops(n) * m / seconds / MEGA
 
 
 def model_family(
     processor: Processor, instance_counts: tuple[int, ...] = fftpack.VFFT_INSTANCE_COUNTS
 ) -> dict[str, list[tuple[int, int, float]]]:
-    """All Figure 7 curves: family name -> [(N, M, Mflops), ...]."""
-    return {
-        family: [
-            (n, m, model_mflops(processor, n, m))
-            for n in lengths
-            for m in instance_counts
-        ]
-        for family, lengths in fftpack.vfft_axis_lengths().items()
-    }
+    """All Figure 7 curves: family name -> [(N, M, Mflops), ...].
+
+    Every (N, M) point is costed in one ``execute_all`` call.
+    """
+    families = fftpack.vfft_axis_lengths()
+    points = [
+        (family, n, m) for family, lengths in families.items()
+        for n in lengths for m in instance_counts
+    ]
+    reports = processor.execute_all([build_trace(n, m) for _, n, m in points])
+    curves: dict[str, list[tuple[int, int, float]]] = {family: [] for family in families}
+    for (family, n, m), report in zip(points, reports):
+        curves[family].append((n, m, _mflops(n, m, report.seconds)))
+    return curves

@@ -1,16 +1,21 @@
-"""Columnar trace compilation: structure-of-arrays lowering of a Trace.
+"""Columnar trace compilation: structure-of-arrays lowering of traces.
 
-Regenerating the paper's tables costs over four hundred traces per pass
-(the vector-length/resolution scans of Figures 5-8, the Table 6
-ensembles, the node model's CPU-count scan).  Walking each
+A regeneration pass costs 431 traces whose median length is 3 ops (the
+vector-length/resolution scans of Figures 5-8, the Table 6 ensembles,
+the node model's CPU-count scan).  Walking each
 :class:`~repro.machine.operations.Trace` one descriptor at a time would
-bound that by interpreter overhead, not by the machine model.  This
-module removes that bound: :func:`compile_trace` lowers a trace into a
+bound that by interpreter overhead, and so would lowering and costing
+each 3-op trace on its own: a fixed few dozen NumPy calls per trace
+then outweigh the model's arithmetic.  :func:`compile_trace` therefore
+lowers all the traces of one costing call together into a
 :class:`CompiledTrace` — float64 columns for every descriptor field, an
-``n_vector_ops x 6`` intrinsic-call matrix, and the trace's distinct
-strides — and :mod:`repro.machine.costmodel` costs every op of a trace
-in a handful of NumPy expressions over those columns, for one machine
-or a whole grid of them.
+``n_vector_ops x 6`` intrinsic-call matrix, the distinct strides, and
+each trace's segment of the rows — and :mod:`repro.machine.costmodel`
+costs every op in a handful of NumPy expressions over those columns,
+for one machine or a whole grid of them.
+:meth:`~repro.machine.processor.Processor.execute_all` and
+:meth:`~repro.machine.suitebatch.SuiteColumns.from_traces` each lower
+their whole list with one call.
 
 The contract with the per-op oracle (the components' ``*_cycles``
 methods, walked by
@@ -40,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -96,28 +100,15 @@ def fsum_columns(matrix: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(column) for column in matrix.T.tolist()])
 
 
-def _concat_column_fields(cls, parts, exclude=()) -> dict[str, np.ndarray]:
-    """Field-wise ``np.concatenate`` over same-typed column sets.
-
-    Concatenation copies raw float64 bit patterns, so every row of the
-    stacked columns is bit-identical to its source row — the property
-    the machine grid's stacked suite pass rests on.
-    """
-    return {
-        f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in dataclass_fields(cls)
-        if f.name not in exclude
-    }
-
-
 @dataclass(frozen=True)
 class VectorColumns:
-    """The vector ops of one trace, one float64 column per field.
+    """The vector ops of one or more traces, one float64 column per field.
 
-    ``index`` maps each row back to its position in the original trace
-    (for scattering per-op cycles into trace order); ``intrinsics`` is
-    an ``n x len(INTRINSICS)`` calls-per-element matrix with columns in
-    :data:`SORTED_INTRINSICS` order.  The derived columns reproduce the
+    ``index`` maps each row back to its op's position (for scattering
+    per-op cycles into trace order): in the concatenation of the traces
+    one compile lowers, or, in a suite stack, in the row's own trace.
+    ``intrinsics`` is an ``n x len(INTRINSICS)`` calls-per-element
+    matrix with columns in :data:`SORTED_INTRINSICS` order.  The derived columns reproduce the
     corresponding :class:`VectorOp` property arithmetic exactly.
     """
 
@@ -205,38 +196,12 @@ class VectorColumns:
             **_distinct_strides(load_stride, store_stride),
         )
 
-    @classmethod
-    def stack(cls, parts: list["VectorColumns"]) -> "VectorColumns":
-        """Concatenate several traces' vector columns into one stack.
-
-        Row values (including the precomputed derived columns) are
-        preserved bit-exactly; ``index`` keeps each row's within-trace
-        position so a segment slice scatters back into its own trace's
-        op order.  The distinct strides are found again over the whole
-        stack.  :class:`~repro.machine.suitebatch.SuiteColumns` stacks
-        a trace suite this way for the machine grid's one-pass suite
-        costing.
-        """
-        if not parts:
-            return cls.from_ops([], [])
-        columns = _concat_column_fields(cls, parts, exclude=_STRIDE_DEDUPE)
-        return cls(
-            **columns,
-            **_distinct_strides(
-                columns["load_stride"].tolist(), columns["store_stride"].tolist()
-            ),
-        )
-
-
-#: VectorColumns fields derived from the whole column set, not per row.
-_STRIDE_DEDUPE = ("strides", "load_stride_index", "store_stride_index")
-
 
 def _distinct_strides(load_stride: list[int], store_stride: list[int]) -> dict:
     """The distinct strides of both streams, and each op's slot in them.
 
-    A set and a dict, not ``np.unique``: a trace has a handful of ops,
-    and this runs once per compile.
+    A set and a dict, not ``np.unique``: a compile has a few ops to a
+    thousand, and this runs once per compile.
     """
     strides = sorted({*load_stride, *store_stride})
     slot = {stride: i for i, stride in enumerate(strides)}
@@ -251,7 +216,7 @@ def _distinct_strides(load_stride: list[int], store_stride: list[int]) -> dict:
 
 @dataclass(frozen=True)
 class ScalarColumns:
-    """The scalar ops of one trace, one float64 column per field."""
+    """The scalar ops of one or more traces, one float64 column per field."""
 
     index: np.ndarray
     instructions: np.ndarray
@@ -283,34 +248,65 @@ class ScalarColumns:
             words_moved=memory_words * count,
         )
 
-    @classmethod
-    def stack(cls, parts: list["ScalarColumns"]) -> "ScalarColumns":
-        """Concatenate several traces' scalar columns (bit-preserving)."""
-        if not parts:
-            return cls.from_ops([], [])
-        return cls(**_concat_column_fields(cls, parts))
-
 
 @dataclass(frozen=True)
 class CompiledTrace:
-    """A trace lowered to structure-of-arrays columns.
+    """One or more traces lowered to structure-of-arrays columns.
 
-    Built by :func:`compile_trace`.  Machine-independent: the same
-    compiled trace costs on any processor or grid, and costing only
-    reads it.  The aggregate totals are exactly-rounded sums of the
-    per-op columns, taken once when the trace is lowered.
+    Built by :func:`compile_trace`, which lowers its traces as one
+    concatenation: ``names`` and each row's ``index`` follow that
+    concatenation, and ``op_offsets``/``vector_offsets``/
+    ``scalar_offsets`` delimit each trace's ops and rows.
+    Machine-independent: the same compiled trace costs on any processor
+    or grid, and costing only reads it.
     """
 
     names: tuple[str, ...]
     vector: VectorColumns
     scalar: ScalarColumns
-    raw_flops_total: float
-    flop_equivalents_total: float
-    words_moved_total: float
+    op_offsets: tuple[int, ...]  # (n_traces + 1,) segment bounds
+    vector_offsets: tuple[int, ...]
+    scalar_offsets: tuple[int, ...]
 
     @property
     def n_ops(self) -> int:
         return len(self.names)
+
+    @property
+    def raw_flops_total(self) -> float:
+        return _total(self.vector.raw_flops, self.scalar.raw_flops)
+
+    @property
+    def flop_equivalents_total(self) -> float:
+        # ScalarOp.flop_equivalents == ScalarOp.raw_flops by definition.
+        return _total(self.vector.flop_equivalents, self.scalar.raw_flops)
+
+    @property
+    def words_moved_total(self) -> float:
+        return _total(self.vector.words_moved, self.scalar.words_moved)
+
+    def segment_totals(self) -> tuple[tuple[float, float, float], ...]:
+        """Each trace's ``(raw_flops, flop_equivalents, words_moved)``.
+
+        Exactly-rounded sums over the trace's own rows, so each is the
+        same double the trace's aggregates and a compile of that trace
+        alone give.
+        """
+        v, s = self.vector, self.scalar
+        scalar_flops = s.raw_flops.tolist()
+        columns = (
+            (v.raw_flops.tolist(), scalar_flops),
+            (v.flop_equivalents.tolist(), scalar_flops),
+            (v.words_moved.tolist(), s.words_moved.tolist()),
+        )
+        vo, so = self.vector_offsets, self.scalar_offsets
+        return tuple(
+            tuple(
+                math.fsum(vector[vo[k]:vo[k + 1]] + scalar[so[k]:so[k + 1]])
+                for vector, scalar in columns
+            )
+            for k in range(len(vo) - 1)
+        )
 
     def scatter_cycles(
         self, vector_cycles: np.ndarray, scalar_cycles: np.ndarray
@@ -323,31 +319,41 @@ class CompiledTrace:
 
 
 def _total(vector_column: np.ndarray, scalar_column: np.ndarray) -> float:
-    """Exact sum of one per-op quantity over a trace's vector and scalar ops."""
+    """Exact sum of one per-op quantity over the vector and scalar ops."""
     return math.fsum(vector_column.tolist() + scalar_column.tolist())
 
 
-def compile_trace(trace: Trace) -> CompiledTrace:
-    """Lower a trace to columns, reading its ops as they are now."""
+def compile_trace(*traces: Trace) -> CompiledTrace:
+    """Lower traces to columns in one pass, reading their ops as they are now.
+
+    Several traces lower as their concatenation, with one
+    ``from_ops`` call per op kind however many traces there are: the
+    per-call NumPy dispatch, not the arithmetic, dominates lowering a
+    trace of a few ops.
+    """
+    names: list[str] = []
     v_pos: list[int] = []
     v_ops: list[VectorOp] = []
     s_pos: list[int] = []
     s_ops: list[ScalarOp] = []
-    for i, op in enumerate(trace.ops):
-        if isinstance(op, VectorOp):
-            v_pos.append(i)
-            v_ops.append(op)
-        else:
-            s_pos.append(i)
-            s_ops.append(op)
-    vector = VectorColumns.from_ops(v_pos, v_ops)
-    scalar = ScalarColumns.from_ops(s_pos, s_ops)
+    op_offsets, vector_offsets, scalar_offsets = [0], [0], [0]
+    for trace in traces:
+        for op in trace.ops:
+            if isinstance(op, VectorOp):
+                v_pos.append(len(names))
+                v_ops.append(op)
+            else:
+                s_pos.append(len(names))
+                s_ops.append(op)
+            names.append(op.name)
+        op_offsets.append(len(names))
+        vector_offsets.append(len(v_ops))
+        scalar_offsets.append(len(s_ops))
     return CompiledTrace(
-        names=tuple(op.name for op in trace.ops),
-        vector=vector,
-        scalar=scalar,
-        raw_flops_total=_total(vector.raw_flops, scalar.raw_flops),
-        # ScalarOp.flop_equivalents == ScalarOp.raw_flops by definition.
-        flop_equivalents_total=_total(vector.flop_equivalents, scalar.raw_flops),
-        words_moved_total=_total(vector.words_moved, scalar.words_moved),
+        names=tuple(names),
+        vector=VectorColumns.from_ops(v_pos, v_ops),
+        scalar=ScalarColumns.from_ops(s_pos, s_ops),
+        op_offsets=tuple(op_offsets),
+        vector_offsets=tuple(vector_offsets),
+        scalar_offsets=tuple(scalar_offsets),
     )

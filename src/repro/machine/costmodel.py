@@ -32,8 +32,8 @@ exact 0.0), so per-op cycles agree bit for bit
 Costing is a pure function of the op columns, the machine parameters
 and the memory dilation.  The intermediate columns a costing computes
 go into the caller's ``memo`` dict, one per call, where the perfmon
-counter reductions below reread them; nothing is kept in module
-globals or on the column sets.
+counter columns below reread them; nothing is kept in module globals
+or on the column sets.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from repro.machine.compiled import SORTED_INTRINSICS, fsum
+from repro.machine.compiled import SORTED_INTRINSICS
 
 __all__ = [
     "check_dilation",
@@ -322,73 +322,75 @@ def vector_op_cycles(p, v, memory_dilation, memo):
 
 
 # -- perfmon counters (one machine) -------------------------------------------
-# Whole-trace totals reduced with exactly-rounded sums from the columns
-# ``vector_op_cycles``/``scalar_op_cycles`` left in ``memo``.  They equal
-# the sum of the components' per-op ``perfmon_counters*`` increments.
-def vector_unit_counters(p, v, memo) -> dict[str, float]:
-    """``vector_unit`` counter totals of a trace's vector loops."""
+# Per-op counter columns, built from the columns ``vector_op_cycles``/
+# ``scalar_op_cycles`` left in ``memo``.  The caller reduces each trace's
+# segment of a column with an exactly-rounded sum; that total equals the
+# sum of the components' per-op ``perfmon_counters*`` increments.
+def vector_unit_counters(p, v, memo) -> dict[str, np.ndarray]:
+    """``vector_unit`` counter columns of vector loops."""
     return {
-        "busy_cycles": fsum(memo["arithmetic"] * v.count),
-        "startup_cycles": fsum(memo["overhead"] * v.count),
-        "vector_instructions": fsum(strips(p, v) * v.count),
-        "vector_elements": fsum(v.elements),
-        "flops": fsum(v.raw_flops),
-        "flop_equivalents": fsum(v.flop_equivalents),
-        "intrinsic_calls": fsum(v.intrinsic_calls_total),
+        "busy_cycles": memo["arithmetic"] * v.count,
+        "startup_cycles": memo["overhead"] * v.count,
+        "vector_instructions": strips(p, v) * v.count,
+        "vector_elements": v.elements,
+        "flops": v.raw_flops,
+        "flop_equivalents": v.flop_equivalents,
+        "intrinsic_calls": v.intrinsic_calls_total,
     }
 
 
-def memory_counters(p, v, memory_dilation, memo) -> dict[str, float]:
-    """``memory`` counter totals; bank-conflict time is the charged time
+def memory_counters(p, v, memory_dilation, memo) -> dict[str, np.ndarray]:
+    """``memory`` counter columns; bank-conflict time is the charged time
     in excess of the conflict-free ideal."""
     load, store = memory_path_cycles(p, v)
     charged = memo["transfer"] * memory_dilation * v.count
     ideal = conflict_free_cycles(p, v) * v.count
     return {
-        "load_cycles": fsum(load * memory_dilation * v.count),
-        "store_cycles": fsum(store * memory_dilation * v.count),
-        "transfer_cycles": fsum(charged),
-        "bank_conflict_cycles": fsum(np.maximum(0.0, charged - ideal)),
-        "sequential_words": fsum(v.sequential_words * v.count),
-        "indexed_words": fsum(v.indexed_words * v.count),
-        "index_words": fsum(index_words(p, v) * v.count),
+        "load_cycles": load * memory_dilation * v.count,
+        "store_cycles": store * memory_dilation * v.count,
+        "transfer_cycles": charged,
+        "bank_conflict_cycles": np.maximum(0.0, charged - ideal),
+        "sequential_words": v.sequential_words * v.count,
+        "indexed_words": v.indexed_words * v.count,
+        "index_words": index_words(p, v) * v.count,
     }
 
 
-def vector_loop_counters(p, v, memo) -> tuple[dict[str, float], dict[str, float]]:
-    """(``scalar_unit``, ``cache``) totals of vector loops run on a
-    cache machine's scalar unit."""
+def vector_loop_counters(p, v, memo) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """(``scalar_unit``, ``cache``) counter columns of vector loops run on
+    a cache machine's scalar unit."""
     stride, working_set = _cache_pattern(v)
     words = (v.loads + v.stores) * v.elements
     misses = words * miss_rate(p, stride, working_set)
     resident = (v.gather + v.scatter) * v.elements  # small-table lookups
     scalar = {
-        "ex_cycles": fsum(memo["vector_loop"] * v.count),
-        "instructions": fsum((v.flops + p.loop_overhead_instructions) * v.elements),
-        "flops": fsum(v.raw_flops),
-        "flop_equivalents": fsum(v.flop_equivalents),
-        "memory_words": fsum(v.words_moved),
-        "intrinsic_calls": fsum(v.intrinsic_calls_total),
+        "ex_cycles": memo["vector_loop"] * v.count,
+        "instructions": (v.flops + p.loop_overhead_instructions) * v.elements,
+        "flops": v.raw_flops,
+        "flop_equivalents": v.flop_equivalents,
+        "memory_words": v.words_moved,
+        "intrinsic_calls": v.intrinsic_calls_total,
     }
     cache = {
-        "ref_words": fsum(words + resident),
-        "hit_words": fsum((words - misses) + resident),
-        "miss_words": fsum(misses),
-        "miss_cycles": fsum(misses * line_fill_cycles(p)),
+        "ref_words": words + resident,
+        "hit_words": (words - misses) + resident,
+        "miss_words": misses,
+        "miss_cycles": misses * line_fill_cycles(p),
     }
     return scalar, cache
 
 
-def scalar_op_counters(p, s, memo) -> tuple[dict[str, float], dict[str, float]]:
-    """(``scalar_unit``, ``cache``) totals of a trace's scalar ops, whose
+def scalar_op_counters(p, s, memo) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """(``scalar_unit``, ``cache``) counter columns of scalar ops, whose
     references are register/cache-resident by construction."""
-    words = fsum(s.words_moved)
+    words = s.words_moved
+    none = np.zeros_like(words)
     scalar = {
-        "ex_cycles": fsum(memo["scalar_op"] * s.count),
-        "instructions": fsum(s.instructions * s.count),
-        "flops": fsum(s.raw_flops),
-        "flop_equivalents": fsum(s.raw_flops),
+        "ex_cycles": memo["scalar_op"] * s.count,
+        "instructions": s.instructions * s.count,
+        "flops": s.raw_flops,
+        "flop_equivalents": s.raw_flops,
         "memory_words": words,
     }
-    cache = {"ref_words": words, "hit_words": words, "miss_words": 0.0, "miss_cycles": 0.0}
+    cache = {"ref_words": words, "hit_words": words, "miss_words": none, "miss_cycles": none}
     return scalar, cache

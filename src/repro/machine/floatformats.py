@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +63,10 @@ class FloatFormat:
     chopped: bool = False
 
     def __post_init__(self) -> None:
-        if self.radix < 2:
-            raise ValueError(f"radix must be >= 2, got {self.radix}")
+        if self.radix < 2 or self.radix & (self.radix - 1):
+            # quantize scales by powers of the radix with ldexp, which a
+            # binary double does exactly only for a power-of-two radix.
+            raise ValueError(f"radix must be a power of two >= 2, got {self.radix}")
         if self.precision < 1:
             raise ValueError(f"precision must be >= 1, got {self.precision}")
         if self.min_exponent >= self.max_exponent:
@@ -81,7 +84,7 @@ class FloatFormat:
         the leading radix-digit may carry as little as one bit)."""
         return (self.precision - 1) * math.log2(self.radix) + 1
 
-    @property
+    @cached_property
     def largest(self) -> float:
         """Largest finite value — capped at the host double's range for
         formats (Cray) whose exponent range exceeds it; the emulation
@@ -92,13 +95,18 @@ class FloatFormat:
             return math.inf
         return (1.0 - self.epsilon / self.radix) * top
 
-    @property
+    @cached_property
     def tiny(self) -> float:
         """Smallest normal value (0.0 if below the host double's range)."""
         try:
             return float(self.radix) ** self.min_exponent
         except OverflowError:  # pragma: no cover - negative exponents underflow
             return 0.0
+
+    @cached_property
+    def _radix_bits(self) -> int:
+        """log2 of the radix (a power of two, checked at construction)."""
+        return self.radix.bit_length() - 1
 
     # -- quantisation -----------------------------------------------------------
     def quantize(self, value: float) -> float:
@@ -110,19 +118,22 @@ class FloatFormat:
         """
         if value == 0.0 or not math.isfinite(value):
             return value
-        magnitude = abs(value)
-        # Exponent e such that radix**(e-1) <= |value| < radix**e.
-        e = math.floor(math.log(magnitude, self.radix)) + 1
-        # log() can be off by one at boundaries; correct it.
-        while float(self.radix) ** (e - 1) > magnitude:
-            e -= 1
-        while float(self.radix) ** e <= magnitude:
-            e += 1
-        scale = float(self.radix) ** (e - self.precision)
-        quotient = value / scale
+        bits = self._radix_bits
+        # Exponent e such that radix**(e-1) <= |value| < radix**e, from
+        # the binary exponent: 2**(b-1) <= |value| < 2**b.
+        e = -(-math.frexp(value)[1] // bits)
+        # |value| scaled to ``precision`` radix digits before the point.
+        # ldexp scales by a power of two exactly and forms no scale factor
+        # ``radix ** k``, which would underflow to 0 or overflow at the
+        # ends of the host double's range.
+        shift = bits * (e - self.precision)
+        quotient = math.ldexp(value, -shift)
         rounded = math.trunc(quotient) if self.chopped else _round_half_even(quotient)
-        result = rounded * scale
-        if math.isfinite(self.largest) and abs(result) > self.largest * (1.0 + 1e-15):
+        try:
+            result = math.ldexp(rounded, shift)
+        except OverflowError:  # rounded up past the host double's range
+            result = math.copysign(math.inf, value)
+        if abs(result) > self.largest * (1.0 + 1e-15):
             raise OverflowError(f"{value!r} overflows format {self.name}")
         if result != 0.0 and abs(result) < self.tiny:
             return 0.0  # flush to zero: no subnormals in the legacy formats

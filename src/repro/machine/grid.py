@@ -487,7 +487,7 @@ def cost_trace_grid(
     costmodel.check_dilation(memory_dilation)
     compiled = compile_trace(trace)
     (cycles,) = _segment_cycles(
-        compiled, grid, memory_dilation, (0, compiled.vector.n), (0, compiled.scalar.n)
+        compiled, grid, memory_dilation, compiled.vector_offsets, compiled.scalar_offsets
     )
     return GridTraceCost.from_cycles(
         trace.name,

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 
 from repro.machine.operations import Trace
 from repro.machine.processor import ExecutionReport, Processor
-from repro.perfmon.collector import replay as perfmon_replay
-from repro.perfmon.collector import tape as perfmon_tape
 from repro.units import MEGA
 
 __all__ = ["Node", "ParallelReport", "block_imbalance"]
@@ -125,12 +123,14 @@ class Node:
         ensemble test and PRODLOAD): they raise the contention the bank
         model sees but contribute no work to this report.
 
-        CPUs handed the same trace object are costed once: that trace is
-        lowered, costed and summed a single time, and every CPU holding
-        it takes its seconds and aggregates.  Under a :mod:`repro.perfmon`
-        profile each further CPU replays the first costing's counter
-        records, so a profile still counts every CPU.  Builders hand
-        CPUs with the same share of the work one trace object.
+        The CPUs' traces are costed in one
+        :meth:`~repro.machine.processor.Processor.execute_all` call at
+        the contention dilation, and the serial trace in a second call
+        undilated.  ``execute_all`` lowers and costs a trace object
+        once however many CPUs hold it, and under a :mod:`repro.perfmon`
+        profile still records counters for every CPU, in CPU order.
+        Builders hand CPUs with the same share of the work one trace
+        object.
         """
         if not cpu_traces:
             raise ValueError("run_parallel needs at least one per-CPU trace")
@@ -139,44 +139,33 @@ class Node:
             raise ValueError(
                 f"{cpus}+{other_active_cpus} active CPUs exceed node size {self.cpu_count}"
             )
-        # Grouped by object, not by content: identity is exact and free,
-        # and it lasts only while this list holds the traces.  Each fsum
-        # still reads one value per CPU, so every total is bit-identical
-        # to summing each CPU's trace afresh.
+        # The contention dilation needs the CPUs' traffic before costing.
+        # Each distinct trace object's sums are read once; each fsum still
+        # reads one value per CPU, so the totals are bit-identical to
+        # summing each CPU's trace afresh.
         distinct = {id(trace): trace for trace in cpu_traces}
-        sums = {
-            key: (t.words_moved, t.irregular_words, t.raw_flops, t.flop_equivalents)
-            for key, t in distinct.items()
-        }
-        words, irregular_words, raw, equiv = (
-            math.fsum(column) for column in zip(*(sums[id(t)] for t in cpu_traces))
+        traffic = {key: (t.words_moved, t.irregular_words) for key, t in distinct.items()}
+        words, irregular_words = (
+            math.fsum(column) for column in zip(*(traffic[id(t)] for t in cpu_traces))
         )
         irregular = 0.0 if words == 0 else irregular_words / words
         assert self.processor.memory is not None  # enforced in __post_init__
         dilation = self.processor.memory.contention_factor(
             cpus + other_active_cpus, irregular
         )
-        # Each distinct trace is costed at the shared dilation by the first
-        # CPU that holds it; later CPUs replay its counter records, in CPU
-        # order, as their own costing would have made them.
-        costed: dict[int, tuple[float, list]] = {}
-        per_cpu = []
-        for trace in cpu_traces:
-            known = costed.get(id(trace))
-            if known is None:
-                with perfmon_tape() as calls:
-                    seconds = self.processor.time(trace, memory_dilation=dilation)
-                known = costed[id(trace)] = (seconds, calls)
-            else:
-                perfmon_replay(known[1])
-            per_cpu.append(known[0])
+        reports = self.processor.execute_all(cpu_traces, memory_dilation=dilation)
+        per_cpu = [report.seconds for report in reports]
+        raw = math.fsum(report.raw_flops for report in reports)
+        equiv = math.fsum(report.flop_equivalents for report in reports)
         parallel_seconds = max(per_cpu)
-        serial_seconds = self.processor.time(serial) if serial is not None else 0.0
+        serial_seconds = 0.0
+        if serial is not None:
+            serial_report = self.processor.execute(serial)
+            serial_seconds = serial_report.seconds
+            raw += serial_report.raw_flops
+            equiv += serial_report.flop_equivalents
         sync = self.sync_seconds(cpus, regions)
         total = parallel_seconds + serial_seconds + sync
-        if serial is not None:
-            raw += serial.raw_flops
-            equiv += serial.flop_equivalents
         return ParallelReport(
             machine=self.name,
             trace_name=trace_name or cpu_traces[0].name,

@@ -1,17 +1,23 @@
 """Processor model: executes operation traces and reports performance.
 
 A :class:`Processor` is a clock plus a scalar unit plus, for vector
-machines, a vector unit and a banked-memory port.  ``execute`` walks a
+machines, a vector unit and a banked-memory port.  ``execute`` runs a
 :class:`~repro.machine.operations.Trace` and produces an
 :class:`ExecutionReport` carrying wall time, Mflops (both raw and
 Cray-equivalent), and sustained memory bandwidth — the three quantities
 the paper's tables and figures report.
 
-There is one costing path.  ``execute`` lowers the trace to
-structure-of-arrays columns (:mod:`repro.machine.compiled`) and costs
-every op with the shared columnar model (:mod:`repro.machine.costmodel`)
-— a handful of NumPy expressions regardless of trace length — reading
-this processor's parameters as plain Python numbers.  The per-op
+There is one costing path.  ``execute_all`` lowers a list of traces to
+structure-of-arrays columns in one pass (:mod:`repro.machine.compiled`)
+and costs every op with the shared columnar model
+(:mod:`repro.machine.costmodel`) — a handful of NumPy expressions
+however many traces and ops the list holds — reading this processor's
+parameters as plain Python numbers; ``execute(trace)`` is
+``execute_all([trace])[0]``.  Builders that cost a scan of traces on one
+processor (the FFT families, the memory-bandwidth curves, STREAM, the
+node model's CPUs) make one ``execute_all`` call, since a trace is
+typically a few ops and the fixed NumPy dispatch per costing call, not
+the model's arithmetic, is what a call costs.  The per-op
 methods (``vector_op_cycles``/``scalar_op_cycles``) stay as the test
 oracle: :meth:`Processor.per_op_cycles` walks a trace through them, and
 the ``math.fsum`` of that list is bit-identical to ``execute``'s total
@@ -21,6 +27,7 @@ both sides reduce with :func:`math.fsum`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -28,7 +35,7 @@ import numpy as np
 
 from repro.machine import costmodel
 from repro.machine.clock import Clock
-from repro.machine.compiled import CompiledTrace, compile_trace, fsum
+from repro.machine.compiled import CompiledTrace, compile_trace
 from repro.machine.memory import BankedMemory
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.scalar_unit import ScalarUnit
@@ -187,72 +194,40 @@ class Processor:
             for op in trace
         ]
 
-    # -- perfmon instrumentation --------------------------------------------
-    def _record_counters(
-        self,
-        compiled: CompiledTrace,
-        memo: dict,
-        vector_cycles: np.ndarray,
-        scalar_cycles: np.ndarray,
-        op_cycles: np.ndarray,
-        dilation: float,
-    ) -> None:
-        """Populate the active profile's counters from column reductions.
-
-        ``memo`` holds the columns this call's costing computed.
-        Produces the same totals as recording each op's per-op
-        ``perfmon_counters*`` (modulo exactly-rounded vs sequential
-        accumulation), with one record per component instead of one per
-        op.
-        """
-        params = self._params
-        v, s = compiled.vector, compiled.scalar
-        if v.n:
-            if params.has_vector:
-                perfmon_record("vector_unit", costmodel.vector_unit_counters(params, v, memo))
-                perfmon_record(
-                    "memory", costmodel.memory_counters(params, v, dilation, memo)
-                )
-            else:
-                scalar, cache = costmodel.vector_loop_counters(params, v, memo)
-                perfmon_record("scalar_unit", scalar)
-                perfmon_record("cache", cache)
-        if s.n:
-            scalar, cache = costmodel.scalar_op_counters(params, s, memo)
-            perfmon_record("scalar_unit", scalar)
-            perfmon_record("cache", cache)
-        # Record only the op kinds that occurred, matching the key set
-        # per-op recording produces (profile diffs compare dict shapes too).
-        increments = {
-            "ops": float(compiled.n_ops),
-            "cycles": fsum(op_cycles),
-            "seconds": fsum(op_cycles * self.clock.period_s),
-        }
-        if v.n:
-            increments["vector_ops"] = float(v.n)
-            increments["vector_cycles"] = fsum(vector_cycles)
-        if s.n:
-            increments["scalar_ops"] = float(s.n)
-            increments["scalar_cycles"] = fsum(scalar_cycles)
-        perfmon_record("processor", increments)
-
     # -- trace execution ------------------------------------------------------
     def execute(self, trace: Trace, memory_dilation: float = 1.0) -> ExecutionReport:
-        """Run a trace to completion and report time and rates.
+        """Run a trace to completion and report time and rates."""
+        return self.execute_all([trace], memory_dilation)[0]
 
-        Every call costs the compiled columns afresh, so the report owns
-        its ``op_cycles``.
+    def execute_all(
+        self, traces: list[Trace], memory_dilation: float = 1.0
+    ) -> list[ExecutionReport]:
+        """Run each trace to completion: one report per entry, in order.
+
+        One lowering and one cost-model pass cover the whole list, and a
+        trace object listed several times is lowered and costed once.
+        Each report equals :meth:`execute` of its trace alone, bit for
+        bit, and owns its ``op_cycles``.
 
         When a :mod:`repro.perfmon` profile is active, every component
         that times an op also populates its counters — this is the
-        "counter emulation" layer of the observability subsystem.
+        "counter emulation" layer of the observability subsystem.  Each
+        entry records its counters, reduced over its trace's segment of
+        the columns, in list order: the calls :meth:`execute` of each
+        entry in turn would make.
         """
         costmodel.check_dilation(memory_dilation)
-        compiled = compile_trace(trace)
+        slot: dict[int, int] = {}
+        distinct: list[Trace] = []
+        for trace in traces:
+            if id(trace) not in slot:
+                slot[id(trace)] = len(distinct)
+                distinct.append(trace)
+        compiled = compile_trace(*distinct)
         params = self._params
         if params is None:
             params = self._params = SimpleNamespace(**costmodel.parameter_row(self))
-        memo: dict = {}  # this call's columns, reread by the counter reductions
+        memo: dict = {}  # this call's columns, reread by the counter columns
         v, s = compiled.vector, compiled.scalar
         vector_cycles = (
             costmodel.vector_op_cycles(params, v, memory_dilation, memo)
@@ -261,25 +236,117 @@ class Processor:
         )
         scalar_cycles = costmodel.scalar_op_cycles(params, s, memo) if s.n else _EMPTY_CYCLES
         op_cycles = compiled.scatter_cycles(vector_cycles, scalar_cycles)
-        total_cycles = fsum(op_cycles)
         if perfmon_active() is not None:
-            perfmon_record("processor", {"traces": 1.0})
-            if compiled.n_ops:
-                self._record_counters(
-                    compiled, memo, vector_cycles, scalar_cycles, op_cycles, memory_dilation
+            records = self._counter_records(
+                compiled, memo, vector_cycles, scalar_cycles, op_cycles, memory_dilation
+            )
+            for trace in traces:
+                for component, increments in records[slot[id(trace)]]:
+                    perfmon_record(component, increments)
+        cycles_of = op_cycles.tolist()
+        bounds = compiled.op_offsets
+        costed = []
+        for k, totals in enumerate(compiled.segment_totals()):
+            start, end = bounds[k], bounds[k + 1]
+            cycles = math.fsum(cycles_of[start:end])
+            costed.append((cycles, self.clock.seconds(cycles), totals, start, end))
+        reports = []
+        handed = [False] * len(distinct)
+        for trace in traces:
+            k = slot[id(trace)]
+            cycles, seconds, totals, start, end = costed[k]
+            # A repeated entry gets a copy, so no two reports share cycles.
+            own = op_cycles[start:end].copy() if handed[k] else op_cycles[start:end]
+            handed[k] = True
+            reports.append(
+                ExecutionReport(
+                    machine=self.name,
+                    trace_name=trace.name,
+                    cycles=cycles,
+                    seconds=seconds,
+                    raw_flops=totals[0],
+                    flop_equivalents=totals[1],
+                    words_moved=totals[2],
+                    op_names=compiled.names[start:end],
+                    op_cycles=own,
                 )
-        return ExecutionReport(
-            machine=self.name,
-            trace_name=trace.name,
-            cycles=total_cycles,
-            seconds=self.clock.seconds(total_cycles),
-            raw_flops=compiled.raw_flops_total,
-            flop_equivalents=compiled.flop_equivalents_total,
-            words_moved=compiled.words_moved_total,
-            op_names=compiled.names,
-            op_cycles=op_cycles,
+            )
+        return reports
+
+    # -- perfmon instrumentation --------------------------------------------
+    def _counter_records(
+        self,
+        compiled: CompiledTrace,
+        memo: dict,
+        vector_cycles: np.ndarray,
+        scalar_cycles: np.ndarray,
+        op_cycles: np.ndarray,
+        dilation: float,
+    ) -> list[list[tuple[str, dict[str, float]]]]:
+        """Each compiled trace's counter records, reduced over its segment.
+
+        ``memo`` holds the columns this call's costing computed.  A
+        trace's records produce the same totals as recording each of its
+        ops' per-op ``perfmon_counters*`` (modulo exactly-rounded vs
+        sequential accumulation), with one record per component instead
+        of one per op.  Only the op kinds a trace holds are recorded,
+        matching the key set per-op recording produces (profile diffs
+        compare dict shapes too).
+        """
+        params = self._params
+        v, s = compiled.vector, compiled.scalar
+        vo, so, oo = compiled.vector_offsets, compiled.scalar_offsets, compiled.op_offsets
+        vector_columns: list = []
+        if v.n and params.has_vector:
+            vector_columns = [
+                ("vector_unit", costmodel.vector_unit_counters(params, v, memo)),
+                ("memory", costmodel.memory_counters(params, v, dilation, memo)),
+            ]
+        elif v.n:
+            vector_columns = list(
+                zip(("scalar_unit", "cache"), costmodel.vector_loop_counters(params, v, memo))
+            )
+        scalar_columns = (
+            list(zip(("scalar_unit", "cache"), costmodel.scalar_op_counters(params, s, memo)))
+            if s.n
+            else []
         )
+        vector_sums = [(name, _segment_sums(cols, vo)) for name, cols in vector_columns]
+        scalar_sums = [(name, _segment_sums(cols, so)) for name, cols in scalar_columns]
+        time_sums = _segment_sums(
+            {"cycles": op_cycles, "seconds": op_cycles * self.clock.period_s}, oo
+        )
+        vector_time = _segment_sums({"vector_cycles": vector_cycles}, vo)
+        scalar_time = _segment_sums({"scalar_cycles": scalar_cycles}, so)
+        records = []
+        for k in range(len(oo) - 1):
+            n_vector, n_scalar = vo[k + 1] - vo[k], so[k + 1] - so[k]
+            calls = [("processor", {"traces": 1.0})]
+            if n_vector:
+                calls += [(name, sums[k]) for name, sums in vector_sums]
+            if n_scalar:
+                calls += [(name, sums[k]) for name, sums in scalar_sums]
+            if n_vector or n_scalar:
+                increments = {"ops": float(n_vector + n_scalar), **time_sums[k]}
+                if n_vector:
+                    increments["vector_ops"] = float(n_vector)
+                    increments.update(vector_time[k])
+                if n_scalar:
+                    increments["scalar_ops"] = float(n_scalar)
+                    increments.update(scalar_time[k])
+                calls.append(("processor", increments))
+            records.append(calls)
+        return records
 
     def time(self, trace: Trace, memory_dilation: float = 1.0) -> float:
         """Shorthand: wall-clock seconds for a trace."""
         return self.execute(trace, memory_dilation).seconds
+
+
+def _segment_sums(columns: dict[str, np.ndarray], offsets) -> list[dict[str, float]]:
+    """Per segment, the exactly-rounded sum of each column, keys in order."""
+    values = {name: column.tolist() for name, column in columns.items()}
+    return [
+        {name: math.fsum(column[start:end]) for name, column in values.items()}
+        for start, end in zip(offsets, offsets[1:])
+    ]

@@ -12,10 +12,9 @@ paths honest when profiling is off.
 A *tape* lets a caller that computes a value once and hands it to many
 consumers still count every consumer: :func:`tape` records the
 :func:`record` calls its block makes, in order, and :func:`replay`
-makes them again.  The node model costs a trace shared by several CPUs
-once and replays its counters for each further CPU; PRODLOAD prices a
-job once and replays it for every copy.  Replaying call by call, in the
-order the calls were first made, keeps every counter total
+makes them again.  PRODLOAD prices a job once and replays it for every
+copy, and a job prices its T42 twins once.  Replaying call by call, in
+the order the calls were first made, keeps every counter total
 bit-identical to costing each consumer afresh.
 
 Two clocks coexist, deliberately:

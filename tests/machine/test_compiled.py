@@ -52,6 +52,33 @@ class TestExactParity:
         for proc in ALL_MACHINES:
             assert_matches_oracle(proc.execute(trace, dilation), proc, trace, dilation)
 
+    @pytest.mark.parametrize("dilation", [1.0, 1.37])
+    def test_execute_all_equals_each_execute(self, dilation):
+        """One batched call over every registered trace, an empty trace
+        and one trace object repeated and interleaved equals costing
+        each entry alone: every report field, the per-op cycles, and
+        the profiled counters, hex for hex."""
+        traces = [build_registered_trace(trace_id) for trace_id in sorted(TRACE_BUILDERS)]
+        repeated = traces[5]
+        batch = [repeated, Trace([], name="empty"), *traces[:8], repeated,
+                 *traces[8:], repeated]
+        for proc in ALL_MACHINES:
+            with profile() as batched:
+                reports = proc.execute_all(batch, dilation)
+            with profile() as alone:
+                expected = [proc.execute(trace, dilation) for trace in batch]
+            assert [_hex_report(r) for r in reports] == [_hex_report(r) for r in expected]
+            assert _hex_counters(batched) == _hex_counters(alone), proc.name
+            # No two entries share an op_cycles array, repeats included.
+            for i, report in enumerate(reports):
+                for other in reports[i + 1:]:
+                    assert not np.shares_memory(report.op_cycles, other.op_cycles)
+
+    def test_execute_all_of_nothing(self):
+        with profile() as prof:
+            assert sx4_processor().execute_all([]) == []
+        assert prof.counters.to_dict() == {}
+
     @pytest.mark.parametrize("dilation", [1.0, 1.37, 2.5])
     def test_memory_dilation_parity(self, dilation):
         proc = sx4_processor()
@@ -127,6 +154,24 @@ class TestExactParity:
                             assert got == pytest.approx(value, rel=1e-12, abs=1e-12), (
                                 f"{where}: {component}.{name}"
                             )
+
+
+def _hex_report(report) -> dict:
+    fields = {
+        f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+    }
+    fields["op_cycles"] = [value.hex() for value in np.asarray(report.op_cycles).tolist()]
+    return {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in fields.items()
+    }
+
+
+def _hex_counters(prof) -> dict:
+    return {
+        component: {name: value.hex() for name, value in bucket.items()}
+        for component, bucket in prof.counters.to_dict().items()
+    }
 
 
 class TestCompileCaching:

@@ -1,11 +1,14 @@
-"""Each distinct trace is lowered and costed once per builder call.
+"""Each builder call lowers its traces together, each distinct trace once.
 
-The node model costs a trace object once however many CPUs hold it,
-the CCM2 and MOM cost models hand every CPU with the same share one
-trace object, and PRODLOAD prices each test's job once.  These tests
-pin the saving as counts of what the program calls, and pin that the
-reports and the perfmon counters match costing every CPU afresh, bit
-for bit.
+``Processor.execute_all`` lowers a list of traces in one
+``compile_trace`` call and costs a trace object once however many
+entries hold it.  The node model costs all its CPUs in one such call
+and the serial trace in another, the CCM2 and MOM cost models hand
+every CPU with the same share one trace object, the scan builders cost
+all their points in one call, and PRODLOAD prices each test's job once.
+These tests pin the saving as counts of what the program calls, and pin
+that the reports and the perfmon counters match costing every CPU
+afresh, bit for bit.
 """
 
 import dataclasses
@@ -21,17 +24,18 @@ from repro.perfmon.collector import profile
 from repro.scheduler.prodload import run_prodload
 from repro.suite.runner import run_suite
 
-#: Lowerings one run_suite() pass makes, of 310 distinct traces.
-SUITE_LOWERINGS = 431
+#: Lowerings (``compile_trace`` calls) one run_suite() pass makes; together
+#: they lower 431 traces, of 310 distinct.
+SUITE_LOWERINGS = 102
 
 
 def _counting(monkeypatch, module, name: str) -> list:
-    """Wrap ``module.name`` so each call appends its first argument."""
+    """Wrap ``module.name`` so each call appends its positional arguments."""
     original = getattr(module, name)
     calls = []
 
     def wrapper(*args, **kwargs):
-        calls.append(args[0] if args else None)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -40,8 +44,13 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 @pytest.fixture
 def lowered(monkeypatch):
-    """The traces ``compile_trace`` lowers while the test runs."""
+    """Each ``compile_trace`` call the processor makes while the test
+    runs: the tuple of traces that one lowering covers."""
     return _counting(monkeypatch, processor_module, "compile_trace")
+
+
+def _ids(lowerings) -> list[list[int]]:
+    return [[id(trace) for trace in traces] for traces in lowerings]
 
 
 def _copy(trace: Trace) -> Trace:
@@ -77,7 +86,7 @@ class TestRunParallel:
     def test_run_replicated_lowers_once(self, lowered):
         trace, _ = _step_traces()
         sx4_node().run_replicated(trace, 32)
-        assert lowered == [trace]
+        assert _ids(lowered) == [[id(trace)]]
 
     def test_run_replicated_equals_distinct_copies(self, lowered):
         trace, _ = _step_traces()
@@ -87,7 +96,8 @@ class TestRunParallel:
         copies = node.run_parallel(
             [_copy(trace) for _ in range(32)], regions=12.0, trace_name=trace.name
         )
-        assert len(lowered) == 33
+        # All 32 copies are distinct objects, lowered in one call.
+        assert [len(traces) for traces in lowered] == [1, 32]
         assert _hex_fields(shared) == _hex_fields(copies)
 
     def test_profiled_counters_equal_distinct_copies(self):
@@ -106,7 +116,9 @@ class TestRunParallel:
         order = [a, b, a, a, b, a]
         with profile() as shared:
             shared_report = node.run_parallel(order, serial=b, regions=3.0)
-        assert [id(t) for t in lowered] == [id(a), id(b), id(b)]
+        # One lowering for the CPUs, each distinct trace once in CPU
+        # order, and one for the serial trace.
+        assert _ids(lowered) == [[id(a), id(b)], [id(b)]]
         with profile() as fresh:
             fresh_report = node.run_parallel(
                 [_copy(t) for t in order], serial=_copy(b), regions=3.0
@@ -118,14 +130,16 @@ class TestRunParallel:
 class TestBuilders:
     def test_ccm2_step_lowers_one_trace_per_distinct_share(self, lowered):
         report = ccm2_cost.parallel_step(sx4_node(), "T170L18", 32)
-        # Three distinct (spectral, grid) shares plus the serial trace.
-        assert len(lowered) == 4
+        # One lowering of the three distinct (spectral, grid) shares, and
+        # one of the serial trace.
+        assert [len(traces) for traces in lowered] == [3, 1]
         assert len(report.per_cpu_seconds) == 32
 
     def test_mom_step_lowers_one_trace_per_distinct_share(self, lowered):
         report = mom_cost.parallel_step(sx4_node(), cpus=32)
-        # Two distinct row shares plus the diagnostics trace.
-        assert len(lowered) == 3
+        # One lowering of the two distinct row shares, and one of the
+        # diagnostics trace.
+        assert [len(traces) for traces in lowered] == [2, 1]
         assert len(report.per_cpu_seconds) == 32
 
     def test_prodload_prices_seven_ccm2_steps(self, monkeypatch):
@@ -143,3 +157,4 @@ class TestBuilders:
     def test_suite_pass_lowering_count(self, lowered):
         run_suite()
         assert len(lowered) == SUITE_LOWERINGS
+        assert sum(len(traces) for traces in lowered) == 431

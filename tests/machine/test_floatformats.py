@@ -42,6 +42,12 @@ class TestFormatDefinitions:
         with pytest.raises(ValueError):
             ff.FloatFormat("bad", radix=2, precision=4, min_exponent=4, max_exponent=4)
 
+    @pytest.mark.parametrize("radix", [3, 10, 12])
+    def test_radix_must_be_a_power_of_two(self, radix):
+        # A binary double scales exactly only by powers of two.
+        with pytest.raises(ValueError, match="power of two"):
+            ff.FloatFormat("bad", radix=radix, precision=4, min_exponent=-4, max_exponent=4)
+
 
 class TestQuantize:
     def test_ieee_double_is_identity_on_doubles(self):
@@ -81,6 +87,21 @@ class TestQuantize:
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             ff.IBM_SINGLE.quantize(1e80)
+
+    @pytest.mark.parametrize("fmt", [ff.IEEE_DOUBLE, ff.CRAY_SINGLE], ids=lambda f: f.name)
+    def test_top_binade_of_the_host_double(self, fmt):
+        # Neither format overflows at 2**1023, though radix**1024 does.
+        assert fmt.quantize(2.0**1023) == 2.0**1023
+        assert fmt.quantize(-(2.0**1023)) == -(2.0**1023)
+
+    @pytest.mark.parametrize("fmt", ff.ALL_FORMATS, ids=lambda f: f.name)
+    def test_subnormal_input(self, fmt):
+        """A host subnormal flushes to zero below the format's range, and
+        Cray's range reaches far below the host double's, so there it
+        stays what it is."""
+        for value in (5e-324, -5e-324, 3 * 5e-324, 2.0**-1050):
+            expected = value if fmt is ff.CRAY_SINGLE else 0.0
+            assert fmt.quantize(value) == expected
 
     def test_zero_and_nonfinite_pass_through(self):
         fmt = ff.CRAY_SINGLE
