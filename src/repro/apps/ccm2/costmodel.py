@@ -86,10 +86,9 @@ class CCM2Cost:
 
     @property
     def total(self) -> Trace:
-        return Trace(
-            ops=self.spectral.ops + self.grid.ops + self.serial.ops,
-            name=f"CCM2 {self.res.name} step",
-        )
+        total = self.spectral + self.grid + self.serial
+        total.name = f"CCM2 {self.res.name} step"
+        return total
 
 
 def _legendre_trace(res: Resolution) -> Trace:

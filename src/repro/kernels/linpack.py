@@ -114,25 +114,24 @@ def build_trace(n: int) -> Trace:
     """
     if n < 2:
         raise ValueError(f"system order must be >= 2, got {n}")
-    ops: list = []
+    trace = Trace(name=f"LINPACK n={n}")
     # Group the elimination axpys into bands of similar vector length to
     # keep the trace compact: lengths n-1 ... 1, each used (length) times.
-    for length in range(n - 1, 0, -1):
-        ops.append(
-            VectorOp(
-                f"dgefa axpy len {length}",
-                length=length,
-                count=float(length),
-                flops_per_element=2.0,
-                # The pivot column stays resident in vector registers
-                # across the rank-1 update, so only one operand streams.
-                loads_per_element=1.0,
-                stores_per_element=1.0,
-            )
-        )
-    ops.append(ScalarOp("pivot search + scale", instructions=30.0, count=float(n)))
+    # They go in as columns, one row per length, with no op object each.
+    lengths = range(n - 1, 0, -1)
+    trace.append_vectors(
+        [f"dgefa axpy len {length}" for length in lengths],
+        lengths,
+        count=[float(length) for length in lengths],
+        flops_per_element=2.0,
+        # The pivot column stays resident in vector registers across the
+        # rank-1 update, so only one operand streams.
+        loads_per_element=1.0,
+        stores_per_element=1.0,
+    )
+    trace.append(ScalarOp("pivot search + scale", instructions=30.0, count=float(n)))
     # Triangular solves: 2n² flops of short-vector axpys.
-    ops.append(
+    trace.append(
         VectorOp(
             "dgesl substitution",
             length=max(1, n // 2),
@@ -142,7 +141,7 @@ def build_trace(n: int) -> Trace:
             stores_per_element=1.0,
         )
     )
-    return Trace(ops, name=f"LINPACK n={n}")
+    return trace
 
 
 def model_mflops(processor: Processor, n: int = 1000) -> float:

@@ -2,18 +2,20 @@
 
 A regeneration pass costs 431 traces whose median length is 3 ops (the
 vector-length/resolution scans of Figures 5-8, the Table 6 ensembles,
-the node model's CPU-count scan).  Walking each
-:class:`~repro.machine.operations.Trace` one descriptor at a time would
-bound that by interpreter overhead, and so would lowering and costing
-each 3-op trace on its own: a fixed few dozen NumPy calls per trace
-then outweigh the model's arithmetic.  :func:`compile_trace` therefore
-lowers all the traces of one costing call together into a
-:class:`CompiledTrace` — float64 columns for every descriptor field, an
-``n_vector_ops x 6`` intrinsic-call matrix, the distinct strides, and
-each trace's segment of the rows — and :mod:`repro.machine.costmodel`
-costs every op in a handful of NumPy expressions over those columns,
-for one machine or a whole grid of them.
-:meth:`~repro.machine.processor.Processor.execute_all` and
+the node model's CPU-count scan).  Lowering and costing each 3-op
+trace on its own would bound that by NumPy's fixed dispatch: a few
+dozen NumPy calls per trace then outweigh the model's arithmetic.  A
+:class:`~repro.machine.operations.Trace` already holds its ops as
+columns, one Python tuple per op field, so :func:`compile_trace`
+lowers all the traces of one costing call together without reading an
+op object: it chains each field's columns across the traces and makes
+one NumPy array per field, giving a :class:`CompiledTrace` — float64
+columns for every descriptor field, an ``n_vector_ops x 6``
+intrinsic-call matrix with the columns some row calls, the distinct
+strides, and each trace's segment of the rows.
+:mod:`repro.machine.costmodel` then costs every op in a handful of
+NumPy expressions over those columns, for one machine or a whole grid
+of them.  :meth:`~repro.machine.processor.Processor.execute_all` and
 :meth:`~repro.machine.suitebatch.SuiteColumns.from_traces` each lower
 their whole list with one call.
 
@@ -25,7 +27,10 @@ parity**:
 * every column expression reproduces the corresponding scalar property
   arithmetic operation-for-operation (same IEEE-754 double ops, same
   association, same accumulation order over the sorted intrinsic
-  names), so per-op cycle counts are bit-identical;
+  names), so per-op cycle counts are bit-identical.  An intrinsic no
+  row of the batch calls would add an exact zero to every row, so
+  lowering and costing skip it; in a cost term one ``+ 0.0`` stands
+  for all such terms, which keeps a zero's sign as the oracle's;
 * aggregates go through :func:`math.fsum`, whose result is the
   correctly-rounded exact sum and therefore independent of summation
   order — so totals are bit-identical too.
@@ -36,24 +41,27 @@ The parity suite (tests/machine/test_compiled*.py) exercises it, and
 Nothing is cached.  :func:`compile_trace` is the only way to lower a
 trace, and it lowers afresh on every call: each builder makes its
 traces anew, so a regeneration pass would never find a lowering to
-reuse, and a trace edited in place is never costed from stale columns.
-The compiled trace is a plain value too: costing is a pure function of
-its columns, the machine parameters and the memory dilation.
+reuse, and a trace's columns are its only state, so none is ever
+costed from stale columns.  The compiled trace is a plain value too:
+costing is a pure function of its columns, the machine parameters and
+the memory dilation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from operator import attrgetter
 
 import numpy as np
 
 from repro.machine.operations import (
     INTRINSIC_FLOP_EQUIV,
     INTRINSICS,
-    ScalarOp,
+    ScalarRows,
     Trace,
-    VectorOp,
+    VectorRows,
 )
 
 __all__ = [
@@ -72,6 +80,7 @@ __all__ = [
 #: per-op loop does (absent intrinsics contribute an exact 0.0), which
 #: is one of the two pillars of the bit-parity guarantee.
 SORTED_INTRINSICS: tuple[str, ...] = tuple(sorted(INTRINSICS))
+_INTRINSIC_COLUMN = {name: i for i, name in enumerate(SORTED_INTRINSICS)}
 
 
 def fsum(values) -> float:
@@ -108,8 +117,10 @@ class VectorColumns:
     per-op cycles into trace order): in the concatenation of the traces
     one compile lowers, or, in a suite stack, in the row's own trace.
     ``intrinsics`` is an ``n x len(INTRINSICS)`` calls-per-element
-    matrix with columns in :data:`SORTED_INTRINSICS` order.  The derived columns reproduce the
-    corresponding :class:`VectorOp` property arithmetic exactly.
+    matrix with columns in :data:`SORTED_INTRINSICS` order, and
+    ``intrinsic_columns`` the columns some row calls.  The derived
+    columns reproduce the corresponding ``VectorOp`` property
+    arithmetic exactly.
     """
 
     index: np.ndarray
@@ -123,6 +134,8 @@ class VectorColumns:
     gather: np.ndarray  # gather_loads_per_element
     scatter: np.ndarray  # scatter_stores_per_element
     intrinsics: np.ndarray  # (n, len(INTRINSICS)) calls per element
+    #: the ``intrinsics`` columns some row calls; costing skips the rest.
+    intrinsic_columns: tuple[int, ...] = ()
 
     # derived, precomputed at compile time (machine-independent)
     elements: np.ndarray = field(repr=False, default=None)
@@ -143,39 +156,46 @@ class VectorColumns:
         return int(self.index.shape[0])
 
     @classmethod
-    def from_ops(cls, positions: list[int], ops: list[VectorOp]) -> "VectorColumns":
-        n = len(ops)
-        length = np.array([op.length for op in ops], dtype=np.float64)
-        count = np.array([op.count for op in ops], dtype=np.float64)
-        flops = np.array([op.flops_per_element for op in ops], dtype=np.float64)
-        loads = np.array([op.loads_per_element for op in ops], dtype=np.float64)
-        stores = np.array([op.stores_per_element for op in ops], dtype=np.float64)
-        gather = np.array([op.gather_loads_per_element for op in ops], dtype=np.float64)
-        scatter = np.array([op.scatter_stores_per_element for op in ops], dtype=np.float64)
+    def from_rows(cls, rows: VectorRows) -> "VectorColumns":
+        """Lower vector rows: a column per ``VectorOp`` field, plus ``position``."""
+        n = len(rows.count)
+        length = np.array(rows.length, dtype=np.float64)
+        count = np.array(rows.count, dtype=np.float64)
+        flops = np.array(rows.flops_per_element, dtype=np.float64)
+        loads = np.array(rows.loads_per_element, dtype=np.float64)
+        stores = np.array(rows.stores_per_element, dtype=np.float64)
+        gather = np.array(rows.gather_loads_per_element, dtype=np.float64)
+        scatter = np.array(rows.scatter_stores_per_element, dtype=np.float64)
         intrinsics = np.zeros((n, len(SORTED_INTRINSICS)), dtype=np.float64)
-        column_of = {name: i for i, name in enumerate(SORTED_INTRINSICS)}
-        for row, op in enumerate(ops):
-            for name, per in op.intrinsic_calls:
-                intrinsics[row, column_of[name]] = per
+        called: set[int] = set()
+        if any(rows.intrinsic_calls):
+            for row, calls in enumerate(rows.intrinsic_calls):
+                for name, per in calls:
+                    column = _INTRINSIC_COLUMN[name]
+                    intrinsics[row, column] = per
+                    called.add(column)
+        used = tuple(sorted(called))
 
         # Derived columns: each expression mirrors the VectorOp property
         # arithmetic (same association), so every entry is bit-identical
-        # to the per-op value.
+        # to the per-op value.  An intrinsic no row calls is skipped: it
+        # would add a zero to every row of two columns that only feed
+        # exactly-rounded sums, where a zero's sign cannot show.
         elements = length * count
         raw = flops * elements
-        equiv = raw.copy()
-        for i, name in enumerate(SORTED_INTRINSICS):
-            equiv = equiv + (INTRINSIC_FLOP_EQUIV[name] * intrinsics[:, i]) * elements
+        equiv = raw
+        calls_total = np.zeros(n, dtype=np.float64)
+        for i in used:
+            per = intrinsics[:, i]
+            equiv = equiv + (INTRINSIC_FLOP_EQUIV[SORTED_INTRINSICS[i]] * per) * elements
+            calls_total = calls_total + per * elements
         sequential = (loads + stores) * length
         indexed = (gather + scatter) * length
         words = (sequential + indexed) * count
-        calls_total = np.zeros(n, dtype=np.float64)
-        for i in range(len(SORTED_INTRINSICS)):
-            calls_total = calls_total + intrinsics[:, i] * elements
-        load_stride = [op.load_stride for op in ops]
-        store_stride = [op.store_stride for op in ops]
+        load_stride = rows.load_stride
+        store_stride = rows.store_stride
         return cls(
-            index=np.array(positions, dtype=np.intp),
+            index=np.array(rows.position, dtype=np.intp),
             length=length,
             count=count,
             flops=flops,
@@ -186,6 +206,7 @@ class VectorColumns:
             gather=gather,
             scatter=scatter,
             intrinsics=intrinsics,
+            intrinsic_columns=used,
             elements=elements,
             raw_flops=raw,
             flop_equivalents=equiv,
@@ -233,14 +254,14 @@ class ScalarColumns:
         return int(self.index.shape[0])
 
     @classmethod
-    def from_ops(cls, positions: list[int], ops: list[ScalarOp]) -> "ScalarColumns":
-        instructions = np.array([op.instructions for op in ops], dtype=np.float64)
-        flops = np.array([op.flops for op in ops], dtype=np.float64)
-        memory_words = np.array([op.memory_words for op in ops], dtype=np.float64)
-        count = np.array([op.count for op in ops], dtype=np.float64)
+    def from_rows(cls, rows: ScalarRows) -> "ScalarColumns":
+        """Lower scalar rows: a column per ``ScalarOp`` field, plus ``position``."""
+        flops = np.array(rows.flops, dtype=np.float64)
+        memory_words = np.array(rows.memory_words, dtype=np.float64)
+        count = np.array(rows.count, dtype=np.float64)
         return cls(
-            index=np.array(positions, dtype=np.intp),
-            instructions=instructions,
+            index=np.array(rows.position, dtype=np.intp),
+            instructions=np.array(rows.instructions, dtype=np.float64),
             flops=flops,
             memory_words=memory_words,
             count=count,
@@ -324,36 +345,48 @@ def _total(vector_column: np.ndarray, scalar_column: np.ndarray) -> float:
 
 
 def compile_trace(*traces: Trace) -> CompiledTrace:
-    """Lower traces to columns in one pass, reading their ops as they are now.
+    """Lower traces to columns in one pass, reading their columns as they are now.
 
-    Several traces lower as their concatenation, with one
-    ``from_ops`` call per op kind however many traces there are: the
-    per-call NumPy dispatch, not the arithmetic, dominates lowering a
-    trace of a few ops.
+    Several traces lower as their concatenation: each field's list is
+    the chain of every trace's column, made one NumPy array for the
+    whole batch.  The per-call NumPy dispatch, not the arithmetic,
+    dominates lowering a trace of a few ops, so it is paid once per call
+    however many traces there are.
     """
-    names: list[str] = []
-    v_pos: list[int] = []
-    v_ops: list[VectorOp] = []
-    s_pos: list[int] = []
-    s_ops: list[ScalarOp] = []
-    op_offsets, vector_offsets, scalar_offsets = [0], [0], [0]
-    for trace in traces:
-        for op in trace.ops:
-            if isinstance(op, VectorOp):
-                v_pos.append(len(names))
-                v_ops.append(op)
-            else:
-                s_pos.append(len(names))
-                s_ops.append(op)
-            names.append(op.name)
-        op_offsets.append(len(names))
-        vector_offsets.append(len(v_ops))
-        scalar_offsets.append(len(s_ops))
+    names = [trace._names for trace in traces]
+    op_offsets = (0, *accumulate(map(len, names)))
+    vector = [trace._vector for trace in traces]
+    scalar = [trace._scalar for trace in traces]
+    vector_rows = _concatenated(VectorRows, vector, op_offsets)
+    scalar_rows = _concatenated(ScalarRows, scalar, op_offsets)
     return CompiledTrace(
-        names=tuple(names),
-        vector=VectorColumns.from_ops(v_pos, v_ops),
-        scalar=ScalarColumns.from_ops(s_pos, s_ops),
-        op_offsets=tuple(op_offsets),
-        vector_offsets=tuple(vector_offsets),
-        scalar_offsets=tuple(scalar_offsets),
+        names=tuple(chain.from_iterable(names)),
+        vector=VectorColumns.from_rows(vector_rows) if vector_rows.position else _NO_VECTORS,
+        scalar=ScalarColumns.from_rows(scalar_rows) if scalar_rows.position else _NO_SCALARS,
+        op_offsets=op_offsets,
+        vector_offsets=_row_offsets(vector),
+        scalar_offsets=_row_offsets(scalar),
     )
+
+
+def _concatenated(kind: type, parts: list[tuple], starts) -> tuple:
+    """The traces' rows of one kind as one column set, in trace order,
+    with each row's position counted from its trace's start among all
+    the ops.  One trace's rows are already that."""
+    if len(parts) == 1:
+        return parts[0]
+    columns = [list(chain.from_iterable(column)) for column in zip(*parts)]
+    columns = columns or [[] for _ in kind._fields]
+    columns[0] = [start + p for start, rows in zip(starts, parts) for p in rows.position]
+    return kind._make(columns)
+
+
+def _row_offsets(parts: list[tuple]) -> tuple[int, ...]:
+    """Each trace's segment bounds among the rows of one kind."""
+    return (0, *accumulate(map(len, map(attrgetter("position"), parts))))
+
+
+#: The lowering of no rows, which most batches have of one kind: costing
+#: reads only its length, so every compile shares it.
+_NO_VECTORS = VectorColumns.from_rows(VectorRows._make([] for _ in VectorRows._fields))
+_NO_SCALARS = ScalarColumns.from_rows(ScalarRows._make([] for _ in ScalarRows._fields))

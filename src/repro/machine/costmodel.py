@@ -121,9 +121,12 @@ def parameter_row(processor) -> dict[str, object]:
     )
 
 
-#: Columns that gather rows (trace positions, distinct-stride slots):
-#: they keep their 1-D shape in a grid view.
-_GATHER_COLUMNS = frozenset({"index", "load_stride_index", "store_stride_index"})
+#: Fields that are no per-op column: row gathers (trace positions,
+#: distinct-stride slots) keep their 1-D shape in a grid view, and the
+#: called intrinsic columns are a tuple of column numbers.
+_NOT_OP_COLUMNS = frozenset(
+    {"index", "load_stride_index", "store_stride_index", "intrinsic_columns"}
+)
 
 
 def grid_view(columns):
@@ -138,7 +141,7 @@ def grid_view(columns):
         **{
             f.name: getattr(columns, f.name)[:, None]
             for f in fields(columns)
-            if f.name not in _GATHER_COLUMNS
+            if f.name not in _NOT_OP_COLUMNS
         },
     )
 
@@ -163,9 +166,10 @@ def arithmetic_cycles(p, v):
     per-op path's exact 0.0, without a branch.
     """
     sets_used = np.minimum(p.concurrent_sets, np.maximum(1.0, v.flops))
-    cycles = v.length * v.flops / (p.pipes * sets_used)
-    for column, rate in enumerate(_rates(p.vector_intrinsic_rates)):
-        cycles = cycles + (v.length * v.intrinsics[..., column]) * rate
+    cycles = v.length * v.flops / (p.pipes * sets_used) + 0.0
+    rates = _rates(p.vector_intrinsic_rates)
+    for column in v.intrinsic_columns:
+        cycles = cycles + (v.length * v.intrinsics[..., column]) * rates[column]
     return cycles
 
 
@@ -271,8 +275,9 @@ def vector_loop_cycles(p, v):
     flop_cycles = v.flops / p.flops_per_cycle
     loop_cycles = p.loop_overhead_instructions / p.issue_width
     intrinsic_cycles = 0.0
-    for column, rate in enumerate(_rates(p.scalar_intrinsic_rates)):
-        intrinsic_cycles = intrinsic_cycles + v.intrinsics[..., column] * rate
+    rates = _rates(p.scalar_intrinsic_rates)
+    for column in v.intrinsic_columns:
+        intrinsic_cycles = intrinsic_cycles + v.intrinsics[..., column] * rates[column]
     per_element = np.maximum(flop_cycles, mem_cycles) + loop_cycles + intrinsic_cycles
     return v.length * per_element
 

@@ -86,14 +86,18 @@ class FloatFormat:
 
     @cached_property
     def largest(self) -> float:
-        """Largest finite value — capped at the host double's range for
-        formats (Cray) whose exponent range exceeds it; the emulation
-        computes in doubles, so values beyond that are unreachable."""
+        """Largest finite value, ``(1 - radix**-precision) * radix**max_exponent``.
+
+        Scaled with ``ldexp``, so a format whose largest value is a host
+        double (IEEE double's 1.7976931348623157e308) gets it exactly.
+        ``inf`` for a format whose range exceeds the host double's
+        (Cray's): the emulation computes in doubles, so no value it
+        handles can exceed it.
+        """
         try:
-            top = float(self.radix) ** self.max_exponent
+            return math.ldexp(1.0 - self.epsilon / self.radix, self._radix_bits * self.max_exponent)
         except OverflowError:
             return math.inf
-        return (1.0 - self.epsilon / self.radix) * top
 
     @cached_property
     def tiny(self) -> float:

@@ -1,12 +1,14 @@
 """Columnar costing: exact parity with the per-op oracle, no stale lowering."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
 from repro.explore.engine import cost_suite_grid
+from repro.machine import costmodel
 from repro.machine.compiled import (
     SORTED_INTRINSICS,
     CompiledTrace,
@@ -186,19 +188,27 @@ class TestCompileCaching:
         assert second.n_ops == first.n_ops + 1
 
     def test_in_place_edit_is_seen(self):
+        """A trace's columns are its only state: its ``ops`` are a
+        read-only view, so no edit can leave stale columns behind, and
+        an edit goes through a trace rebuilt from the edited rows."""
         proc = sx4_processor()
         trace = mixed_trace()
         before = proc.execute(trace)
         compile_trace(trace)
         assert trace.raw_flops == before.raw_flops
-        trace.ops[0] = VectorOp("axpy", length=4096, count=40, flops_per_element=2.0,
-                                loads_per_element=2.0, stores_per_element=1.0)
-        fresh = Trace(list(trace.ops), name=trace.name)
-        assert (compile_trace(trace).vector.length.tolist()
-                == compile_trace(fresh).vector.length.tolist() == [4096.0, 64.0])
-        after = proc.execute(trace)
-        assert after.cycles == proc.execute(fresh).cycles != before.cycles
-        assert trace.raw_flops == fresh.raw_flops == after.raw_flops != before.raw_flops
+        edit = VectorOp("axpy", length=4096, count=40, flops_per_element=2.0,
+                        loads_per_element=2.0, stores_per_element=1.0)
+        with pytest.raises(TypeError):
+            trace.ops[0] = edit
+        assert proc.execute(trace) == before
+        rows = list(trace.ops)
+        rows[0] = edit
+        fresh = Trace(rows, name=trace.name)
+        assert compile_trace(fresh).vector.length.tolist() == [4096.0, 64.0]
+        after = proc.execute(fresh)
+        assert_matches_oracle(after, proc, fresh)
+        assert after.cycles != before.cycles
+        assert fresh.raw_flops == after.raw_flops != before.raw_flops
 
     def test_distinct_machines_do_not_share_costs(self):
         trace = mixed_trace()
@@ -262,6 +272,113 @@ class TestColumns:
             np.array([1.0, 3.0]), np.array([2.0])
         )
         assert out.tolist() == [1.0, 2.0, 3.0]
+
+
+def _hex_compiled(compiled) -> dict:
+    """Every field of a compiled trace, arrays as lists of ``float.hex``."""
+    def as_hex(value):
+        if isinstance(value, np.ndarray):
+            return [as_hex(v) for v in value.tolist()]
+        if isinstance(value, list):
+            return [as_hex(v) for v in value]
+        if isinstance(value, float):
+            return value.hex()
+        return value
+
+    out = {"names": compiled.names, "offsets": (
+        compiled.op_offsets, compiled.vector_offsets, compiled.scalar_offsets)}
+    for kind in ("vector", "scalar"):
+        columns = getattr(compiled, kind)
+        for f in dataclasses.fields(columns):
+            out[f"{kind}.{f.name}"] = as_hex(getattr(columns, f.name))
+    return out
+
+
+def _linpack_ops(n: int) -> list:
+    """LINPACK's trace as op objects, one per row."""
+    ops: list = [
+        VectorOp(f"dgefa axpy len {length}", length=length, count=float(length),
+                 flops_per_element=2.0, loads_per_element=1.0, stores_per_element=1.0)
+        for length in range(n - 1, 0, -1)
+    ]
+    ops.append(ScalarOp("pivot search + scale", instructions=30.0, count=float(n)))
+    ops.append(VectorOp("dgesl substitution", length=max(1, n // 2), count=float(4 * n),
+                        flops_per_element=1.0, loads_per_element=1.0,
+                        stores_per_element=1.0))
+    return ops
+
+
+class TestColumnTraces:
+    """A trace's columns are its only state; the ops are a view of them."""
+
+    def test_linpack_columns_equal_the_same_ops(self):
+        from repro.kernels import linpack
+
+        built = linpack.build_trace(1000)
+        by_ops = Trace(_linpack_ops(1000), name="LINPACK n=1000")
+        assert len(built) == len(by_ops) == 1001
+        assert built.ops == by_ops.ops
+        assert _hex_compiled(compile_trace(built)) == _hex_compiled(compile_trace(by_ops))
+        for total in ("raw_flops", "flop_equivalents", "words_moved", "irregular_words"):
+            assert getattr(built, total).hex() == getattr(by_ops, total).hex(), total
+        for proc in ALL_MACHINES:
+            assert _hex_report(proc.execute(built)) == _hex_report(proc.execute(by_ops))
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        trace = mixed_trace() + build_registered_trace("linpack").scaled(0.5)
+        clone = pickle.loads(pickle.dumps(trace))
+        assert clone.name == trace.name
+        assert clone.ops == trace.ops
+        assert _hex_compiled(compile_trace(clone)) == _hex_compiled(compile_trace(trace))
+        proc = sx4_processor()
+        assert _hex_report(proc.execute(clone)) == _hex_report(proc.execute(trace))
+        clone.append(ScalarOp("extra", instructions=1.0))
+        assert len(clone) == len(trace) + 1
+
+    def test_ops_are_a_read_only_view(self):
+        trace = mixed_trace()
+        assert isinstance(trace.ops, tuple)
+        with pytest.raises(AttributeError):
+            trace.ops = []
+        assert trace.ops is not trace.ops  # rebuilt on every read
+        assert list(trace) == list(trace.ops)
+
+    @pytest.mark.parametrize("with_calls", [False, True], ids=["no-intrinsics", "intrinsics"])
+    def test_signed_zeros_match_the_oracle(self, with_calls):
+        """Absent intrinsics add one exact ``+ 0.0``: a zero's sign comes
+        out as the per-op oracle's, on every preset, also in a batch
+        where no row calls an intrinsic and every column is skipped."""
+        ops = [
+            VectorOp("negzero flops", length=64, count=3.0, flops_per_element=-0.0,
+                     loads_per_element=1.0),
+            VectorOp("negzero count", length=64, count=-0.0, flops_per_element=2.0,
+                     loads_per_element=1.0, stores_per_element=1.0),
+            VectorOp("both", length=8, count=-0.0, flops_per_element=-0.0),
+            ScalarOp("negzero scalar", instructions=10.0, count=-0.0),
+        ]
+        if with_calls:
+            ops.append(VectorOp.make("calls", 16, count=-0.0, flops_per_element=-0.0,
+                                     intrinsics={"exp": 1.0}))
+        trace = Trace(ops)
+        vector_ops = [op for op in ops if isinstance(op, VectorOp)]
+        columns = compile_trace(trace).vector
+        for proc in ALL_MACHINES:
+            for dilation in (1.0, 1.37):
+                report = proc.execute(trace, dilation)
+                oracle = oracle_report(proc, trace, dilation)
+                assert _hex_report(report) == _hex_report(oracle), proc.name
+            # The per-execution terms, before a positive startup or loop
+            # overhead hides a zero's sign.
+            params = SimpleNamespace(**costmodel.parameter_row(proc))
+            if proc.vector is not None:
+                terms = costmodel.arithmetic_cycles(params, columns)
+                expected = [proc.vector.arithmetic_cycles(op) for op in vector_ops]
+            else:
+                terms = costmodel.vector_loop_cycles(params, columns)
+                expected = [proc.scalar.vector_op_cycles(op) for op in vector_ops]
+            assert [t.hex() for t in terms.tolist()] == [e.hex() for e in expected], proc.name
 
 
 def test_fsum_matches_math_fsum():

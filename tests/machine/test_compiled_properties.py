@@ -129,3 +129,88 @@ def test_compiled_matches_trace_aggregates(trace):
     assert report.raw_flops == trace.raw_flops
     assert report.flop_equivalents == trace.flop_equivalents
     assert report.words_moved == trace.words_moved
+
+
+# -- column operations against the row view ---------------------------------
+# A trace stores its ops as columns, and ``Trace.ops`` rebuilds them as a
+# read-only row view.  Scaling and joining work on the columns alone; each
+# must equal the same operation done op by op on the row view, as
+# ``float.hex``, so no signed zero or last bit may differ.
+
+factors = st.floats(min_value=0.0, max_value=1e3, allow_nan=False) | st.just(0.0)
+
+
+def _as_hex(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_as_hex(v) for v in value)
+    return value
+
+
+def _rows(trace) -> list[tuple]:
+    """Each op of the row view as (kind, every field), floats as hex."""
+    return [
+        (type(op).__name__, *(_as_hex(getattr(op, f)) for f in op.__dataclass_fields__))
+        for op in trace.ops
+    ]
+
+
+def _hex_costs(processor, trace) -> tuple:
+    report = processor.execute(trace)
+    return (
+        [value.hex() for value in report.op_cycles.tolist()],
+        report.raw_flops.hex(),
+        report.flop_equivalents.hex(),
+        report.words_moved.hex(),
+    )
+
+
+@given(trace=traces, factor=factors)
+@settings(max_examples=60)
+def test_scaled_equals_scaling_each_op(trace, factor):
+    by_ops = Trace([op.scaled(factor) for op in trace.ops], name=trace.name)
+    scaled = trace.scaled(factor)
+    assert _rows(scaled) == _rows(by_ops)
+    for processor in (SX4, CACHE_MACHINE):
+        assert _hex_costs(processor, scaled) == _hex_costs(processor, by_ops)
+
+
+@given(first=traces, second=traces)
+@settings(max_examples=60)
+def test_join_equals_joining_the_ops(first, second):
+    by_ops = Trace([*first.ops, *second.ops], name=first.name)
+    joined = first + second
+    assert _rows(joined) == _rows(by_ops)
+    for processor in (SX4, CACHE_MACHINE):
+        assert _hex_costs(processor, joined) == _hex_costs(processor, by_ops)
+
+
+@given(trace=traces, f1=factors, f2=factors)
+@settings(max_examples=40)
+def test_scaled_twice_keeps_the_association(trace, f1, f2):
+    twice = trace.scaled(f1).scaled(f2)
+    assert [_as_hex(op.count) for op in twice.ops] == [
+        _as_hex((op.count * f1) * f2) for op in trace.ops
+    ]
+
+
+@given(trace=traces)
+@settings(max_examples=60)
+def test_aggregates_equal_fsum_of_the_row_view(trace):
+    ops = trace.ops
+    vector = [op for op in ops if isinstance(op, VectorOp)]
+    assert trace.raw_flops.hex() == math.fsum(op.raw_flops for op in ops).hex()
+    assert trace.flop_equivalents.hex() == math.fsum(op.flop_equivalents for op in ops).hex()
+    assert trace.words_moved.hex() == math.fsum(op.words_moved for op in ops).hex()
+    assert trace.indexed_words_total.hex() == math.fsum(
+        op.indexed_words * op.count for op in vector
+    ).hex()
+    assert trace.irregular_words.hex() == math.fsum(op.irregular_words for op in vector).hex()
+    calls: dict[str, list[float]] = {}
+    for op in vector:
+        for name, value in op.intrinsic_calls_total.items():
+            calls.setdefault(name, []).append(value)
+    assert {name: total.hex() for name, total in trace.intrinsic_calls_total.items()} == {
+        name: math.fsum(values).hex() for name, values in calls.items()
+    }

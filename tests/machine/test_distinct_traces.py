@@ -8,7 +8,9 @@ every CPU with the same share one trace object, the scan builders cost
 all their points in one call, and PRODLOAD prices each test's job once.
 These tests pin the saving as counts of what the program calls, and pin
 that the reports and the perfmon counters match costing every CPU
-afresh, bit for bit.
+afresh, bit for bit.  A trace holds its ops as columns, so they also
+count the op objects a pass constructs: scaling, joining, lowering and
+costing a trace construct none.
 """
 
 import dataclasses
@@ -18,8 +20,10 @@ import pytest
 import repro.machine.processor as processor_module
 from repro.apps.ccm2 import costmodel as ccm2_cost
 from repro.apps.mom import costmodel as mom_cost
-from repro.machine.operations import Trace
-from repro.machine.presets import sx4_node
+from repro.kernels import linpack
+from repro.machine.compiled import compile_trace
+from repro.machine.operations import ScalarOp, Trace, VectorOp
+from repro.machine.presets import sx4_node, sx4_processor
 from repro.perfmon.collector import profile
 from repro.scheduler.prodload import run_prodload
 from repro.suite.runner import run_suite
@@ -27,6 +31,11 @@ from repro.suite.runner import run_suite
 #: Lowerings (``compile_trace`` calls) one run_suite() pass makes; together
 #: they lower 431 traces, of 310 distinct.
 SUITE_LOWERINGS = 102
+#: The ``VectorOp`` objects a warm run_suite() pass constructs (2,839
+#: when a trace was a list of ops): builders still describe most loops
+#: as ops, but scaling, joining and lowering a trace make none, and
+#: LINPACK's 999 elimination axpys go in as columns.
+SUITE_VECTOR_OPS = 990
 
 
 def _counting(monkeypatch, module, name: str) -> list:
@@ -40,6 +49,25 @@ def _counting(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def _counting_ops(monkeypatch) -> dict[str, int]:
+    """Count each ``VectorOp``/``ScalarOp`` constructed from now on, by
+    class name."""
+    counts = {"VectorOp": 0, "ScalarOp": 0}
+    for kind in (VectorOp, ScalarOp):
+        def counted(op, original=kind.__post_init__, name=kind.__name__):
+            counts[name] += 1
+            original(op)
+
+        monkeypatch.setattr(kind, "__post_init__", counted)
+    return counts
+
+
+@pytest.fixture
+def made(monkeypatch) -> dict[str, int]:
+    """The op objects constructed while the test runs, by class name."""
+    return _counting_ops(monkeypatch)
 
 
 @pytest.fixture
@@ -158,3 +186,28 @@ class TestBuilders:
         run_suite()
         assert len(lowered) == SUITE_LOWERINGS
         assert sum(len(traces) for traces in lowered) == 431
+
+    def test_suite_pass_vector_op_count(self, monkeypatch):
+        run_suite()  # warm: first-call set-up is not part of a pass
+        made = _counting_ops(monkeypatch)
+        run_suite()
+        assert made["VectorOp"] <= SUITE_VECTOR_OPS
+
+
+class TestNoOpObjects:
+    """Trace operations work on columns: they construct no op object."""
+
+    def test_scaling_joining_lowering_and_costing(self, monkeypatch):
+        cost = ccm2_cost.step_trace("T42L18")
+        made = _counting_ops(monkeypatch)
+        trace = (cost.spectral.scaled(0.25) + cost.grid.scaled(0.5)) * 3.0
+        compile_trace(trace, cost.serial)
+        sx4_processor().execute_all([trace, cost.serial])
+        sx4_node().run_parallel([trace, trace], serial=cost.serial)
+        assert trace.irregular_words < trace.words_moved < trace.flop_equivalents
+        assert made == {"VectorOp": 0, "ScalarOp": 0}
+
+    def test_linpack_builds_two_ops(self, made):
+        trace = linpack.build_trace(1000)
+        assert len(trace) == 1001
+        assert made == {"VectorOp": 1, "ScalarOp": 1}

@@ -1,6 +1,7 @@
 """Tests for the SX-4's three hardware floating-point formats."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +42,22 @@ class TestFormatDefinitions:
             ff.FloatFormat("bad", radix=2, precision=0, min_exponent=-4, max_exponent=4)
         with pytest.raises(ValueError):
             ff.FloatFormat("bad", radix=2, precision=4, min_exponent=4, max_exponent=4)
+
+    @pytest.mark.parametrize(
+        ("fmt", "largest"),
+        [
+            pytest.param(fmt, largest, id=fmt.name)
+            for fmt, largest in (
+                (ff.IEEE_DOUBLE, sys.float_info.max),  # 1.7976931348623157e308
+                (ff.IEEE_SINGLE, float(np.finfo(np.float32).max)),
+                (ff.IBM_SINGLE, (1.0 - 16.0**-6) * 16.0**63),
+                # Cray's range exceeds the host double's.
+                (ff.CRAY_SINGLE, math.inf),
+            )
+        ],
+    )
+    def test_largest(self, fmt, largest):
+        assert fmt.largest.hex() == largest.hex()
 
     @pytest.mark.parametrize("radix", [3, 10, 12])
     def test_radix_must_be_a_power_of_two(self, radix):

@@ -146,3 +146,108 @@ class TestTrace:
             trace.append("not an op")
         with pytest.raises(TypeError):
             Trace(["junk"])
+
+
+NAN = float("nan")
+
+#: Every numeric VectorOp field with a valid value; NaN must be rejected
+#: in each, with the message a negative value gets.
+VECTOR_FIELDS = {
+    "length": (8, "vector length must be >= 1"),
+    "count": (1.0, "count cannot be negative"),
+    "flops_per_element": (1.0, "flops_per_element cannot be negative"),
+    "loads_per_element": (1.0, "loads_per_element cannot be negative"),
+    "stores_per_element": (1.0, "stores_per_element cannot be negative"),
+    "load_stride": (1, "strides are positive element counts"),
+    "store_stride": (1, "strides are positive element counts"),
+    "gather_loads_per_element": (1.0, "gather_loads_per_element cannot be negative"),
+    "scatter_stores_per_element": (1.0, "scatter_stores_per_element cannot be negative"),
+}
+
+
+class TestNaNRejected:
+    @pytest.mark.parametrize("field", sorted(VECTOR_FIELDS))
+    def test_vector_op_field(self, field):
+        values = {name: value for name, (value, _) in VECTOR_FIELDS.items()}
+        values[field] = NAN
+        with pytest.raises(ValueError, match=VECTOR_FIELDS[field][1]):
+            VectorOp("a", **values)
+
+    def test_vector_op_intrinsic_calls(self):
+        with pytest.raises(ValueError, match="intrinsic call count cannot be negative"):
+            VectorOp.make("a", 8, intrinsics={"exp": NAN})
+
+    @pytest.mark.parametrize("field", ["instructions", "flops", "memory_words", "count"])
+    def test_scalar_op_field(self, field):
+        values = {"instructions": 10.0, "flops": 1.0, "memory_words": 1.0, "count": 1.0}
+        values[field] = NAN
+        with pytest.raises(ValueError, match=f"{field} cannot be negative"):
+            ScalarOp("s", **values)
+
+    @pytest.mark.parametrize("field", sorted(VECTOR_FIELDS))
+    def test_bulk_append_field(self, field):
+        values = {name: [value, value] for name, (value, _) in VECTOR_FIELDS.items()}
+        values[field] = [values[field][0], NAN]
+        trace = Trace(name="t")
+        with pytest.raises(ValueError, match=VECTOR_FIELDS[field][1]):
+            trace.append_vectors(["a", "b"], **values)
+        assert len(trace) == 0
+
+    @pytest.mark.parametrize("ops", [[], [VectorOp("a", 4)], [ScalarOp("s", 1.0)]])
+    @pytest.mark.parametrize("factor", [NAN, -1.0])
+    def test_scale_factor(self, ops, factor):
+        trace = Trace(ops)
+        with pytest.raises(ValueError, match="scale factor cannot be negative"):
+            trace.scaled(factor)
+        for op in ops:
+            with pytest.raises(ValueError, match="scale factor cannot be negative"):
+                op.scaled(factor)
+
+
+class TestAppendVectors:
+    def test_rows_equal_the_same_ops(self):
+        trace = Trace([ScalarOp("s", instructions=5.0)], name="t")
+        trace.append_vectors(
+            ["x", "y", "z"],
+            [4, 8, 16],
+            count=[1.0, 2.0, 0.0],
+            flops_per_element=2.0,
+            load_stride=[1, 3, 1],
+        )
+        assert trace.ops == (
+            ScalarOp("s", instructions=5.0),
+            VectorOp("x", 4, count=1.0, flops_per_element=2.0),
+            VectorOp("y", 8, count=2.0, flops_per_element=2.0, load_stride=3),
+            VectorOp("z", 16, count=0.0, flops_per_element=2.0),
+        )
+
+    def test_no_rows(self):
+        trace = Trace(name="t")
+        trace.append_vectors([], [], count=2.0)
+        assert trace.ops == ()
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ValueError, match="count has 1 values for 2 rows"):
+            Trace().append_vectors(["a", "b"], 8, count=[1.0])
+
+    def test_unknown_field(self):
+        with pytest.raises(TypeError, match="flops"):
+            Trace().append_vectors(["a"], 8, flops=1.0)
+
+
+class TestColumns:
+    def test_scaled_and_joined_traces_do_not_share_edits(self):
+        base = Trace([VectorOp("a", 4, count=2.0)], name="base")
+        scaled = base.scaled(3.0)
+        joined = base + scaled
+        base.append(ScalarOp("s", 1.0))
+        scaled.append_vectors(["b"], 2)
+        assert [op.name for op in base] == ["a", "s"]
+        assert [op.name for op in scaled] == ["a", "b"]
+        assert [(op.name, op.count) for op in joined] == [("a", 2.0), ("a", 6.0)]
+
+    def test_failed_extend_appends_nothing(self):
+        trace = Trace([VectorOp("a", 4)])
+        with pytest.raises(TypeError):
+            trace.extend([VectorOp("b", 4), "junk"])
+        assert [op.name for op in trace] == ["a"]
