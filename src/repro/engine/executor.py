@@ -1,9 +1,12 @@
 """Parallel experiment execution with crash isolation and retry.
 
-``execute_jobs`` fans experiment builders out over a
-``ProcessPoolExecutor`` (forked workers where the platform has them, so
-the registry state the parent sees is exactly what workers see).  The
-isolation contract:
+``execute_jobs`` fans experiment builders out over the workers of a
+:class:`WorkerPool` (forked where the platform has fork).  A caller that
+makes many engine calls, such as the service, keeps one pool for its
+lifetime; without one, each call forks a pool and shuts it down before
+it returns, so its workers see the registry exactly as the parent does
+at that call.  Kept workers see the registry and the source pins as
+they were when the pool forked.  The isolation contract:
 
 * a builder that **raises** comes back as a structured
   :class:`JobFailure` (kind ``error``) carrying the traceback;
@@ -40,16 +43,19 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import threading
 import time
 import traceback
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.engine.deps import ExperimentDigest, code_mismatch, experiment_code
 from repro.engine.plan import HIT, ExecutionPlan, plan_suite
 from repro.engine.store import ResultStore, canonical_bytes
+from repro.perfmon.collector import deactivate as perfmon_deactivate
 from repro.perfmon.collector import record as perfmon_record
 from repro.perfmon.collector import span as perfmon_span
 from repro.perfmon.counters import declare_counters
@@ -62,6 +68,7 @@ __all__ = [
     "JobFailure",
     "DeterminismError",
     "EngineReport",
+    "WorkerPool",
     "execute_jobs",
     "run_engine",
 ]
@@ -70,6 +77,9 @@ EXECUTED = "executed"
 CACHE = "cache"
 
 declare_counters("fault", ("retries", "backoff_s", "serial_fallbacks"))
+
+#: How often a pool worker checks that the process that forked it lives.
+OWNER_POLL_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -239,6 +249,100 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
+def _start_worker(owner_pid: int) -> None:
+    """Pool-worker initializer: no inherited profile, no life past the owner.
+
+    A worker forked inside a perfmon profile would record counters and
+    spans nobody reads, and a kept worker would pile them up job after
+    job.  The watch thread ends a worker whose owner died without
+    shutting its pool down (``kill -9``).
+    """
+    perfmon_deactivate()
+    threading.Thread(
+        target=_exit_with_owner, args=(owner_pid,), name="repro-owner-watch", daemon=True
+    ).start()
+
+
+def _exit_with_owner(owner_pid: int) -> None:
+    while os.getppid() == owner_pid:
+        time.sleep(OWNER_POLL_S)
+    os._exit(0)
+
+
+class WorkerPool:
+    """Engine worker processes kept across calls, replaced when they break.
+
+    The workers fork on the first submission.  A pool is replaced by a
+    fresh one, again forked on its next use, when a worker died
+    (``BrokenProcessPool``), when a job overran its timeout (its worker
+    may stay busy past it), and in a process other than the one that
+    made it (a forked owner).  Jobs already handed to the old workers,
+    from any thread, still finish there.  :meth:`close` shuts the
+    workers down; a later submission forks new ones.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        if jobs < 1:
+            raise ValueError(f"need at least one worker, got {jobs}")
+        self.jobs = jobs
+        self._lock = threading.Lock()
+        self._executor: ProcessPoolExecutor | None = None
+        self._owner_pid = 0
+
+    def _live(self) -> ProcessPoolExecutor:
+        if self._executor is None or self._owner_pid != os.getpid():
+            self._owner_pid = os.getpid()
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=_pool_context(),
+                initializer=_start_worker,
+                initargs=(self._owner_pid,),
+            )
+        return self._executor
+
+    def submit(self, fn, /, *args) -> Future:
+        """Queue ``fn(*args)`` on the workers, forking them if there are none.
+
+        Workers that broke since the last call (one died while idle)
+        are replaced first, so the job does not fail for their death.
+        """
+        with self._lock:
+            try:
+                return self._live().submit(fn, *args)
+            except BrokenProcessPool:
+                self._retire()
+                return self._live().submit(fn, *args)
+
+    def replace(self) -> None:
+        """Retire the live workers: the next submission forks new ones.
+
+        Nothing queued is cancelled and nothing is waited for, so a job
+        of another thread still finishes in the old workers, and a hung
+        one holds up no later call.
+        """
+        with self._lock:
+            self._retire()
+
+    def _retire(self) -> None:
+        executor, self._executor = self._executor, None
+        if executor is not None and self._owner_pid == os.getpid():
+            executor.shutdown(wait=False)
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the workers down, cancelling the jobs none of them started.
+
+        ``wait`` blocks until they have exited; a caller that abandoned
+        a running job passes False rather than wait for it.
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+            if executor is None or self._owner_pid != os.getpid():
+                return
+        # Waiting lets the pool's manager thread close its wake-up pipe
+        # before the interpreter's exit hook writes to it.
+        executor.shutdown(wait=wait, cancel_futures=True)
+
+
 def _finish_span(span, outcome: JobResult | JobFailure, queue_s: float | None = None):
     """Annotate an engine:job span with how the job went (span may be
     None when no profile is active)."""
@@ -269,11 +373,15 @@ def execute_jobs(
     timeout_s: float | None = None,
     cache_status: dict[str, str] | None = None,
     injector=None,
+    pool: WorkerPool | None = None,
 ) -> list[JobResult | JobFailure]:
     """Run builders, ``jobs`` at a time; results in request order.
 
     ``jobs=1`` runs inline in this process (no pool, no pickling) —
     the serial reference path the parallel one must byte-match.
+    Otherwise the jobs run in ``pool``'s workers, or, without one, in a
+    :class:`WorkerPool` of ``min(jobs, len(exp_ids))`` workers made for
+    this call and shut down before it returns.
     ``timeout_s`` is per job, measured while the engine waits on it.
     ``cache_status`` (exp_id -> plan status, e.g. ``miss``/``stale``)
     only annotates the perfmon spans; execution ignores it.
@@ -313,16 +421,17 @@ def execute_jobs(
         return results
 
     results = []
-    # Pinned before the pool forks, so forked workers inherit every pin.
+    # Pinned before a one-call pool forks, so its workers inherit every pin.
     codes = {exp_id: _job_code(exp_id) for exp_id in ids}
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(ids)), mp_context=_pool_context())
+    owned = WorkerPool(min(jobs, len(ids))) if pool is None else None
+    workers = owned or pool
     timed_out = False
     try:
         submitted = time.perf_counter()
         futures = [
             (
                 exp_id,
-                pool.submit(
+                workers.submit(
                     _execute_job,
                     exp_id,
                     _poll_fault(injector, exp_id, in_worker=True),
@@ -342,6 +451,8 @@ def execute_jobs(
                     outcome = _from_payload(future.result(timeout=timeout_s))
                 except FutureTimeoutError:
                     future.cancel()
+                    if not timed_out:
+                        workers.replace()  # the overrunning worker may stay busy
                     timed_out = True
                     elapsed = time.perf_counter() - submitted
                     outcome = JobFailure(
@@ -367,10 +478,9 @@ def execute_jobs(
                 _finish_span(job_span, outcome)
             results.append(outcome)
     finally:
-        # Waiting lets the pool's manager thread close its wake-up pipe
-        # before the interpreter's exit hook writes to it.  After a
-        # timeout a hung worker must not block the caller, so don't wait.
-        pool.shutdown(wait=not timed_out, cancel_futures=True)
+        if owned is not None:
+            # After a timeout a hung worker must not block the caller.
+            owned.close(wait=not timed_out)
     return results
 
 
@@ -461,6 +571,7 @@ def run_engine(
     verify: bool = False,
     retry=None,
     injector=None,
+    pool: WorkerPool | None = None,
 ) -> EngineReport:
     """Plan, execute what's stale, persist, splice cache hits back in.
 
@@ -469,7 +580,9 @@ def run_engine(
     the attempt budget runs out; repeated crash rounds degrade the
     pool to serial execution.  ``injector`` threads a seeded fault
     plan through submissions and store writes; with neither set the
-    behavior is exactly the pre-resilience engine.
+    behavior is exactly the pre-resilience engine.  ``pool`` is the
+    caller's kept :class:`WorkerPool` for rounds run at ``jobs > 1``
+    (see :func:`execute_jobs`).
     """
     store = store if store is not None else ResultStore()
     if injector is not None:
@@ -512,7 +625,7 @@ def run_engine(
     def run_round(ids: list[str], round_jobs: int) -> list[JobResult | JobFailure]:
         outcomes = execute_jobs(
             ids, jobs=round_jobs, timeout_s=timeout_s,
-            cache_status=cache_status, injector=injector,
+            cache_status=cache_status, injector=injector, pool=pool,
         )
         for outcome in outcomes:
             attempts[outcome.exp_id] += 1

@@ -45,6 +45,7 @@ __all__ = [
     "Span",
     "Profile",
     "active",
+    "deactivate",
     "profile",
     "record",
     "replay",
@@ -142,6 +143,16 @@ def active() -> Profile | None:
     """The currently active profile, or None — THE guard every
     instrumentation site checks before doing any work."""
     return _ACTIVE.get()
+
+
+def deactivate() -> None:
+    """Leave no profile active in the current context.
+
+    A forked pool worker calls it first: it inherits the profile active
+    in the thread that forked it, and what it recorded there would never
+    reach the process that owns that profile.
+    """
+    _ACTIVE.set(None)
 
 
 @contextmanager

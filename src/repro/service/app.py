@@ -21,7 +21,8 @@ The worker (``run_pending``; driven by the server's worker thread,
 which the app wakes each time it queues a job, or called directly in
 tests) pops pending jobs and executes them through the engine: suite
 jobs via :func:`repro.engine.executor.run_engine` against the tenant's
-own :class:`~repro.engine.store.ResultStore`, sweep jobs via
+own :class:`~repro.engine.store.ResultStore`, in the app's one
+:class:`~repro.engine.executor.WorkerPool` when ``jobs > 1``, sweep jobs via
 :func:`repro.explore.engine.cost_suite_grid` with the tenant's chunk
 store.  Each job runs inside a :mod:`repro.perfmon` profile;
 ``GET /v1/jobs/{id}`` embeds a live snapshot of its counters and spans
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.engine.deps import code_drift
-from repro.engine.executor import run_engine
+from repro.engine.executor import WorkerPool, run_engine
 from repro.engine.store import DEFAULT_STORE_ROOT, ColumnCache, ResultStore
 from repro.explore.engine import cost_suite_grid
 from repro.faults.inject import FaultInjector, fault_point
@@ -199,6 +200,9 @@ class ServiceApp:
         self.spool = JobSpool(self.root)
         self.tenants = tenants if tenants is not None else TenantRegistry()
         self.jobs = jobs
+        #: The engine workers suite jobs run in when ``jobs > 1``, kept
+        #: for the app's lifetime (``drain`` closes them).
+        self.pool = WorkerPool(jobs) if jobs > 1 else None
         self.injector = injector
         self.clock = clock
         #: (tenant, job_id) FIFO the worker drains.
@@ -820,6 +824,7 @@ class ServiceApp:
             timeout_s=timeout_s,  # the job's remaining deadline budget
             retry=retry,
             injector=injector,
+            pool=self.pool,
         )
         meta = {
             "cache": report.cache_counts(),
@@ -993,6 +998,11 @@ class ServiceApp:
         self._record("drain", completed=1.0)
         return payload
 
+    def close_pool(self, wait: bool = True) -> None:
+        """Shut the engine workers down (see :meth:`WorkerPool.close`)."""
+        if self.pool is not None:
+            self.pool.close(wait=wait)
+
     def last_drain(self) -> dict | None:
         """The previous process's drain record, if it exited gracefully."""
         return self.spool.chunks.get(DRAIN_NAMESPACE, drain_key())
@@ -1004,9 +1014,10 @@ class ServiceApp:
         signal, so it ends the moment the job's outcome is journaled);
         past the timeout it is checkpointed back to PENDING instead.
         Either way the spool ends consistent, orphan column segments are
-        swept, and a drain record is journaled — the graceful-exit
-        contract the server's signal handler (and the lifecycle tests)
-        rely on.
+        swept, a drain record is journaled, and the engine workers are
+        shut down — the graceful-exit contract the server's signal
+        handler (and the lifecycle tests) rely on.  A checkpointed job
+        may still occupy a worker: the drain does not wait for it.
         """
         self.begin_drain(reason)
         with self._settled:
@@ -1014,6 +1025,7 @@ class ServiceApp:
         checkpointed = self.checkpoint_running()
         swept = self.sweep_orphan_columns()
         journal = self.journal_drain(checkpointed, swept)
+        self.close_pool(wait=not checkpointed)
         return {
             "reason": reason,
             "checkpointed": checkpointed,

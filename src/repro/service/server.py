@@ -35,6 +35,16 @@ lifecycle the app cannot own itself:
   bit-identically — the CI service-chaos job SIGTERMs a 50-job burst
   and byte-compares every result against an uninterrupted run.
 
+* **fork hygiene** — the app's engine workers fork from this process
+  (the first on the first pooled job, replacements after a crash or a
+  timeout), so a fork hook points each child's copies of the server's
+  sockets, listening and accepted, at ``/dev/null`` and detaches the
+  child's signals from the server's event loop: a worker that outlives
+  a killed server holds no port, no client waits on a connection a
+  worker keeps open, and a signal to a worker (the pool terminates the
+  rest of a broken pool's workers) never drains the server.  On the
+  way out the server shuts the workers down.
+
 ``paused=True`` starts the acceptor without the worker or watchdog:
 submitted jobs journal to the spool and stay ``pending``.  The CI
 service-smoke job uses it to stage a killed-mid-queue server
@@ -86,6 +96,36 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+#: The sockets of every server running in this process, listening and
+#: accepted; a process forked from it lets go of them.
+_SERVER_SOCKETS: set = set()
+
+
+def _leave_the_server() -> None:
+    """In a child forked from a serving process: let go of the server.
+
+    Its copies of the server's sockets are pointed at ``/dev/null``, and
+    its signals stop waking the server's event loop: a pool worker
+    terminated with SIGTERM would otherwise make the server drain.
+    Repointing a socket rather than closing it keeps its descriptor
+    number taken while the child's copy of the socket object lives; a
+    socket closed before the fork reads ``fileno() == -1`` and is
+    skipped, so a number reused since is never touched.
+    """
+    if not _SERVER_SOCKETS:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in [sock.fileno() for sock in _SERVER_SOCKETS]:
+        if fd >= 0:
+            os.dup2(null, fd)
+    os.close(null)
+    signal.set_wakeup_fd(-1)
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_leave_the_server)
 
 
 async def read_request(
@@ -314,12 +354,17 @@ async def serve(
     ) -> None:
         task = asyncio.current_task()
         handlers.add(task)
+        sock = writer.get_extra_info("socket")
+        _SERVER_SOCKETS.add(sock)
         try:
             await _handle_connection(app, waiters, reader, writer)
         finally:
+            _SERVER_SOCKETS.discard(sock)
             handlers.discard(task)
 
     server = await asyncio.start_server(_on_connect, host=host, port=port)
+    listening = set(server.sockets)
+    _SERVER_SOCKETS.update(listening)
     bound = server.sockets[0].getsockname()
     print(
         f"repro.service: listening on http://{bound[0]}:{bound[1]} "
@@ -420,7 +465,10 @@ async def serve(
                 flush=True,
             )
     finally:
+        _SERVER_SOCKETS.difference_update(listening)
         worker_stop.set()
         app.on_settle = None
         if watchdog_task is not None:
             watchdog_task.cancel()
+        # Closed already after a drain; a cancelled server closes it here.
+        app.close_pool(wait=False)

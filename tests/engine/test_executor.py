@@ -12,10 +12,12 @@ from repro.engine.executor import (
     EXECUTED,
     JobFailure,
     JobResult,
+    WorkerPool,
     execute_jobs,
     run_engine,
 )
 from repro.engine.store import ResultStore, canonical_bytes
+from repro.perfmon.collector import active, profile
 from repro.suite.experiments import EXPERIMENTS
 from repro.suite.results import Experiment
 
@@ -322,3 +324,157 @@ class TestRetry:
         assert not report.failures
         assert report.serial_fallback
         assert "(serial fallback)" in report.summary()
+
+
+def _profile_probe_builder():
+    return Experiment(exp_id="probe", title="probe", notes=f"active={active() is not None}")
+
+
+#: A file the slowish builder creates as it starts, when set.
+_SLOWISH_STARTED = None
+
+
+def _slowish_builder():
+    if _SLOWISH_STARTED is not None:
+        _SLOWISH_STARTED.touch()
+    time.sleep(0.5)
+    return Experiment(exp_id="slowish", title="finishes in half a second")
+
+
+def _pool_children() -> set[int]:
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+@pytest.fixture
+def registered_builders(monkeypatch):
+    """Register the test builders.  Kept workers see the registry as it
+    was when they forked, so this comes before a pool's first use."""
+    for exp_id, builder in (
+        ("probe", _profile_probe_builder),
+        ("slowish", _slowish_builder),
+        ("sleepy", _sleepy_builder),
+        ("dies", _dying_builder),
+    ):
+        monkeypatch.setitem(EXPERIMENTS, exp_id, builder)
+
+
+@pytest.fixture
+def kept_pool(registered_builders):
+    """A two-worker :class:`WorkerPool`, closed after the test."""
+    pool = WorkerPool(2)
+    yield pool
+    pool.close()
+
+
+@pytest.fixture
+def one_worker(registered_builders):
+    """A one-worker :class:`WorkerPool`: a busy worker holds up the rest."""
+    pool = WorkerPool(1)
+    yield pool
+    pool.close()
+
+
+@needs_fork
+class TestWorkerStart:
+    """Every pool worker starts with no profile, whoever forked it."""
+
+    def test_a_one_call_pool_worker_has_no_active_profile(self, monkeypatch):
+        monkeypatch.setitem(EXPERIMENTS, "probe", _profile_probe_builder)
+        with profile() as prof:
+            results = execute_jobs(["probe"], jobs=2)
+        assert results[0].experiment.notes == "active=False"
+        assert [s.name for s in prof.spans] == ["engine:job:probe"]
+
+    def test_a_kept_pool_worker_has_no_active_profile(self, kept_pool):
+        for _ in range(2):
+            with profile() as prof:
+                results = execute_jobs(["probe"], jobs=2, pool=kept_pool)
+            assert results[0].experiment.notes == "active=False"
+            assert [s.name for s in prof.spans] == ["engine:job:probe"]
+            assert prof.spans[0].attrs["status"] == "ok"
+
+
+@needs_fork
+class TestWorkerPool:
+    def test_calls_share_the_workers(self, kept_pool):
+        before = _pool_children()
+        first = execute_jobs(["table2", "sec2"], jobs=2, pool=kept_pool)
+        workers = _pool_children() - before
+        second = execute_jobs(["table2", "sec2"], jobs=2, pool=kept_pool)
+        assert len(workers) == 2
+        assert _pool_children() - before == workers
+        assert {r.worker_pid for r in first + second} <= workers
+        for a, b in zip(first, second):
+            assert canonical_bytes(a.experiment) == canonical_bytes(b.experiment)
+
+    def test_a_crash_is_followed_by_fresh_workers(self, kept_pool):
+        before = _pool_children()
+        execute_jobs(["table2"], jobs=2, pool=kept_pool)
+        old_workers = _pool_children() - before
+        assert execute_jobs(["dies"], jobs=2, pool=kept_pool)[0].kind == "crash"
+        after = execute_jobs(["table2"], jobs=2, pool=kept_pool)[0]
+        assert isinstance(after, JobResult)
+        assert after.worker_pid not in old_workers
+
+    def test_a_timeout_is_followed_by_fresh_workers(self, one_worker):
+        timed_out = execute_jobs(["sleepy"], jobs=2, pool=one_worker, timeout_s=0.2)
+        assert timed_out[0].kind == "timeout"
+        start = time.perf_counter()
+        after = execute_jobs(["table2"], jobs=2, pool=one_worker)[0]
+        assert isinstance(after, JobResult)
+        assert time.perf_counter() - start < 1.0  # the sleeper has ~1.3 s left
+
+    def test_a_replacement_fails_no_job_of_another_thread(
+        self, one_worker, tmp_path, monkeypatch
+    ):
+        """A stale service worker's job survives its successor's timeout.
+
+        The stale call's jobs are running, queued to the worker, and not
+        yet queued when the replacement comes; all of them still finish.
+        """
+        started = tmp_path / "slowish-started"
+        monkeypatch.setitem(globals(), "_SLOWISH_STARTED", started)  # before the fork
+        ids = ["slowish", "table1", "table2", "table3", "sec2"]
+        # Fork the worker and key every job first, so the stale call's
+        # jobs are all submitted while the slow one runs.
+        execute_jobs([*ids[1:], "sec4.4"], jobs=2, pool=one_worker)
+        outcomes = []
+        stale = threading.Thread(
+            target=lambda: outcomes.extend(execute_jobs(ids, jobs=2, pool=one_worker))
+        )
+        stale.start()
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        timed_out = execute_jobs(["sec4.4"], jobs=2, pool=one_worker, timeout_s=0.1)
+        stale.join(timeout=30)
+        assert not stale.is_alive()
+        assert timed_out[0].kind == "timeout"
+        assert [type(o).__name__ for o in outcomes] == ["JobResult"] * len(ids)
+        assert execute_jobs(["table2"], jobs=2, pool=one_worker)[0].experiment.passed
+
+    def test_close_leaves_no_manager_thread_and_no_worker(self, kept_pool):
+        threads = _pool_manager_threads()
+        before = _pool_children()
+        execute_jobs(["table2", "sec2"], jobs=2, pool=kept_pool)
+        assert _pool_children() - before
+        kept_pool.close()
+        assert not _pool_manager_threads() - threads
+        assert not _pool_children() - before
+
+    def test_a_closed_pool_forks_again_on_use(self, kept_pool):
+        execute_jobs(["table2"], jobs=2, pool=kept_pool)
+        kept_pool.close()
+        assert execute_jobs(["table2"], jobs=2, pool=kept_pool)[0].experiment.passed
+
+    def test_run_engine_rounds_use_the_pool(self, kept_pool, tmp_path):
+        before = _pool_children()
+        report = run_engine(["table2", "sec2"], jobs=2, store=ResultStore(tmp_path),
+                            pool=kept_pool)
+        workers = _pool_children() - before
+        assert {r.worker_pid for r in report.executed} <= workers
+        assert len(workers) == 2
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            WorkerPool(0)

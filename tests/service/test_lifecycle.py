@@ -566,3 +566,47 @@ class TestHealthAndMetrics:
         text = app.metrics().body.decode()
         assert 'component="drain",counter="begun"} 1.0' in text
         assert 'component="drain",counter="completed"} 1.0' in text
+
+
+def _pool_children() -> set[int]:
+    import multiprocessing
+
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+class TestDrainClosesThePool:
+    """A ``jobs > 1`` app keeps one worker pool, and its drain shuts it down."""
+
+    def test_drain_closes_the_kept_workers(self, tmp_path):
+        before = _pool_children()
+        app = ServiceApp(root=tmp_path / "cache", jobs=2)
+        for tag in ("a", "b"):
+            submit(app, tag=tag)
+        assert app.run_pending(epoch=app.worker_epoch) == 2
+        workers = _pool_children() - before
+        assert len(workers) == 2  # both jobs ran in the one kept pool
+        outcome = app.drain(timeout_s=5.0, reason="test")
+        assert outcome["checkpointed"] == []
+        assert not _pool_children() & workers
+
+    def test_a_checkpointing_drain_does_not_wait_on_the_busy_worker(self, tmp_path):
+        stall = {"site": "executor_job", "exp_id": "table2", "kind": "slow",
+                 "attempt": 0, "delay_s": 3.0}
+        body = {**SUITE, "suite": {"ids": ["table2"],
+                                   "fault_plan": {"schema": 1, "seed": 0, "actions": [stall]}}}
+        app = ServiceApp(root=tmp_path / "cache", jobs=2)
+        _, payload = submit(app, body)
+        worker = threading.Thread(target=app.run_pending, args=(1, app.worker_epoch))
+        worker.start()
+        deadline = time.monotonic() + 10
+        while app.running_job is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.2)  # the job is in a pool worker, stalled
+        start = time.monotonic()
+        outcome = app.drain(timeout_s=0.2, reason="test")
+        took = time.monotonic() - start
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert outcome["checkpointed"] == [payload["job_id"]]
+        assert took < 2.0  # the stall lasts 3 s
+        assert app.spool.get(DEFAULT_TENANT, payload["job_id"]).state == PENDING

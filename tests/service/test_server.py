@@ -10,6 +10,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -338,3 +339,110 @@ class TestDrainAnswersWaiters:
                 proc.kill()
                 proc.wait()
             proc.stdout.close()
+
+
+def _children(pid: int) -> set[int]:
+    """Pids whose parent is ``pid``, read from ``/proc``."""
+    found = set()
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:  # exited meanwhile
+                continue
+            if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+                found.add(int(entry.name))
+    return found
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _spawn_server(tmp_path, name: str, port: int):
+    ready = tmp_path / f"{name}.json"
+    src = Path(server_module.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve", "--port", str(port),
+         "--jobs", "2", "--cache-dir", str(tmp_path / name), "--ready-file", str(ready)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 60
+    while not ready.exists():
+        assert proc.poll() is None, f"{name} exited with {proc.returncode}"
+        assert time.monotonic() < deadline, f"{name} never became ready"
+        time.sleep(0.05)
+    return proc, json.loads(ready.read_text())["port"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+class TestKeptWorkers:
+    def test_a_worker_holds_no_client_connection(self, tmp_path):
+        """A connection open while the pool forks still ends when the
+        server closes it: a client reading to EOF is not left waiting."""
+        server = _Server(ServiceApp(root=tmp_path / "cache", jobs=2))
+        client = server.start(tmp_path)
+        raw = socket.create_connection((client.host, client.port))
+        try:
+            raw.sendall(b"GET /v1/health HTTP/1.1\r\n")  # accepted, not yet complete
+            time.sleep(0.2)
+            job_id = client.submit(SUITE_BODY)["job_id"]  # the pool forks now
+            assert client.wait(job_id, timeout_s=60)["state"] == "done"
+            raw.sendall(b"\r\n")
+            raw.settimeout(10)
+            answer = b""
+            while chunk := raw.recv(65536):
+                answer += chunk
+            assert answer.startswith(b"HTTP/1.1 200")
+        finally:
+            raw.close()
+            server.stop()
+
+    def test_a_killed_server_leaves_no_worker_and_no_held_port(self, tmp_path):
+        """Kill -9 a ``--jobs 2`` server whose pool was replaced once: a
+        new server binds its port at once, and its workers exit."""
+        crash = {"site": "executor_job", "exp_id": "table1", "kind": "crash", "attempt": 0}
+        crashing = {"kind": "suite", "suite": {
+            "ids": ["table1"], "fault_plan": {"schema": 1, "seed": 0, "actions": [crash]}}}
+        procs = []
+        try:
+            proc, port = _spawn_server(tmp_path, "first", 0)
+            procs.append(proc)
+            client = ServiceClient(port=port)
+            first = client.submit(SUITE_BODY)
+            assert client.wait(first["job_id"], timeout_s=60)["state"] == "done"
+            replaced = client.submit(crashing)  # its retry runs in a new pool
+            final = client.wait(replaced["job_id"], timeout_s=60)
+            assert final["state"] == "done" and final["meta"]["retry_rounds"] == 1
+            workers = _children(proc.pid)
+            assert len(workers) >= 2
+            proc.kill()
+            proc.wait()
+            killed_at = time.monotonic()
+            # At once, before any orphaned worker can have noticed the kill:
+            # a worker that held the listening socket would make this fail.
+            probe = socket.socket()
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind(("127.0.0.1", port))
+            probe.close()
+
+            proc, again = _spawn_server(tmp_path, "second", port)
+            procs.append(proc)
+            assert again == port
+            client = ServiceClient(port=port)
+            body = {**SUITE_BODY, "tag": "after"}
+            assert client.wait(client.submit(body)["job_id"], timeout_s=60)["state"] == "done"
+            time.sleep(max(0.0, killed_at + 2.0 - time.monotonic()))
+            assert not {pid for pid in workers if _alive(pid)}
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
