@@ -27,10 +27,10 @@ trace-level rules (VEC004/5) judge the aggregate.  A rule is a callable
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.machine.compiled import fsum
 from repro.machine.operations import INTRINSIC_FLOP_EQUIV, ScalarOp, Trace, VectorOp
 from repro.machine.processor import Processor
 
@@ -187,8 +187,8 @@ def rule_vec004_scalar_dominated(trace: Trace, processor: Processor) -> list[Dia
     style-broken.  Impact is the Amdahl bound 1/(1-f) currently forfeited.
     """
     costed = list(zip(trace.ops, processor.execute(trace).op_cycles.tolist()))
-    scalar_cycles = fsum(c for op, c in costed if isinstance(op, ScalarOp))
-    vector_cycles = fsum(c for op, c in costed if isinstance(op, VectorOp))
+    scalar_cycles = math.fsum(c for op, c in costed if isinstance(op, ScalarOp))
+    vector_cycles = math.fsum(c for op, c in costed if isinstance(op, VectorOp))
     total_cycles = scalar_cycles + vector_cycles
     if total_cycles <= 0:
         return []
@@ -223,10 +223,11 @@ def rule_vec005_low_intensity(trace: Trace, processor: Processor) -> list[Diagno
     balance-to-intensity ratio: the headroom the pipes cannot reach.
     """
     assert processor.vector is not None and processor.memory is not None
-    words = trace.words_moved
+    report = processor.execute(trace)
+    words = report.words_moved
     if words <= 0:
         return []
-    intensity = trace.flop_equivalents / words
+    intensity = report.flop_equivalents / words
     balance = processor.vector.peak_flops_per_cycle / processor.memory.port_words_per_cycle
     if intensity >= balance:
         return []

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from repro.apps.ccm2.resolutions import Resolution, resolution
 from repro.kernels import fftpack, radabs
 from repro.machine.ixs import MultiNodeSystem
-from repro.machine.node import Node, ParallelReport, block_imbalance
+from repro.machine.node import Node, ParallelReport, block_imbalance, block_shares
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.presets import sx4_node
 from repro.units import GIGA
@@ -251,17 +251,6 @@ def _physics_imbalance(cpus: int) -> float:
     return 1.0 + PHYSICS_IMBALANCE_PER_CPU * cpus
 
 
-def _block_shares(units: int, cpus: int) -> list[float]:
-    """Fractions of ``units`` indivisible work items each CPU receives
-    under block dealing: ``units mod cpus`` CPUs carry the ceiling share,
-    the rest the floor share.  Sums to 1 exactly — total work is
-    conserved; only the *maximum* share (wall time) reflects imbalance."""
-    if units < 1 or cpus < 1:
-        raise ValueError(f"need positive units and cpus, got {units}, {cpus}")
-    base, rem = divmod(units, cpus)
-    return [(base + (1 if i < rem else 0)) / units for i in range(cpus)]
-
-
 def parallel_step(
     node: Node,
     res: Resolution | str,
@@ -281,8 +270,8 @@ def parallel_step(
     cost = step_trace(res)
     if cpus < 1:
         raise ValueError(f"need at least one CPU, got {cpus}")
-    spec_shares = _block_shares(cost.res.trunc + 1, cpus)
-    grid_shares = _block_shares(cost.res.nlat, cpus)
+    spec_shares = block_shares(cost.res.trunc + 1, cpus)
+    grid_shares = block_shares(cost.res.nlat, cpus)
     imbalance = _physics_imbalance(cpus)
     shares = [
         (spec_shares[i], grid_shares[i] * (imbalance if i == 0 else 1.0))

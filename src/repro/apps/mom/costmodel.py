@@ -26,7 +26,7 @@ from __future__ import annotations
 
 
 from repro.apps.mom.grid import OceanGrid
-from repro.machine.node import Node, ParallelReport
+from repro.machine.node import Node, ParallelReport, block_shares
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.presets import sx4_node
 
@@ -140,10 +140,9 @@ def parallel_step(
     10-step cycle.
     """
     grid = grid or OceanGrid.benchmark()
-    base, rem = divmod(grid.nlat, cpus)
+    shares = block_shares(grid.nlat, cpus)
     baroclinic = baroclinic_trace(grid)
     barotropic = barotropic_trace(grid, sor_iterations_for(cpus))
-    shares = [(base + (1 if i < rem else 0)) / grid.nlat for i in range(cpus)]
     # One trace per distinct row share, handed to every CPU with that
     # share: the node model costs a shared trace once.
     by_share = {

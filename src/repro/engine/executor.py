@@ -288,10 +288,14 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._executor: ProcessPoolExecutor | None = None
         self._owner_pid = 0
+        #: the workers of retired executors that may still run a job:
+        #: ``shutdown`` drops an executor's process handles.
+        self._retired: list = []
 
     def _live(self) -> ProcessPoolExecutor:
-        if self._executor is None or self._owner_pid != os.getpid():
-            self._owner_pid = os.getpid()
+        if self._owner_pid != os.getpid():  # a forked owner's workers are not ours
+            self._owner_pid, self._executor, self._retired = os.getpid(), None, []
+        if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=_pool_context(),
@@ -326,17 +330,30 @@ class WorkerPool:
     def _retire(self) -> None:
         executor, self._executor = self._executor, None
         if executor is not None and self._owner_pid == os.getpid():
+            self._retired = [p for p in self._retired if p.is_alive()]
+            self._retired += executor._processes.values()
             executor.shutdown(wait=False)
 
     def close(self, wait: bool = True) -> None:
         """Shut the workers down, cancelling the jobs none of them started.
 
-        ``wait`` blocks until they have exited; a caller that abandoned
-        a running job passes False rather than wait for it.
+        ``wait`` blocks until they have exited.  A caller that abandoned
+        a running job passes False: every worker the pool started that
+        is still running, retired ones included, is then killed, so no
+        overrun job holds up this process's exit.  SIGKILL, because a
+        worker forked from a serving process ignores SIGTERM.
         """
         with self._lock:
             executor, self._executor = self._executor, None
-            if executor is None or self._owner_pid != os.getpid():
+            if self._owner_pid != os.getpid():
+                return
+            if not wait:
+                live = [] if executor is None else list(executor._processes.values())
+                for process in self._retired + live:
+                    if process.is_alive():
+                        process.kill()
+                self._retired = []
+            if executor is None:
                 return
         # Waiting lets the pool's manager thread close its wake-up pipe
         # before the interpreter's exit hook writes to it.

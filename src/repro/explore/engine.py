@@ -45,7 +45,6 @@ import numpy as np
 from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
 from repro.engine.deps import closure_digest
 from repro.engine.store import ChunkStore
-from repro.machine.compiled import fsum_columns
 from repro.machine.grid import GridTraceCost, MachineGrid, cost_suite_trace_grid
 from repro.machine.suitebatch import SuiteColumns
 from repro.perfmon.collector import active as perfmon_active
@@ -278,7 +277,7 @@ def cost_suite_grid(
                         cost.words_moved,
                     )
                     for trace_id, cost in zip(
-                        ids, cost_suite_trace_grid(suite_columns, subgrid, memory_dilation)
+                        ids, cost_suite_trace_grid(suite_columns.compiled, subgrid, memory_dilation)
                     )
                 }
                 if store is not None:
@@ -300,7 +299,8 @@ def cost_suite_grid(
                 first.words_moved,
             )
 
-        suite_seconds = fsum_columns(np.stack([costs[t].seconds for t in ids]))
+        seconds = zip(*(costs[t].seconds.tolist() for t in ids))
+        suite_seconds = np.array([math.fsum(column) for column in seconds])
         total_flop_equivalents = math.fsum(costs[t].flop_equivalents for t in ids)
         total_words_moved = math.fsum(costs[t].words_moved for t in ids)
         zero = suite_seconds == 0.0

@@ -12,12 +12,16 @@ op object: it chains each field's columns across the traces and makes
 one NumPy array per field, giving a :class:`CompiledTrace` — float64
 columns for every descriptor field, an ``n_vector_ops x 6``
 intrinsic-call matrix with the columns some row calls, the distinct
-strides, and each trace's segment of the rows.
-:mod:`repro.machine.costmodel` then costs every op in a handful of
-NumPy expressions over those columns, for one machine or a whole grid
-of them.  :meth:`~repro.machine.processor.Processor.execute_all` and
-:meth:`~repro.machine.suitebatch.SuiteColumns.from_traces` each lower
-their whole list with one call.
+strides, and each trace's name, segment of the rows and
+``(raw_flops, flop_equivalents, words_moved)`` totals.  It is the one
+lowered form of one trace or many:
+:mod:`repro.machine.costmodel` costs every op in a handful of NumPy
+expressions over its columns, for one machine
+(:meth:`~repro.machine.processor.Processor.execute_all`) or a whole
+grid of them (:func:`~repro.machine.grid.cost_suite_trace_grid`), and
+:meth:`CompiledTrace.segment_sums` reduces each trace's segment for
+both: the totals, the reports' cycles, the profiled counters and the
+grid's per-machine cycles.
 
 The contract with the per-op oracle (the components' ``*_cycles``
 methods, walked by
@@ -31,7 +35,7 @@ parity**:
   row of the batch calls would add an exact zero to every row, so
   lowering and costing skip it; in a cost term one ``+ 0.0`` stands
   for all such terms, which keeps a zero's sign as the oracle's;
-* aggregates go through :func:`math.fsum`, whose result is the
+* every total goes through :func:`math.fsum`, whose result is the
   correctly-rounded exact sum and therefore independent of summation
   order — so totals are bit-identical too.
 
@@ -70,8 +74,6 @@ __all__ = [
     "ScalarColumns",
     "CompiledTrace",
     "compile_trace",
-    "fsum",
-    "fsum_columns",
 ]
 
 #: Intrinsic column order of the compiled intrinsic matrix.  Sorted by
@@ -81,32 +83,6 @@ __all__ = [
 #: is one of the two pillars of the bit-parity guarantee.
 SORTED_INTRINSICS: tuple[str, ...] = tuple(sorted(INTRINSICS))
 _INTRINSIC_COLUMN = {name: i for i, name in enumerate(SORTED_INTRINSICS)}
-
-
-def fsum(values) -> float:
-    """Exactly-rounded sum of a NumPy array or iterable of floats.
-
-    ``math.fsum`` tracks exact partial sums, so its result does not
-    depend on operand order — the property that makes the batched
-    aggregate reductions bit-identical to the per-op oracle's.
-    """
-    if isinstance(values, np.ndarray):
-        return math.fsum(values.tolist())
-    return math.fsum(values)
-
-
-def fsum_columns(matrix: np.ndarray) -> np.ndarray:
-    """Exactly-rounded per-column sums of an ``(n, m)`` float64 matrix.
-
-    The machine-grid reduction: column ``j`` holds machine ``j``'s
-    per-op cycle costs, and its :func:`math.fsum` is bit-identical to
-    the total the per-machine compiled path computes for that machine —
-    fsum's exact partial sums make the result order-independent, so
-    slicing a machine out of a grid changes nothing.
-    """
-    if matrix.shape[0] == 0:
-        return np.zeros(matrix.shape[1])
-    return np.array([math.fsum(column) for column in matrix.T.tolist()])
 
 
 @dataclass(frozen=True)
@@ -278,56 +254,54 @@ class CompiledTrace:
     concatenation: ``names`` and each row's ``index`` follow that
     concatenation, and ``op_offsets``/``vector_offsets``/
     ``scalar_offsets`` delimit each trace's ops and rows.
-    Machine-independent: the same compiled trace costs on any processor
-    or grid, and costing only reads it.
+    ``trace_names`` holds each trace's name and ``totals`` its
+    ``(raw_flops, flop_equivalents, words_moved)``, exact sums over its
+    own rows.  Machine-independent: the same compiled trace costs on any
+    processor or grid, and costing only reads it.
     """
 
+    trace_names: tuple[str, ...]
     names: tuple[str, ...]
     vector: VectorColumns
     scalar: ScalarColumns
     op_offsets: tuple[int, ...]  # (n_traces + 1,) segment bounds
     vector_offsets: tuple[int, ...]
     scalar_offsets: tuple[int, ...]
+    totals: tuple[tuple[float, float, float], ...] = field(init=False)
 
     @property
     def n_ops(self) -> int:
         return len(self.names)
 
-    @property
-    def raw_flops_total(self) -> float:
-        return _total(self.vector.raw_flops, self.scalar.raw_flops)
-
-    @property
-    def flop_equivalents_total(self) -> float:
-        # ScalarOp.flop_equivalents == ScalarOp.raw_flops by definition.
-        return _total(self.vector.flop_equivalents, self.scalar.raw_flops)
-
-    @property
-    def words_moved_total(self) -> float:
-        return _total(self.vector.words_moved, self.scalar.words_moved)
-
-    def segment_totals(self) -> tuple[tuple[float, float, float], ...]:
-        """Each trace's ``(raw_flops, flop_equivalents, words_moved)``.
-
-        Exactly-rounded sums over the trace's own rows, so each is the
-        same double the trace's aggregates and a compile of that trace
-        alone give.
-        """
+    def __post_init__(self) -> None:
         v, s = self.vector, self.scalar
-        scalar_flops = s.raw_flops.tolist()
-        columns = (
-            (v.raw_flops.tolist(), scalar_flops),
-            (v.flop_equivalents.tolist(), scalar_flops),
-            (v.words_moved.tolist(), s.words_moved.tolist()),
+        # ScalarOp.flop_equivalents == ScalarOp.raw_flops by definition.
+        totals = self.segment_sums(
+            (v.raw_flops, v.flop_equivalents, v.words_moved),
+            (s.raw_flops, s.raw_flops, s.words_moved),
         )
+        object.__setattr__(self, "totals", tuple(map(tuple, totals)))
+
+    def segment_sums(self, vector=(), scalar=()) -> list[list[float]]:
+        """Each trace's exactly-rounded sum of each quantity over its rows.
+
+        ``vector`` and ``scalar`` hold one float64 column per quantity
+        (a sequence of columns, or a matrix whose rows are the columns)
+        over this lowering's vector or scalar ops; either may be left
+        out.  Entry ``[k][i]`` is the :func:`math.fsum` of quantity
+        ``i`` over trace ``k``'s rows of both.  Each column is listed
+        once and each sum reads list slices, so no NumPy call is made
+        per trace.  fsum's result does not depend on operand order, so
+        each is the double a lowering of trace ``k`` alone gives, and
+        the per-op oracle's sum.
+        """
+        vector_rows = [column.tolist() for column in vector] or [[]] * len(scalar)
+        scalar_rows = [column.tolist() for column in scalar] or [[]] * len(vector)
         vo, so = self.vector_offsets, self.scalar_offsets
-        return tuple(
-            tuple(
-                math.fsum(vector[vo[k]:vo[k + 1]] + scalar[so[k]:so[k + 1]])
-                for vector, scalar in columns
-            )
-            for k in range(len(vo) - 1)
-        )
+        return [
+            [math.fsum(v[a:b] + s[c:d]) for v, s in zip(vector_rows, scalar_rows)]
+            for a, b, c, d in zip(vo, vo[1:], so, so[1:])
+        ]
 
     def scatter_cycles(
         self, vector_cycles: np.ndarray, scalar_cycles: np.ndarray
@@ -337,11 +311,6 @@ class CompiledTrace:
         out[self.vector.index] = vector_cycles
         out[self.scalar.index] = scalar_cycles
         return out
-
-
-def _total(vector_column: np.ndarray, scalar_column: np.ndarray) -> float:
-    """Exact sum of one per-op quantity over the vector and scalar ops."""
-    return math.fsum(vector_column.tolist() + scalar_column.tolist())
 
 
 def compile_trace(*traces: Trace) -> CompiledTrace:
@@ -360,6 +329,7 @@ def compile_trace(*traces: Trace) -> CompiledTrace:
     vector_rows = _concatenated(VectorRows, vector, op_offsets)
     scalar_rows = _concatenated(ScalarRows, scalar, op_offsets)
     return CompiledTrace(
+        trace_names=tuple(trace.name for trace in traces),
         names=tuple(chain.from_iterable(names)),
         vector=VectorColumns.from_rows(vector_rows) if vector_rows.position else _NO_VECTORS,
         scalar=ScalarColumns.from_rows(scalar_rows) if scalar_rows.position else _NO_SCALARS,

@@ -5,8 +5,10 @@ this module lowers the *machines*.  A :class:`MachineGrid` holds every
 cost-relevant processor parameter (clock period, vector pipes, bank
 count, startup overheads, cache geometry, ...) as structure-of-arrays
 columns — one float64/int64 entry per machine — and
-:func:`cost_trace_grid` prices a whole trace against a whole design
-space in one broadcasted ``(n_ops, n_machines)`` pass.
+:func:`cost_suite_trace_grid` prices a lowering of one trace or many (a
+:class:`~repro.machine.compiled.CompiledTrace`) against a whole design
+space in one broadcasted ``(n_ops, n_machines)`` pass;
+:func:`cost_trace_grid` is that call on one trace.
 
 The pass is the shared cost model of :mod:`repro.machine.costmodel`,
 the same expressions ``Processor.execute`` evaluates for one machine:
@@ -18,8 +20,10 @@ of every result is bit-identical to costing that machine alone:
   out by ``has_vector`` through :func:`numpy.where`, which *selects*
   values and never mixes lanes), and vector machines' scalar columns
   are real, so one pass covers a heterogeneous grid;
-* per-machine totals reduce with :func:`~repro.machine.compiled.fsum_columns`
-  (exactly-rounded column sums), matching the per-machine ``fsum``.
+* each trace's per-machine totals reduce with
+  :meth:`~repro.machine.compiled.CompiledTrace.segment_sums`
+  (exactly-rounded sums over its rows), matching the per-machine
+  ``fsum``.
 
 No cost term reads ``period_ns``: the clock only turns cycles into
 seconds in :meth:`GridTraceCost.from_cycles`.  Rows that differ in
@@ -45,7 +49,7 @@ import numpy as np
 from repro.machine import costmodel
 from repro.machine.cache import CacheModel
 from repro.machine.clock import Clock
-from repro.machine.compiled import SORTED_INTRINSICS, compile_trace, fsum_columns
+from repro.machine.compiled import SORTED_INTRINSICS, CompiledTrace, compile_trace
 from repro.machine.memory import BankedMemory
 from repro.machine.processor import ExecutionReport, Processor
 from repro.machine.scalar_unit import ScalarUnit
@@ -63,7 +67,7 @@ __all__ = ["MachineGrid", "GridTraceCost", "cost_trace_grid", "cost_suite_trace_
 declare_counters(
     "grid",
     (
-        "machines",  # machines in grids handed to cost_trace_grid
+        "machines",  # machines in grids handed to cost_suite_trace_grid
         "machine_traces",  # (machine, trace) pairs costed
     ),
 )
@@ -434,20 +438,30 @@ class GridTraceCost:
         )
 
 
-def _segment_cycles(
-    columns, grid: MachineGrid, memory_dilation: float, vector_offsets, scalar_offsets
-) -> tuple[np.ndarray, ...]:
-    """Per-machine total cycles of each trace segment of a column set.
+def cost_trace_grid(
+    trace: "Trace", grid: MachineGrid, memory_dilation: float = 1.0
+) -> GridTraceCost:
+    """Cost one trace against every machine of a grid in one pass."""
+    return cost_suite_trace_grid(compile_trace(trace), grid, memory_dilation)[0]
 
-    ``columns`` is a :class:`~repro.machine.compiled.CompiledTrace` or a
-    :class:`~repro.machine.suitebatch.SuiteColumns` stack; the offsets
-    delimit each trace's rows.  The per-op matrices come from the
-    shared cost model over ``(n, 1)`` op views; each segment reduces
-    with exactly-rounded column sums into a new array.
+
+def cost_suite_trace_grid(
+    compiled: CompiledTrace, grid: MachineGrid, memory_dilation: float = 1.0
+) -> list[GridTraceCost]:
+    """Cost every trace of a lowering against every machine in one pass.
+
+    The per-op cycle matrices come from the shared cost model over
+    ``(n, 1)`` views of the op columns, so the whole traces × grid cross
+    product costs in a single ``(n_ops, n_machines)`` broadcast pass.
+    Each trace's per-machine cycles are exactly-rounded sums over its
+    own rows, and the derived fields replicate the report expressions,
+    so every :class:`GridTraceCost` is bit-identical to executing its
+    trace alone per machine through ``Processor.execute``.
     """
+    costmodel.check_dilation(memory_dilation)
     memo: dict = {}
     m = grid.n_machines
-    v, s = columns.vector, columns.scalar
+    v, s = compiled.vector, compiled.scalar
     vector_cycles = (
         costmodel.vector_op_cycles(grid, costmodel.grid_view(v), memory_dilation, memo)
         if v.n
@@ -458,65 +472,13 @@ def _segment_cycles(
         if s.n
         else np.zeros((0, m))
     )
-    vo, so = vector_offsets, scalar_offsets
     if perfmon_active() is not None:
         perfmon_record(
             "grid",
-            {"machines": float(m), "machine_traces": float(m * (len(vo) - 1))},
+            {"machines": float(m), "machine_traces": float(m * len(compiled.trace_names))},
         )
-    return tuple(
-        fsum_columns(
-            np.concatenate(
-                [vector_cycles[vo[i]:vo[i + 1]], scalar_cycles[so[i]:so[i + 1]]], axis=0
-            )
-        )
-        for i in range(len(vo) - 1)
-    )
-
-
-def cost_trace_grid(
-    trace: "Trace", grid: MachineGrid, memory_dilation: float = 1.0
-) -> GridTraceCost:
-    """Cost one trace against every machine of a grid in one pass.
-
-    Bit-exact with executing the trace per machine through
-    ``Processor.execute``: both evaluate the same cost expressions,
-    per-machine totals are exactly-rounded column sums, and the derived
-    fields replicate the report expressions.
-    """
-    costmodel.check_dilation(memory_dilation)
-    compiled = compile_trace(trace)
-    (cycles,) = _segment_cycles(
-        compiled, grid, memory_dilation, compiled.vector_offsets, compiled.scalar_offsets
-    )
-    return GridTraceCost.from_cycles(
-        trace.name,
-        grid,
-        cycles,
-        compiled.raw_flops_total,
-        compiled.flop_equivalents_total,
-        compiled.words_moved_total,
-    )
-
-
-def cost_suite_trace_grid(
-    suite, grid: MachineGrid, memory_dilation: float = 1.0
-) -> list[GridTraceCost]:
-    """Cost a stacked suite against every machine in one fused pass.
-
-    ``suite`` is a :class:`~repro.machine.suitebatch.SuiteColumns`
-    stack, so the whole suite × grid cross product costs in a single
-    ``(n_ops, n_machines)`` broadcasted pass — no per-trace Python loop
-    over kernel launches.  Per-(trace, machine) totals reduce each
-    trace's *segment* of the stacked matrices; the exactly-rounded
-    column sums make every returned :class:`GridTraceCost`
-    bit-identical to :func:`cost_trace_grid` on that trace alone.
-    """
-    costmodel.check_dilation(memory_dilation)
-    per_trace = _segment_cycles(
-        suite, grid, memory_dilation, suite.vector_offsets, suite.scalar_offsets
-    )
+    per_trace = compiled.segment_sums(vector_cycles.T, scalar_cycles.T)
     return [
-        GridTraceCost.from_cycles(suite.trace_names[i], grid, cycles, *suite.trace_totals[i])
-        for i, cycles in enumerate(per_trace)
+        GridTraceCost.from_cycles(name, grid, np.array(cycles), *totals)
+        for name, cycles, totals in zip(compiled.trace_names, per_trace, compiled.totals)
     ]

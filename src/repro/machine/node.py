@@ -8,7 +8,8 @@ results exhibit:
 * **work distribution with block imbalance** — parallel loops over
   latitudes (CCM2) or latitude rows (MOM) hand out whole rows, so a CPU
   count that does not divide the row count leaves some CPUs idle
-  (:func:`block_imbalance`),
+  (:func:`block_shares` deals them, :func:`block_imbalance` is the
+  busiest CPU's dilation),
 * **synchronisation cost per parallel region** — growing mildly with the
   number of CPUs (communications-register test-set style barriers),
 * **serial sections** — e.g. MOM's every-10-timesteps diagnostics print,
@@ -25,10 +26,10 @@ import math
 from dataclasses import dataclass, field
 
 from repro.machine.operations import Trace
-from repro.machine.processor import ExecutionReport, Processor
+from repro.machine.processor import Processor
 from repro.units import MEGA
 
-__all__ = ["Node", "ParallelReport", "block_imbalance"]
+__all__ = ["Node", "ParallelReport", "block_imbalance", "block_shares"]
 
 
 def block_imbalance(units: int, cpus: int) -> float:
@@ -43,6 +44,17 @@ def block_imbalance(units: int, cpus: int) -> float:
     ideal = units / cpus
     actual = math.ceil(ideal)
     return actual / ideal
+
+
+def block_shares(units: int, cpus: int) -> list[float]:
+    """Fractions of ``units`` indivisible work items each CPU receives
+    under block dealing: ``units mod cpus`` CPUs carry the ceiling share,
+    the rest the floor share.  Sums to 1 exactly — total work is
+    conserved; only the *maximum* share (wall time) reflects imbalance."""
+    if units < 1 or cpus < 1:
+        raise ValueError(f"need positive units and cpus, got {units}, {cpus}")
+    base, rem = divmod(units, cpus)
+    return [(base + (1 if i < rem else 0)) / units for i in range(cpus)]
 
 
 @dataclass
@@ -178,18 +190,3 @@ class Node:
             flop_equivalents=equiv,
             per_cpu_seconds=per_cpu,
         )
-
-    def run_replicated(
-        self, trace: Trace, cpus: int, regions: float = 1.0, other_active_cpus: int = 0
-    ) -> ParallelReport:
-        """The same per-CPU trace on ``cpus`` processors, costed once."""
-        return self.run_parallel(
-            [trace] * cpus,
-            regions=regions,
-            other_active_cpus=other_active_cpus,
-            trace_name=trace.name,
-        )
-
-    def run_serial(self, trace: Trace) -> ExecutionReport:
-        """Single-CPU execution on an otherwise idle node."""
-        return self.processor.execute(trace)

@@ -17,9 +17,9 @@ carry exactly the features 1990s vector-machine performance depends on:
 Flop accounting follows the paper's "Cray Y-MP equivalent Mflops"
 convention: an intrinsic call is credited with a fixed flop-equivalent
 (:data:`INTRINSIC_FLOP_EQUIV`), the way Cray's hardware performance monitor
-counted library calls.  :meth:`Trace.flop_equivalents` is what the Mflops
-numbers in the tables are computed from; :meth:`Trace.raw_flops` counts
-only genuine adds/multiplies.
+counted library calls.  The flop-equivalents a trace's execution report
+totals are what the Mflops numbers in the tables are computed from; its
+raw flops count only genuine adds/multiplies.
 
 A :class:`Trace` stores its ops as columns, one Python tuple per
 :class:`VectorOp`/:class:`ScalarOp` field, so scaling, joining and
@@ -175,9 +175,9 @@ class VectorOp:
         )
 
     # -- accounting -------------------------------------------------------
-    # Trace's column aggregates and the compiled engine's derived columns
-    # replicate these expressions term-for-term, so per-op values agree
-    # bitwise between them.
+    # The compiled engine's derived columns (and Trace's two traffic
+    # sums) replicate these expressions term-for-term, so per-op values
+    # agree bitwise between them.
     @property
     def elements(self) -> float:
         """Total elements processed over all executions."""
@@ -217,7 +217,7 @@ class VectorOp:
         """Data words that are indexed *or* strided above 2, all executions.
 
         The traffic class that degrades under multi-CPU bank contention
-        (see :meth:`Trace.irregular_fraction`).
+        (see :attr:`Trace.irregular_words`).
         """
         irregular = self.indexed_words * self.count
         if self.load_stride > 2:
@@ -318,14 +318,15 @@ class Trace:
     """An ordered sequence of operation descriptors, stored as columns.
 
     Traces are the interface between benchmark code and machine models.
-    They support concatenation (``+``), uniform scaling (``trace * 12`` =
-    "run twelve timesteps of this"), and aggregate accounting.
+    They support concatenation (``+``) and uniform scaling (``trace * 12``
+    = "run twelve timesteps of this"); a processor's execution report
+    carries their flop and word totals.
 
     A trace holds the op names, and per op kind one tuple per op field
     plus each row's position among the ops (:class:`VectorRows`,
     :class:`ScalarRows`).  The columns are its only state: scaling
     builds new count columns and shares the rest, ``+`` concatenates,
-    and every aggregate and every
+    and every traffic sum and every
     :func:`~repro.machine.compiled.compile_trace` reads the columns as
     they are at that moment.  :attr:`ops` is a read-only row view built
     on each read, so a trace changes only through :meth:`append`,
@@ -441,34 +442,14 @@ class Trace:
             self.name, self._names, _scaled(self._vector, factor), _scaled(self._scalar, factor)
         )
 
-    # -- aggregate accounting ---------------------------------------------
-    # Each aggregate is a ``math.fsum`` over one value per row, each the
-    # op property's own expression with its association, so it equals
-    # the fsum of the row view's properties.  fsum's exactly-rounded
-    # result is independent of summation order, so the compiled engine's
-    # column reductions return bit-identical totals.
-    @property
-    def raw_flops(self) -> float:
-        v, s = self._vector, self._scalar
-        return math.fsum(
-            [f * (l * c) for f, l, c in zip(v.flops_per_element, v.length, v.count)]
-            + [f * c for f, c in zip(s.flops, s.count)]
-        )
-
-    @property
-    def flop_equivalents(self) -> float:
-        v, s = self._vector, self._scalar
-        values = []
-        for f, l, c, calls in zip(v.flops_per_element, v.length, v.count, v.intrinsic_calls):
-            elements = l * c
-            total = f * elements
-            for name, per in calls:
-                total += INTRINSIC_FLOP_EQUIV[name] * per * elements
-            values.append(total)
-        return math.fsum(values + [f * c for f, c in zip(s.flops, s.count)])
-
+    # -- memory traffic -----------------------------------------------------
+    # The node model reads these two before it lowers the CPUs' traces
+    # (they set the contention dilation).  Each is a ``math.fsum`` over
+    # one value per row, each the op property's own expression with its
+    # association, so it equals the fsum of the row view's properties.
     @property
     def words_moved(self) -> float:
+        """Data words moved over the whole trace (indices excluded)."""
         v, s = self._vector, self._scalar
         return math.fsum(
             [
@@ -486,40 +467,14 @@ class Trace:
         )
 
     @property
-    def bytes_moved(self) -> float:
-        return self.words_moved * 8.0
-
-    @property
-    def intrinsic_calls_total(self) -> dict[str, float]:
-        v = self._vector
-        calls: dict[str, list[float]] = {}
-        for l, c, pairs in zip(v.length, v.count, v.intrinsic_calls):
-            for name, per in pairs:
-                calls.setdefault(name, []).append(per * (l * c))
-        return {name: math.fsum(values) for name, values in calls.items()}
-
-    @property
-    def indexed_words_total(self) -> float:
-        """Data words moved via gather/scatter over the whole trace."""
-        v = self._vector
-        return math.fsum(
-            (g + sc) * l * c
-            for g, sc, l, c in zip(
-                v.gather_loads_per_element, v.scatter_stores_per_element, v.length, v.count
-            )
-        )
-
-    @property
-    def gather_fraction(self) -> float:
-        """Fraction of data words moved via gather/scatter (list vectors)."""
-        total = self.words_moved
-        if total == 0:
-            return 0.0
-        return self.indexed_words_total / total
-
-    @property
     def irregular_words(self) -> float:
-        """Data words that are indexed *or* strided above 2."""
+        """Data words that are indexed *or* strided above 2.
+
+        Unit stride (and stride 2) is conflict-free on the SX-4 from all
+        32 processors, so only this traffic degrades under multi-CPU
+        bank contention — the reason the ensemble test (Table 6) shows
+        just 1.89% degradation.
+        """
         v = self._vector
         values = []
         for g, sc, lo, st, ls, ss, l, c in zip(
@@ -539,17 +494,3 @@ class Trace:
                 irregular += st * l * c
             values.append(irregular)
         return math.fsum(values)
-
-    @property
-    def irregular_fraction(self) -> float:
-        """Fraction of data words that are indexed *or* strided above 2.
-
-        Used by the node model to estimate multi-CPU bank contention: unit
-        stride (and stride 2) is guaranteed conflict-free on the SX-4 from
-        all 32 processors, so only this traffic degrades under load — the
-        reason the ensemble test (Table 6) shows just 1.89% degradation.
-        """
-        total = self.words_moved
-        if total == 0:
-            return 0.0
-        return self.irregular_words / total

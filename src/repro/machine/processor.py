@@ -27,7 +27,6 @@ both sides reduce with :func:`math.fsum`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -238,23 +237,22 @@ class Processor:
         op_cycles = compiled.scatter_cycles(vector_cycles, scalar_cycles)
         if perfmon_active() is not None:
             records = self._counter_records(
-                compiled, memo, vector_cycles, scalar_cycles, op_cycles, memory_dilation
+                compiled, memo, vector_cycles, scalar_cycles, memory_dilation
             )
             for trace in traces:
                 for component, increments in records[slot[id(trace)]]:
                     perfmon_record(component, increments)
-        cycles_of = op_cycles.tolist()
+        costed = [
+            (cycles, self.clock.seconds(cycles))
+            for (cycles,) in compiled.segment_sums((vector_cycles,), (scalar_cycles,))
+        ]
         bounds = compiled.op_offsets
-        costed = []
-        for k, totals in enumerate(compiled.segment_totals()):
-            start, end = bounds[k], bounds[k + 1]
-            cycles = math.fsum(cycles_of[start:end])
-            costed.append((cycles, self.clock.seconds(cycles), totals, start, end))
         reports = []
         handed = [False] * len(distinct)
         for trace in traces:
             k = slot[id(trace)]
-            cycles, seconds, totals, start, end = costed[k]
+            (cycles, seconds), totals = costed[k], compiled.totals[k]
+            start, end = bounds[k], bounds[k + 1]
             # A repeated entry gets a copy, so no two reports share cycles.
             own = op_cycles[start:end].copy() if handed[k] else op_cycles[start:end]
             handed[k] = True
@@ -280,7 +278,6 @@ class Processor:
         memo: dict,
         vector_cycles: np.ndarray,
         scalar_cycles: np.ndarray,
-        op_cycles: np.ndarray,
         dilation: float,
     ) -> list[list[tuple[str, dict[str, float]]]]:
         """Each compiled trace's counter records, reduced over its segment.
@@ -295,7 +292,6 @@ class Processor:
         """
         params = self._params
         v, s = compiled.vector, compiled.scalar
-        vo, so, oo = compiled.vector_offsets, compiled.scalar_offsets, compiled.op_offsets
         vector_columns: list = []
         if v.n and params.has_vector:
             vector_columns = [
@@ -311,29 +307,36 @@ class Processor:
             if s.n
             else []
         )
-        vector_sums = [(name, _segment_sums(cols, vo)) for name, cols in vector_columns]
-        scalar_sums = [(name, _segment_sums(cols, so)) for name, cols in scalar_columns]
-        time_sums = _segment_sums(
-            {"cycles": op_cycles, "seconds": op_cycles * self.clock.period_s}, oo
+        # One reduction per op kind: every counter column, then the kind's
+        # cycles; and one over both kinds for the trace's cycles and seconds.
+        period = self.clock.period_s
+        vector_sums = compiled.segment_sums([*_counter_rows(vector_columns), vector_cycles])
+        scalar_sums = compiled.segment_sums(
+            scalar=[*_counter_rows(scalar_columns), scalar_cycles]
         )
-        vector_time = _segment_sums({"vector_cycles": vector_cycles}, vo)
-        scalar_time = _segment_sums({"scalar_cycles": scalar_cycles}, so)
+        time_sums = compiled.segment_sums(
+            (vector_cycles, vector_cycles * period), (scalar_cycles, scalar_cycles * period)
+        )
+        vo, so = compiled.vector_offsets, compiled.scalar_offsets
         records = []
-        for k in range(len(oo) - 1):
+        for k in range(len(vo) - 1):
             n_vector, n_scalar = vo[k + 1] - vo[k], so[k + 1] - so[k]
             calls = [("processor", {"traces": 1.0})]
             if n_vector:
-                calls += [(name, sums[k]) for name, sums in vector_sums]
+                calls += _component_records(vector_columns, vector_sums[k])
             if n_scalar:
-                calls += [(name, sums[k]) for name, sums in scalar_sums]
+                calls += _component_records(scalar_columns, scalar_sums[k])
             if n_vector or n_scalar:
-                increments = {"ops": float(n_vector + n_scalar), **time_sums[k]}
+                cycles, seconds = time_sums[k]
+                increments = {
+                    "ops": float(n_vector + n_scalar), "cycles": cycles, "seconds": seconds
+                }
                 if n_vector:
                     increments["vector_ops"] = float(n_vector)
-                    increments.update(vector_time[k])
+                    increments["vector_cycles"] = vector_sums[k][-1]
                 if n_scalar:
                     increments["scalar_ops"] = float(n_scalar)
-                    increments.update(scalar_time[k])
+                    increments["scalar_cycles"] = scalar_sums[k][-1]
                 calls.append(("processor", increments))
             records.append(calls)
         return records
@@ -343,10 +346,14 @@ class Processor:
         return self.execute(trace, memory_dilation).seconds
 
 
-def _segment_sums(columns: dict[str, np.ndarray], offsets) -> list[dict[str, float]]:
-    """Per segment, the exactly-rounded sum of each column, keys in order."""
-    values = {name: column.tolist() for name, column in columns.items()}
-    return [
-        {name: math.fsum(column[start:end]) for name, column in values.items()}
-        for start, end in zip(offsets, offsets[1:])
-    ]
+def _counter_rows(columns: list[tuple[str, dict[str, np.ndarray]]]) -> list[np.ndarray]:
+    """Every counter column of ``(component, columns)`` pairs, in order."""
+    return [column for _, counters in columns for column in counters.values()]
+
+
+def _component_records(
+    columns: list[tuple[str, dict[str, np.ndarray]]], sums: list[float]
+) -> list[tuple[str, dict[str, float]]]:
+    """One record per component: its counters' sums, read in column order."""
+    values = iter(sums)
+    return [(name, {key: next(values) for key in counters}) for name, counters in columns]

@@ -238,3 +238,5 @@ class TestTable7:
             costmodel.benchmark_time(node, cpus=1, steps=0)
         with pytest.raises(ValueError):
             costmodel.barotropic_trace(OceanGrid.benchmark(), iterations=0)
+        with pytest.raises(ValueError, match="positive units and cpus"):
+            costmodel.parallel_step(node, cpus=0)

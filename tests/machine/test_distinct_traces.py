@@ -111,15 +111,15 @@ def _step_traces() -> tuple[Trace, Trace]:
 
 
 class TestRunParallel:
-    def test_run_replicated_lowers_once(self, lowered):
+    def test_a_shared_trace_lowers_once(self, lowered):
         trace, _ = _step_traces()
-        sx4_node().run_replicated(trace, 32)
+        sx4_node().run_parallel([trace] * 32)
         assert _ids(lowered) == [[id(trace)]]
 
-    def test_run_replicated_equals_distinct_copies(self, lowered):
+    def test_a_shared_trace_equals_distinct_copies(self, lowered):
         trace, _ = _step_traces()
         node = sx4_node()
-        shared = node.run_replicated(trace, 32, regions=12.0, other_active_cpus=0)
+        shared = node.run_parallel([trace] * 32, regions=12.0, trace_name=trace.name)
         assert len(lowered) == 1
         copies = node.run_parallel(
             [_copy(trace) for _ in range(32)], regions=12.0, trace_name=trace.name
@@ -132,7 +132,7 @@ class TestRunParallel:
         trace, _ = _step_traces()
         node = sx4_node()
         with profile() as shared:
-            node.run_replicated(trace, 32)
+            node.run_parallel([trace] * 32)
         with profile() as copies:
             node.run_parallel([_copy(trace) for _ in range(32)])
         assert _hex_counters(shared) == _hex_counters(copies)
@@ -201,10 +201,10 @@ class TestNoOpObjects:
         cost = ccm2_cost.step_trace("T42L18")
         made = _counting_ops(monkeypatch)
         trace = (cost.spectral.scaled(0.25) + cost.grid.scaled(0.5)) * 3.0
-        compile_trace(trace, cost.serial)
+        compiled = compile_trace(trace, cost.serial)
         sx4_processor().execute_all([trace, cost.serial])
         sx4_node().run_parallel([trace, trace], serial=cost.serial)
-        assert trace.irregular_words < trace.words_moved < trace.flop_equivalents
+        assert trace.irregular_words < trace.words_moved < compiled.totals[0][1]
         assert made == {"VectorOp": 0, "ScalarOp": 0}
 
     def test_linpack_builds_two_ops(self, made):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.machine.compiled import SORTED_INTRINSICS, compile_trace
 from repro.machine.operations import (
     INTRINSIC_FLOP_EQUIV,
     ScalarOp,
@@ -99,21 +100,22 @@ class TestTrace:
 
     def test_aggregates(self):
         trace = self.make_trace()
-        assert trace.raw_flops == pytest.approx(10 * 2 * 2 + 10 * 3)
-        assert trace.words_moved == pytest.approx(10 * 2 * 2 + 5 * 3)
-        assert trace.bytes_moved == pytest.approx(trace.words_moved * 8)
+        raw, _, words = compile_trace(trace).totals[0]
+        assert raw == pytest.approx(10 * 2 * 2 + 10 * 3)
+        assert words == trace.words_moved == pytest.approx(10 * 2 * 2 + 5 * 3)
 
     def test_concatenation(self):
         t1, t2 = self.make_trace(), self.make_trace()
         combined = t1 + t2
         assert len(combined) == 4
-        assert combined.raw_flops == pytest.approx(2 * t1.raw_flops)
+        (raw, _, _), (raw1, _, _) = compile_trace(combined, t1).totals
+        assert raw == pytest.approx(2 * raw1)
 
     def test_scaling_by_timesteps(self):
         trace = self.make_trace()
-        scaled = trace * 12
-        assert scaled.raw_flops == pytest.approx(12 * trace.raw_flops)
-        assert (3 * trace).raw_flops == pytest.approx(3 * trace.raw_flops)
+        raw = [totals[0] for totals in compile_trace(trace, trace * 12, 3 * trace).totals]
+        assert raw[1] == pytest.approx(12 * raw[0])
+        assert raw[2] == pytest.approx(3 * raw[0])
 
     def test_gather_fraction(self):
         trace = Trace(
@@ -124,10 +126,9 @@ class TestTrace:
             ]
         )
         # 100 of 400 data words are gathered (200 copy + 100 gather + 100 store).
-        assert trace.gather_fraction == pytest.approx(100 / 400)
-
-    def test_gather_fraction_empty_trace(self):
-        assert Trace([]).gather_fraction == 0.0
+        columns = compile_trace(trace).vector
+        gathered = (columns.indexed_words * columns.count).sum()
+        assert gathered / trace.words_moved == pytest.approx(100 / 400)
 
     def test_intrinsic_totals(self):
         trace = Trace(
@@ -136,9 +137,10 @@ class TestTrace:
                 VectorOp.make("b", 5, intrinsics={"exp": 2.0}),
             ]
         )
-        totals = trace.intrinsic_calls_total
-        assert totals["exp"] == pytest.approx(10 * 2 * 1.0 + 5 * 2.0)
-        assert totals["sqrt"] == pytest.approx(10 * 2 * 0.5)
+        columns = compile_trace(trace).vector
+        totals = (columns.intrinsics * columns.elements[:, None]).sum(axis=0)
+        assert totals[SORTED_INTRINSICS.index("exp")] == pytest.approx(10 * 2 * 1.0 + 5 * 2.0)
+        assert totals[SORTED_INTRINSICS.index("sqrt")] == pytest.approx(10 * 2 * 0.5)
 
     def test_append_type_checked(self):
         trace = Trace([])

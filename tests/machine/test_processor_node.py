@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine.clock import Clock
-from repro.machine.node import block_imbalance
+from repro.machine.node import block_imbalance, block_shares
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.presets import sx4_node, sx4_processor
 from repro.machine.processor import Processor
@@ -117,6 +117,25 @@ class TestBlockImbalance:
             block_imbalance(4, 0)
 
 
+class TestBlockShares:
+    def test_remainder_cpus_carry_the_ceiling_share(self):
+        shares = block_shares(33, 32)
+        assert shares[0] == 2 / 33 and set(shares[1:]) == {1 / 33}
+        assert sum(shares) == pytest.approx(1.0)
+
+    def test_busiest_share_matches_the_imbalance(self):
+        for units, cpus in ((64, 32), (33, 32), (4, 32), (43, 29)):
+            assert max(block_shares(units, cpus)) * cpus == pytest.approx(
+                block_imbalance(units, cpus)
+            )
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            block_shares(0, 4)
+        with pytest.raises(ValueError):
+            block_shares(4, 0)
+
+
 class TestNode:
     def test_node_peaks(self):
         node = sx4_node(cpus=32, period_ns=8.0)
@@ -132,7 +151,7 @@ class TestNode:
     def test_parallel_speedup_bounded_by_cpus(self):
         node = sx4_node()
         whole = axpy_trace(count=320)
-        serial = node.run_serial(whole).seconds
+        serial = node.processor.execute(whole).seconds
         per_cpu = whole.scaled(1 / 32)
         par = node.run_parallel([per_cpu] * 32)
         speedup = serial / par.seconds
@@ -145,7 +164,7 @@ class TestNode:
         node = sx4_node()
         trace = axpy_trace(count=1000)  # large enough that sync is noise
         one = node.run_parallel([trace])
-        all32 = node.run_replicated(trace, cpus=32)
+        all32 = node.run_parallel([trace] * 32)
         degradation = all32.seconds / one.seconds - 1.0
         assert degradation < 0.05
 
@@ -158,7 +177,7 @@ class TestNode:
 
         def degradation(trace):
             one = node.run_parallel([trace]).seconds
-            full = node.run_replicated(trace, cpus=32).seconds
+            full = node.run_parallel([trace] * 32).seconds
             return full / one - 1.0
 
         assert degradation(idx) > degradation(seq)
@@ -182,7 +201,7 @@ class TestNode:
     def test_oversubscription_rejected(self):
         node = sx4_node(cpus=4)
         with pytest.raises(ValueError):
-            node.run_replicated(axpy_trace(), cpus=5)
+            node.run_parallel([axpy_trace()] * 5)
         with pytest.raises(ValueError):
             node.run_parallel([axpy_trace()] * 2, other_active_cpus=3)
 
@@ -193,6 +212,7 @@ class TestNode:
     def test_flops_aggregated_across_cpus(self):
         node = sx4_node()
         trace = axpy_trace(count=1)
-        report = node.run_replicated(trace, cpus=4)
-        assert report.flop_equivalents == pytest.approx(4 * trace.flop_equivalents)
+        report = node.run_parallel([trace] * 4)
+        one = node.processor.execute(trace)
+        assert report.flop_equivalents == pytest.approx(4 * one.flop_equivalents)
         assert report.gflops == pytest.approx(report.mflops / 1e3)

@@ -75,7 +75,7 @@ def test_parallel_wall_time_monotone_decreasing_in_cpus(n_cpus):
                             flops_per_element=2)])
     per_cpu = whole.scaled(1.0 / n_cpus)
     report = node.run_parallel([per_cpu] * n_cpus)
-    serial = node.run_serial(whole).seconds
+    serial = node.processor.execute(whole).seconds
     # Never faster than perfect speedup, never slower than serial + sync.
     assert report.seconds >= serial / n_cpus * 0.999
     assert report.seconds <= serial + node.sync_seconds(n_cpus, 1) + 1e-9
@@ -89,8 +89,9 @@ def test_report_flops_match_trace(length, count):
     trace = Trace([VectorOp("v", length=length, count=count, flops_per_element=2,
                             loads_per_element=1, stores_per_element=1)])
     report = proc.execute(trace)
-    assert report.raw_flops == trace.raw_flops
-    assert report.flop_equivalents == trace.flop_equivalents
+    (op,) = trace.ops
+    assert report.raw_flops == op.raw_flops
+    assert report.flop_equivalents == op.flop_equivalents
     assert report.mflops <= proc.peak_flops / 1e6 * (1 + 1e-9)
 
 

@@ -1,11 +1,11 @@
 """Suite stacking: structure and bit-exact parity of the stacked grid pass.
 
-A :class:`SuiteColumns` stack is costed by the machine grid in one
-``(n_ops, n_machines)`` pass.  It is a *faster spelling* of the same
-model, never a different one, so the core tests assert exact equality
-between every stacked (trace, machine) cost and ``Processor.execute``
-on that trace alone — across every registered trace, every canonical
-preset and multiple dilations.
+A :class:`SuiteColumns` stack holds one lowering of the suite, which the
+machine grid costs in one ``(n_ops, n_machines)`` pass.  It is a *faster
+spelling* of the same model, never a different one, so the core tests
+assert exact equality between every stacked (trace, machine) cost and
+``Processor.execute`` on that trace alone — across every registered
+trace, every canonical preset and multiple dilations.
 """
 
 import dataclasses
@@ -60,33 +60,36 @@ class TestStructure:
     def test_stack_shape(self, stacked, suite_pairs):
         assert stacked.n_traces == len(ALL_TRACE_IDS)
         assert stacked.trace_ids == ALL_TRACE_IDS
+        compiled = stacked.compiled
+        assert compiled.trace_names == tuple(trace.name for _, trace in suite_pairs)
         total_ops = sum(len(trace.ops) for _, trace in suite_pairs)
-        assert stacked.vector.n + stacked.scalar.n == total_ops
-        assert stacked.vector_offsets[0] == 0
-        assert stacked.vector_offsets[-1] == stacked.vector.n
-        assert stacked.scalar_offsets[-1] == stacked.scalar.n
+        assert compiled.vector.n + compiled.scalar.n == total_ops
+        assert compiled.vector_offsets[0] == 0
+        assert compiled.vector_offsets[-1] == compiled.vector.n
+        assert compiled.scalar_offsets[-1] == compiled.scalar.n
 
     def test_trace_columns_map_to_their_segment(self, stacked, suite_pairs):
         # Each trace's segment spans exactly its own vector/scalar rows.
-        vo, so = stacked.vector_offsets, stacked.scalar_offsets
+        vo, so = stacked.compiled.vector_offsets, stacked.compiled.scalar_offsets
         for i, (_, trace) in enumerate(suite_pairs):
             solo = compile_trace(trace)
             assert vo[i + 1] - vo[i] == solo.vector.n
             assert so[i + 1] - so[i] == solo.scalar.n
 
     def test_rows_bit_identical_to_solo_compile(self, stacked, suite_pairs):
-        vo, so = stacked.vector_offsets, stacked.scalar_offsets
+        compiled = stacked.compiled
+        vo, so, oo = compiled.vector_offsets, compiled.scalar_offsets, compiled.op_offsets
         for i, (_, trace) in enumerate(suite_pairs):
             solo = compile_trace(trace)
             vector = slice(vo[i], vo[i + 1])
             scalar = slice(so[i], so[i + 1])
-            assert stacked.vector.index[vector].tolist() == solo.vector.index.tolist()
-            assert stacked.vector.length[vector].tolist() == solo.vector.length.tolist()
+            assert (compiled.vector.index[vector] - oo[i]).tolist() == solo.vector.index.tolist()
+            assert compiled.vector.length[vector].tolist() == solo.vector.length.tolist()
             assert (
-                stacked.vector.raw_flops[vector].tolist() == solo.vector.raw_flops.tolist()
+                compiled.vector.raw_flops[vector].tolist() == solo.vector.raw_flops.tolist()
             )
             assert (
-                stacked.scalar.instructions[scalar].tolist()
+                compiled.scalar.instructions[scalar].tolist()
                 == solo.scalar.instructions.tolist()
             )
 
@@ -99,12 +102,14 @@ class TestExactParity:
         processors = list(machines.values())
         grid = MachineGrid.from_processors(processors)
         for dilation in DILATIONS:
-            costs = cost_suite_trace_grid(stacked, grid, dilation)
+            costs = cost_suite_trace_grid(stacked.compiled, grid, dilation)
             assert_costs_match_execute(costs, suite_pairs, processors, dilation)
 
     def test_derived_rates_match_exactly(self, stacked, suite_pairs, machines):
         processor = machines["Cray J90"]
-        costs = cost_suite_trace_grid(stacked, MachineGrid.from_processors([processor]))
+        costs = cost_suite_trace_grid(
+            stacked.compiled, MachineGrid.from_processors([processor])
+        )
         for cost, (_, trace) in zip(costs, suite_pairs):
             expected = processor.execute(trace)
             assert cost.mflops[0] == expected.mflops
@@ -114,16 +119,16 @@ class TestExactParity:
         pairs = [(tid, build_registered_trace(tid)) for tid in ("linpack", "xpose", "ia")]
         processor = machines["NEC SX-4 (9.2 ns)"]
         costs = cost_suite_trace_grid(
-            SuiteColumns.from_traces(pairs), MachineGrid.from_processors([processor])
+            SuiteColumns.from_traces(pairs).compiled, MachineGrid.from_processors([processor])
         )
         assert_costs_match_execute(costs, pairs, [processor])
 
     def test_empty_suite(self):
         suite = SuiteColumns.from_traces([])
         assert suite.n_traces == 0
-        assert suite.vector.n == suite.scalar.n == 0
+        assert suite.compiled.vector.n == suite.compiled.scalar.n == 0
         grid = MachineGrid.from_processors([sx4_processor()])
-        assert cost_suite_trace_grid(suite, grid) == []
+        assert cost_suite_trace_grid(suite.compiled, grid) == []
 
 
 class TestPlainValues:
@@ -133,22 +138,22 @@ class TestPlainValues:
 
     def test_costs_own_their_cycles(self, stacked):
         grid = MachineGrid.from_processors([sx4_processor()])
-        first = cost_suite_trace_grid(stacked, grid, 1.5)
+        first = cost_suite_trace_grid(stacked.compiled, grid, 1.5)
         expected = [cost.cycles.tolist() for cost in first]
         for cost in first:
             cost.cycles[:] = 0.0
-        second = cost_suite_trace_grid(stacked, grid, 1.5)
+        second = cost_suite_trace_grid(stacked.compiled, grid, 1.5)
         assert [cost.cycles.tolist() for cost in second] == expected
 
 
 class TestCounters:
     def test_perfmon_counts_machine_traces(self):
         pairs = [(tid, build_registered_trace(tid)) for tid in ("copy", "stream")]
-        suite = SuiteColumns.from_traces(pairs)
+        compiled = SuiteColumns.from_traces(pairs).compiled
         grid = MachineGrid.from_processors([sx4_processor()])
         with profile() as prof:
-            cost_suite_trace_grid(suite, grid)
-            cost_suite_trace_grid(suite, grid)
+            cost_suite_trace_grid(compiled, grid)
+            cost_suite_trace_grid(compiled, grid)
         counters = prof.counters.to_dict()["grid"]
         assert counters["machine_traces"] == 4.0
 
@@ -156,17 +161,13 @@ class TestCounters:
 class TestSegmentReductions:
     def test_trace_totals_match_compiled_totals(self, stacked, suite_pairs):
         for i, (_, trace) in enumerate(suite_pairs):
-            solo = compile_trace(trace)
-            raw, equiv, words = stacked.trace_totals[i]
-            assert raw == solo.raw_flops_total
-            assert equiv == solo.flop_equivalents_total
-            assert words == solo.words_moved_total
+            assert stacked.compiled.totals[i] == compile_trace(trace).totals[0]
 
 
 class TestGridFusion:
     def test_suite_grid_matches_per_trace_grid(self, stacked, suite_pairs, machines):
         grid = MachineGrid.from_processors(list(machines.values()))
-        fused = cost_suite_trace_grid(stacked, grid)
+        fused = cost_suite_trace_grid(stacked.compiled, grid)
         assert len(fused) == len(suite_pairs)
         for cost, (_, trace) in zip(fused, suite_pairs):
             solo = cost_trace_grid(trace, grid)

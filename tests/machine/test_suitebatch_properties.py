@@ -84,7 +84,7 @@ random_traces = st.lists(
 def stacked_costs(processor, pairs, dilation=1.0):
     """Per-trace costs of one stacked grid pass on a one-machine grid."""
     grid = MachineGrid.from_processors([processor])
-    return cost_suite_trace_grid(SuiteColumns.from_traces(pairs), grid, dilation)
+    return cost_suite_trace_grid(SuiteColumns.from_traces(pairs).compiled, grid, dilation)
 
 
 def assert_suite_parity(processor, pairs, dilation=1.0):

@@ -2,10 +2,11 @@
 
 :meth:`~repro.machine.processor.Processor.per_op_cycles` costs each op
 through the per-op ``vector_op_cycles``/``scalar_op_cycles`` methods.
-:func:`oracle_report` reduces that list the way ``Processor.execute``
-must (``math.fsum``), and :func:`oracle_counters` records every op's
-per-op ``perfmon_counters*`` in a fresh profile, so a test can compare
-``execute`` against both, bit for bit.
+:func:`oracle_report` reduces that list, and each op's flop and word
+properties, the way ``Processor.execute`` must (``math.fsum``), and
+:func:`oracle_counters` records every op's per-op ``perfmon_counters*``
+in a fresh profile, so a test can compare ``execute`` against both, bit
+for bit.
 """
 
 import math
@@ -22,15 +23,16 @@ def oracle_report(processor, trace, memory_dilation=1.0) -> ExecutionReport:
     """The report ``processor.execute(trace, memory_dilation)`` must equal."""
     op_cycles = processor.per_op_cycles(trace, memory_dilation)
     cycles = math.fsum(op_cycles)
+    ops = trace.ops
     return ExecutionReport(
         machine=processor.name,
         trace_name=trace.name,
         cycles=cycles,
         seconds=processor.clock.seconds(cycles),
-        raw_flops=trace.raw_flops,
-        flop_equivalents=trace.flop_equivalents,
-        words_moved=trace.words_moved,
-        op_names=tuple(op.name for op in trace),
+        raw_flops=math.fsum(op.raw_flops for op in ops),
+        flop_equivalents=math.fsum(op.flop_equivalents for op in ops),
+        words_moved=math.fsum(op.words_moved for op in ops),
+        op_names=tuple(op.name for op in ops),
         op_cycles=np.array(op_cycles, dtype=np.float64),
     )
 

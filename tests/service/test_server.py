@@ -405,6 +405,33 @@ class TestKeptWorkers:
             raw.close()
             server.stop()
 
+    def test_a_job_past_its_deadline_holds_up_no_exit(self, tmp_path):
+        """A job that overran its deadline leaves its worker busy; on
+        SIGTERM the server still exits at once, and that worker with it.
+        A worker forked from a serving process ignores SIGTERM, so the
+        pool has to kill it."""
+        stall = {"site": "executor_job", "exp_id": "table2", "kind": "slow",
+                 "attempt": 0, "delay_s": 30.0}
+        body = {"kind": "suite", "deadline_s": 1.0, "suite": {
+            "ids": ["table2"], "fault_plan": {"schema": 1, "seed": 0, "actions": [stall]}}}
+        proc, port = _spawn_server(tmp_path, "server", 0)
+        try:
+            client = ServiceClient(port=port)
+            final = client.wait(client.submit(body)["job_id"], timeout_s=60)
+            assert final["state"] == "failed" and "deadline" in final["error"], final
+            workers = _children(proc.pid)
+            assert workers
+            proc.send_signal(signal.SIGTERM)
+            start = time.monotonic()
+            assert proc.wait(timeout=60) == 0
+            assert time.monotonic() - start < 3.0
+            time.sleep(1.0)
+            assert not {pid for pid in workers if _alive(pid)}
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
     def test_a_killed_server_leaves_no_worker_and_no_held_port(self, tmp_path):
         """Kill -9 a ``--jobs 2`` server whose pool was replaced once: a
         new server binds its port at once, and its workers exit."""
