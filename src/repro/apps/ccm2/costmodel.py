@@ -25,6 +25,10 @@ Parallelisation follows CCM2's multitasking: spectral phases distribute
 over the T+1 Fourier wavenumbers (whose block imbalance is what makes T42
 scale worst), grid phases over latitude rows with a physics load-imbalance
 factor (day/night radiation), plus per-step synchronisation regions.
+:func:`parallel_steps` costs a list of ``(resolution, cpus, other CPUs)``
+points in one node-model call, building each resolution's phase traces
+once: Figure 8's 18 points are one call, and so is Table 6's job alone
+and loaded.  :func:`parallel_step` is its one-point call.
 
 Calibration anchors: T170L18 on 32 CPUs sustains ≈24 Cray-equivalent
 Gflops (Figure 8); the one-year T42/T63 runs of Table 5; the 1.89%
@@ -33,12 +37,13 @@ ensemble degradation of Table 6.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.apps.ccm2.resolutions import Resolution, resolution
 from repro.kernels import fftpack, radabs
 from repro.machine.ixs import MultiNodeSystem
-from repro.machine.node import Node, ParallelReport, block_imbalance, block_shares
+from repro.machine.node import Node, ParallelReport, ParallelStep, block_imbalance, block_shares
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.presets import sx4_node
 from repro.units import GIGA
@@ -46,6 +51,7 @@ from repro.units import GIGA
 __all__ = [
     "CCM2Cost",
     "step_trace",
+    "parallel_steps",
     "parallel_step",
     "figure8_point",
     "figure8_curves",
@@ -251,52 +257,74 @@ def _physics_imbalance(cpus: int) -> float:
     return 1.0 + PHYSICS_IMBALANCE_PER_CPU * cpus
 
 
-def parallel_step(
-    node: Node,
-    res: Resolution | str,
-    cpus: int,
-    other_active_cpus: int = 0,
-) -> ParallelReport:
-    """One timestep on ``cpus`` processors of an SX-4 node.
+def parallel_steps(
+    node: Node, points: Iterable[tuple[Resolution | str, int, int]]
+) -> list[ParallelReport]:
+    """One timestep per ``(res, cpus, other_active_cpus)`` point, costed
+    on an SX-4 node in one :meth:`~repro.machine.node.Node.run_parallel_all`
+    call.
 
     Spectral work deals the (T+1) Fourier wavenumbers to the CPUs in
     blocks (T42's 43 wavenumbers on 32 CPUs leave half the machine with
     double shares — the main reason small resolutions scale worst); grid
     work deals latitude rows, with the busiest CPU additionally carrying
     the physics day/night imbalance.  CPUs with equal shares run one
-    trace, so a step builds and costs at most four: the busiest CPU's and
-    one per ceiling/floor share pair among the rest.
+    trace, so a step builds at most four: the busiest CPU's and one per
+    ceiling/floor share pair among the rest.  Each resolution's phase
+    traces are built once per call, and its serial trace is one object
+    for all its steps.
     """
-    cost = step_trace(res)
-    if cpus < 1:
-        raise ValueError(f"need at least one CPU, got {cpus}")
-    spec_shares = block_shares(cost.res.trunc + 1, cpus)
-    grid_shares = block_shares(cost.res.nlat, cpus)
-    imbalance = _physics_imbalance(cpus)
-    shares = [
-        (spec_shares[i], grid_shares[i] * (imbalance if i == 0 else 1.0))
-        for i in range(cpus)
-    ]
-    # One trace per distinct share, handed to every CPU with that share:
-    # the node model costs a shared trace once.
-    by_share = {
-        share: cost.spectral.scaled(share[0]) + cost.grid.scaled(share[1])
-        for share in dict.fromkeys(shares)
-    }
-    name = f"CCM2 {cost.res.name} step/{cpus}cpu"
-    return node.run_parallel(
-        [by_share[share] for share in shares],
-        serial=cost.serial,
-        regions=REGIONS_PER_STEP,
-        other_active_cpus=other_active_cpus,
-        trace_name=name,
-    )
+    costs: dict[Resolution, CCM2Cost] = {}
+    steps = []
+    for res, cpus, other_active_cpus in points:
+        if isinstance(res, str):
+            res = resolution(res)
+        if res not in costs:
+            costs[res] = step_trace(res)
+        cost = costs[res]
+        spec_shares = block_shares(res.trunc + 1, cpus)
+        grid_shares = block_shares(res.nlat, cpus)
+        imbalance = _physics_imbalance(cpus)
+        shares = [
+            (spec_shares[i], grid_shares[i] * (imbalance if i == 0 else 1.0))
+            for i in range(cpus)
+        ]
+        # One trace per distinct share, handed to every CPU with that
+        # share: the node model costs a shared trace once.
+        by_share = {
+            share: cost.spectral.scaled(share[0]) + cost.grid.scaled(share[1])
+            for share in dict.fromkeys(shares)
+        }
+        steps.append(
+            ParallelStep(
+                [by_share[share] for share in shares],
+                serial=cost.serial,
+                regions=REGIONS_PER_STEP,
+                other_active_cpus=other_active_cpus,
+                trace_name=f"CCM2 {res.name} step/{cpus}cpu",
+            )
+        )
+    return node.run_parallel_all(steps)
+
+
+def parallel_step(
+    node: Node,
+    res: Resolution | str,
+    cpus: int,
+    other_active_cpus: int = 0,
+) -> ParallelReport:
+    """One timestep on ``cpus`` processors of an SX-4 node: the one-point
+    :func:`parallel_steps` call."""
+    return parallel_steps(node, [(res, cpus, other_active_cpus)])[0]
+
+
+def _gflops(report: ParallelReport) -> float:
+    return report.flop_equivalents / report.seconds / GIGA
 
 
 def figure8_point(node: Node, res: Resolution | str, cpus: int) -> float:
     """Sustained Cray-equivalent Gflops of CCM2 (one Figure 8 point)."""
-    report = parallel_step(node, res, cpus)
-    return report.flop_equivalents / report.seconds / GIGA
+    return _gflops(parallel_step(node, res, cpus))
 
 
 def figure8_curves(
@@ -304,12 +332,13 @@ def figure8_curves(
     resolutions: tuple[str, ...] = ("T42L18", "T106L18", "T170L18"),
     cpu_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
 ) -> dict[str, list[tuple[int, float]]]:
-    """Figure 8: Gflops vs processor count for three resolutions."""
+    """Figure 8: Gflops vs processor count for three resolutions, every
+    point costed in one :func:`parallel_steps` call."""
     node = node or sx4_node()
-    return {
-        name: [(p, figure8_point(node, name, p)) for p in cpu_counts]
-        for name in resolutions
-    }
+    reports = iter(
+        parallel_steps(node, [(name, p, 0) for name in resolutions for p in cpu_counts])
+    )
+    return {name: [(p, _gflops(next(reports))) for p in cpu_counts] for name in resolutions}
 
 
 def history_bytes_per_day(res: Resolution | str) -> float:
@@ -410,13 +439,15 @@ def ensemble_degradation(
     relative degradation (paper: 1.89%).
     """
     node = node or sx4_node()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if cpus_per_job * jobs > node.cpu_count:
         raise ValueError(
             f"{jobs} jobs x {cpus_per_job} CPUs exceed the {node.cpu_count}-CPU node"
         )
-    alone = parallel_step(node, res, cpus_per_job, other_active_cpus=0)
-    loaded = parallel_step(
-        node, res, cpus_per_job, other_active_cpus=cpus_per_job * (jobs - 1)
+    alone, loaded = parallel_steps(
+        node,
+        [(res, cpus_per_job, 0), (res, cpus_per_job, cpus_per_job * (jobs - 1))],
     )
     return {
         "single_seconds": alone.seconds,

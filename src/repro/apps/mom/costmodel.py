@@ -19,14 +19,18 @@ components set the Table 7 scalability shape:
 Together these produce the paper's "modest level of scalability"
 (speedup 9.06 on 32 CPUs) without any per-machine fudge: the 1-CPU step
 time calibrates to Table 7's 1861.25 s / 350 steps, and the speedup
-curve follows.
+curve follows.  :func:`parallel_steps` costs a list of CPU counts in one
+node-model call, building the baroclinic and diagnostics traces once,
+so Table 7's five counts are one call; :func:`parallel_step` is its
+one-count call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 
 from repro.apps.mom.grid import OceanGrid
-from repro.machine.node import Node, ParallelReport, block_shares
+from repro.machine.node import Node, ParallelReport, ParallelStep, block_shares
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.presets import sx4_node
 
@@ -35,6 +39,7 @@ __all__ = [
     "barotropic_trace",
     "diagnostics_trace",
     "sor_iterations_for",
+    "parallel_steps",
     "parallel_step",
     "benchmark_time",
     "speedup_table",
@@ -67,6 +72,8 @@ SOR_DECOMPOSITION_EXPONENT = 0.5
 DIAG_INSTRUCTIONS_PER_POINT = 120.0
 DIAGNOSTIC_INTERVAL = 10
 REGIONS_PER_STEP = 20.0
+#: Timesteps in the Table 7 measurement (390 run, 40 initialisation).
+_MEASURED_STEPS = 350
 
 
 def baroclinic_trace(grid: OceanGrid) -> Trace:
@@ -130,37 +137,52 @@ def sor_iterations_for(cpus: int) -> int:
     return round(SOR_ITERATIONS * cpus**SOR_DECOMPOSITION_EXPONENT)
 
 
-def parallel_step(
-    node: Node, grid: OceanGrid | None = None, cpus: int = 1, with_diagnostics: bool = True
-) -> ParallelReport:
-    """Average per-step wall time on ``cpus`` processors.
+def parallel_steps(
+    node: Node, grid: OceanGrid | None, cpu_counts: Iterable[int], with_diagnostics: bool = True
+) -> list[ParallelReport]:
+    """Average per-step wall time on each CPU count, costed in one
+    :meth:`~repro.machine.node.Node.run_parallel_all` call.
 
     Rows are dealt in blocks; the SOR runs more iterations as the strip
     count grows; the diagnostics event is serial and amortised over its
-    10-step cycle.
+    10-step cycle.  The baroclinic and diagnostics traces are built once
+    per call, and every step shares the one diagnostics trace.
     """
     grid = grid or OceanGrid.benchmark()
-    shares = block_shares(grid.nlat, cpus)
     baroclinic = baroclinic_trace(grid)
-    barotropic = barotropic_trace(grid, sor_iterations_for(cpus))
-    # One trace per distinct row share, handed to every CPU with that
-    # share: the node model costs a shared trace once.
-    by_share = {
-        share: baroclinic.scaled(share) + barotropic.scaled(share)
-        for share in dict.fromkeys(shares)
-    }
     serial = None
     if with_diagnostics:
         serial = diagnostics_trace(grid).scaled(1.0 / DIAGNOSTIC_INTERVAL)
-    return node.run_parallel(
-        [by_share[share] for share in shares],
-        serial=serial,
-        regions=REGIONS_PER_STEP,
-        trace_name=f"MOM step/{cpus}cpu",
-    )
+    steps = []
+    for cpus in cpu_counts:
+        shares = block_shares(grid.nlat, cpus)
+        barotropic = barotropic_trace(grid, sor_iterations_for(cpus))
+        # One trace per distinct row share, handed to every CPU with that
+        # share: the node model costs a shared trace once.
+        by_share = {
+            share: baroclinic.scaled(share) + barotropic.scaled(share)
+            for share in dict.fromkeys(shares)
+        }
+        steps.append(
+            ParallelStep(
+                [by_share[share] for share in shares],
+                serial=serial,
+                regions=REGIONS_PER_STEP,
+                trace_name=f"MOM step/{cpus}cpu",
+            )
+        )
+    return node.run_parallel_all(steps)
 
 
-def benchmark_time(node: Node | None = None, cpus: int = 1, steps: int = 350) -> float:
+def parallel_step(
+    node: Node, grid: OceanGrid | None = None, cpus: int = 1, with_diagnostics: bool = True
+) -> ParallelReport:
+    """Average per-step wall time on ``cpus`` processors: the one-count
+    :func:`parallel_steps` call."""
+    return parallel_steps(node, grid, [cpus], with_diagnostics)[0]
+
+
+def benchmark_time(node: Node | None = None, cpus: int = 1, steps: int = _MEASURED_STEPS) -> float:
     """Wall-clock seconds for the Table 7 measurement (350 steps)."""
     node = node or sx4_node()
     if steps < 1:
@@ -173,7 +195,8 @@ def speedup_table(
 ) -> dict[int, tuple[float, float]]:
     """Regenerate Table 7: CPUs -> (time for 350 steps, speedup)."""
     node = node or sx4_node()
-    times = {p: benchmark_time(node, cpus=p) for p in cpu_counts}
+    reports = parallel_steps(node, None, cpu_counts)
+    times = {p: report.seconds * _MEASURED_STEPS for p, report in zip(cpu_counts, reports)}
     base = times[min(cpu_counts)] * min(cpu_counts)  # normalise to 1 CPU
     one_cpu = times.get(1, base)
     return {p: (t, one_cpu / t) for p, t in times.items()}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import fftpack
-from repro.machine.operations import ScalarOp, Trace, VectorOp
+from repro.machine.operations import ScalarOp, Trace
 from repro.machine.processor import Processor
 from repro.units import MEGA
 
@@ -51,24 +51,20 @@ def build_trace(n: int, m: int) -> Trace:
     """
     if m < 1:
         raise ValueError(f"instance count must be positive, got {m}")
-    ops: list = []
-    for factor, l1, ido in fftpack.pass_structure(n):
-        positions = l1 * ido  # butterfly groups in this pass
-        ops.append(
-            VectorOp(
-                f"vfft pass r{factor}",
-                length=m,
-                count=float(positions * factor),
-                flops_per_element=fftpack.PASS_FLOPS_PER_POINT[factor],
-                loads_per_element=1.0,
-                stores_per_element=1.0,
-                load_stride=1,
-                store_stride=1,
-            )
-        )
-    ops.append(ScalarOp("vfft pass bookkeeping", instructions=20.0,
-                        count=float(len(fftpack.pass_structure(n)))))
-    return Trace(ops, name=f"VFFT N={n} M={m}")
+    passes = fftpack.pass_structure(n)
+    trace = Trace(name=f"VFFT N={n} M={m}")
+    # The passes go in as columns, one row per pass, with no op object each.
+    trace.append_vectors(
+        [f"vfft pass r{factor}" for factor, _, _ in passes],
+        m,
+        # l1 * ido butterfly groups in the pass, factor points each.
+        count=[float(l1 * ido * factor) for factor, l1, ido in passes],
+        flops_per_element=[fftpack.PASS_FLOPS_PER_POINT[factor] for factor, _, _ in passes],
+        loads_per_element=1.0,
+        stores_per_element=1.0,
+    )
+    trace.append(ScalarOp("vfft pass bookkeeping", instructions=20.0, count=float(len(passes))))
+    return trace
 
 
 def model_mflops(processor: Processor, n: int, m: int) -> float:

@@ -203,9 +203,10 @@ def detect_radix(fmt: FloatFormat) -> int:
     return int(fmt.sub(fmt.add(w, radix), w))
 
 
-def detect_precision(fmt: FloatFormat) -> int:
-    """Digits of the deduced radix held by the significand."""
-    radix = float(detect_radix(fmt))
+def detect_precision(fmt: FloatFormat, radix: int) -> int:
+    """Digits of ``radix`` held by the significand; ``radix`` is the one
+    :func:`detect_radix` deduced."""
+    radix = float(radix)
     digits = 0
     w = 1.0
     while fmt.sub(fmt.add(w, 1.0), w) - 1.0 == 0.0:

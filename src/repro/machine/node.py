@@ -18,18 +18,25 @@ results exhibit:
   :meth:`~repro.machine.memory.BankedMemory.contention_factor`; unit-stride
   is conflict-free from all 32 CPUs, which is why the ensemble test
   (Table 6) degrades by only ~2%.
+
+:meth:`Node.run_parallel_all` costs a list of :class:`ParallelStep` in one
+:meth:`~repro.machine.processor.Processor.execute_all` call, so a
+CPU-count scan (Figure 8, Tables 6 and 7) is one lowering;
+:meth:`Node.run_parallel` is its one-step call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.machine.operations import Trace
-from repro.machine.processor import Processor
+from repro.machine.processor import ExecutionReport, Processor
 from repro.units import MEGA
 
-__all__ = ["Node", "ParallelReport", "block_imbalance", "block_shares"]
+__all__ = ["Node", "ParallelReport", "ParallelStep", "block_imbalance", "block_shares"]
 
 
 def block_imbalance(units: int, cpus: int) -> float:
@@ -55,6 +62,20 @@ def block_shares(units: int, cpus: int) -> list[float]:
         raise ValueError(f"need positive units and cpus, got {units}, {cpus}")
     base, rem = divmod(units, cpus)
     return [(base + (1 if i < rem else 0)) / units for i in range(cpus)]
+
+
+@dataclass(frozen=True)
+class ParallelStep:
+    """One parallel step to cost on a node: a trace per CPU, run
+    concurrently, then an optional serial section; ``regions`` parallel
+    regions of barriers, and ``other_active_cpus`` CPUs busy with
+    unrelated jobs."""
+
+    cpu_traces: Sequence[Trace]
+    serial: Trace | None = None
+    regions: float = 1.0
+    other_active_cpus: int = 0
+    trace_name: str | None = None
 
 
 @dataclass
@@ -123,64 +144,96 @@ class Node:
 
     def run_parallel(
         self,
-        cpu_traces: list[Trace],
+        cpu_traces: Sequence[Trace],
         serial: Trace | None = None,
         regions: float = 1.0,
         other_active_cpus: int = 0,
         trace_name: str | None = None,
     ) -> ParallelReport:
-        """Execute one trace per CPU concurrently, plus a serial section.
+        """Execute one trace per CPU concurrently, plus a serial section:
+        :meth:`run_parallel_all` of that one :class:`ParallelStep`."""
+        step = ParallelStep(cpu_traces, serial, regions, other_active_cpus, trace_name)
+        return self.run_parallel_all([step])[0]
 
-        ``other_active_cpus`` models unrelated jobs sharing the node (the
-        ensemble test and PRODLOAD): they raise the contention the bank
-        model sees but contribute no work to this report.
+    def run_parallel_all(self, steps: Sequence[ParallelStep]) -> list[ParallelReport]:
+        """Cost each step on this node: one report per step, in order.
 
-        The CPUs' traces are costed in one
-        :meth:`~repro.machine.processor.Processor.execute_all` call at
-        the contention dilation, and the serial trace in a second call
-        undilated.  ``execute_all`` lowers and costs a trace object
-        once however many CPUs hold it, and under a :mod:`repro.perfmon`
-        profile still records counters for every CPU, in CPU order.
-        Builders hand CPUs with the same share of the work one trace
-        object.
+        ``other_active_cpus`` of a step models unrelated jobs sharing the
+        node (the ensemble test and PRODLOAD): they raise the contention
+        the bank model sees but contribute no work to its report.
+
+        Every step is checked before any is costed.  One
+        :meth:`~repro.machine.processor.Processor.execute_all` call runs
+        step 1's CPU traces at its contention dilation, its serial trace
+        undilated, then step 2's, and so on: the order in which costing
+        the steps one by one records counters under a
+        :mod:`repro.perfmon` profile.  It costs a trace object once per
+        dilation however many entries hold it, so builders hand CPUs with
+        the same share one trace object, and a scan's steps one serial
+        trace.
         """
-        if not cpu_traces:
-            raise ValueError("run_parallel needs at least one per-CPU trace")
-        cpus = len(cpu_traces)
-        if cpus + other_active_cpus > self.cpu_count:
-            raise ValueError(
-                f"{cpus}+{other_active_cpus} active CPUs exceed node size {self.cpu_count}"
-            )
-        # The contention dilation needs the CPUs' traffic before costing.
+        for step in steps:
+            self._check(step)
+        assert self.processor.memory is not None  # enforced in __post_init__
+        contention = self.processor.memory.contention_factor
+        # The contention dilation needs each step's traffic before costing.
         # Each distinct trace object's sums are read once; each fsum still
         # reads one value per CPU, so the totals are bit-identical to
         # summing each CPU's trace afresh.
-        distinct = {id(trace): trace for trace in cpu_traces}
-        traffic = {key: (t.words_moved, t.irregular_words) for key, t in distinct.items()}
-        words, irregular_words = (
-            math.fsum(column) for column in zip(*(traffic[id(t)] for t in cpu_traces))
-        )
-        irregular = 0.0 if words == 0 else irregular_words / words
-        assert self.processor.memory is not None  # enforced in __post_init__
-        dilation = self.processor.memory.contention_factor(
-            cpus + other_active_cpus, irregular
-        )
-        reports = self.processor.execute_all(cpu_traces, memory_dilation=dilation)
-        per_cpu = [report.seconds for report in reports]
-        raw = math.fsum(report.raw_flops for report in reports)
-        equiv = math.fsum(report.flop_equivalents for report in reports)
+        traffic: dict[int, tuple[float, float]] = {}
+        entries: list[Trace] = []
+        dilations: list[float] = []
+        for step in steps:
+            for trace in step.cpu_traces:
+                if id(trace) not in traffic:
+                    traffic[id(trace)] = (trace.words_moved, trace.irregular_words)
+            words, irregular_words = (
+                math.fsum(column)
+                for column in zip(*(traffic[id(t)] for t in step.cpu_traces))
+            )
+            irregular = 0.0 if words == 0 else irregular_words / words
+            cpus = len(step.cpu_traces)
+            entries += step.cpu_traces
+            dilations += [contention(cpus + step.other_active_cpus, irregular)] * cpus
+            if step.serial is not None:
+                entries.append(step.serial)
+                dilations.append(1.0)
+        reports = iter(self.processor.execute_all(entries, dilations))
+        return [self._report(step, reports) for step in steps]
+
+    def _check(self, step: ParallelStep) -> None:
+        if not step.cpu_traces:
+            raise ValueError("a parallel step needs at least one per-CPU trace")
+        if step.other_active_cpus < 0:
+            raise ValueError(
+                f"other_active_cpus cannot be negative, got {step.other_active_cpus}"
+            )
+        cpus = len(step.cpu_traces)
+        if cpus + step.other_active_cpus > self.cpu_count:
+            raise ValueError(
+                f"{cpus}+{step.other_active_cpus} active CPUs exceed node size {self.cpu_count}"
+            )
+
+    def _report(self, step: ParallelStep, reports: Iterator[ExecutionReport]) -> ParallelReport:
+        """``step``'s report from its CPUs' and serial trace's, the next
+        entries of ``reports``."""
+        cpus = len(step.cpu_traces)
+        cpu_reports = list(islice(reports, cpus))
+        per_cpu = [report.seconds for report in cpu_reports]
+        raw = math.fsum(report.raw_flops for report in cpu_reports)
+        equiv = math.fsum(report.flop_equivalents for report in cpu_reports)
         parallel_seconds = max(per_cpu)
         serial_seconds = 0.0
-        if serial is not None:
-            serial_report = self.processor.execute(serial)
+        if step.serial is not None:
+            serial_report = next(reports)
             serial_seconds = serial_report.seconds
             raw += serial_report.raw_flops
             equiv += serial_report.flop_equivalents
-        sync = self.sync_seconds(cpus, regions)
+        sync = self.sync_seconds(cpus, step.regions)
         total = parallel_seconds + serial_seconds + sync
         return ParallelReport(
             machine=self.name,
-            trace_name=trace_name or cpu_traces[0].name,
+            trace_name=step.trace_name or step.cpu_traces[0].name,
             cpus=cpus,
             seconds=total,
             serial_seconds=serial_seconds,

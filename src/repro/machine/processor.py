@@ -15,9 +15,13 @@ however many traces and ops the list holds — reading this processor's
 parameters as plain Python numbers; ``execute(trace)`` is
 ``execute_all([trace])[0]``.  Builders that cost a scan of traces on one
 processor (the FFT families, the memory-bandwidth curves, STREAM, the
-node model's CPUs) make one ``execute_all`` call, since a trace is
+node model's steps) make one ``execute_all`` call, since a trace is
 typically a few ops and the fixed NumPy dispatch per costing call, not
-the model's arithmetic, is what a call costs.  The per-op
+the model's arithmetic, is what a call costs.  The memory dilation is
+one for the whole call or one per entry: the node model runs each
+step's CPUs at that step's contention dilation and its serial trace
+undilated, and the cost model multiplies by a per-row dilation column,
+elementwise, so each entry costs as it would alone.  The per-op
 methods (``vector_op_cycles``/``scalar_op_cycles``) stay as the test
 oracle: :meth:`Processor.per_op_cycles` walks a trace through them, and
 the ``math.fsum`` of that list is bit-identical to ``execute``'s total
@@ -27,7 +31,9 @@ both sides reduce with :func:`math.fsum`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import sub
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,9 +126,9 @@ class ExecutionReport:
 class Processor:
     """One CPU: scalar unit always present, vector unit + memory optional.
 
-    ``memory_dilation`` on :meth:`execute` lets the node model stretch this
-    CPU's memory time to account for multi-CPU bank contention without
-    re-deriving traces.
+    ``memory_dilation`` on :meth:`execute` and :meth:`execute_all` lets
+    the node model stretch this CPU's memory time to account for
+    multi-CPU bank contention without re-deriving traces.
     """
 
     name: str
@@ -199,14 +205,16 @@ class Processor:
         return self.execute_all([trace], memory_dilation)[0]
 
     def execute_all(
-        self, traces: list[Trace], memory_dilation: float = 1.0
+        self, traces: list[Trace], memory_dilation: float | Sequence[float] = 1.0
     ) -> list[ExecutionReport]:
         """Run each trace to completion: one report per entry, in order.
 
-        One lowering and one cost-model pass cover the whole list, and a
-        trace object listed several times is lowered and costed once.
-        Each report equals :meth:`execute` of its trace alone, bit for
-        bit, and owns its ``op_cycles``.
+        ``memory_dilation`` is one dilation for every entry or a sequence
+        of one per entry.  One lowering and one cost-model pass cover the
+        whole list, and a trace object listed several times at one
+        dilation is lowered and costed once.  Each report equals
+        :meth:`execute` of its trace at its dilation alone, bit for bit,
+        and owns its ``op_cycles``.
 
         When a :mod:`repro.perfmon` profile is active, every component
         that times an op also populates its counters — this is the
@@ -215,32 +223,35 @@ class Processor:
         the columns, in list order: the calls :meth:`execute` of each
         entry in turn would make.
         """
-        costmodel.check_dilation(memory_dilation)
-        slot: dict[int, int] = {}
+        entries = list(zip(map(id, traces), _entry_dilations(memory_dilation, len(traces))))
+        slot: dict[tuple[int, float], int] = {}
         distinct: list[Trace] = []
-        for trace in traces:
-            if id(trace) not in slot:
-                slot[id(trace)] = len(distinct)
+        for trace, entry in zip(traces, entries):
+            if entry not in slot:
+                slot[entry] = len(distinct)
                 distinct.append(trace)
         compiled = compile_trace(*distinct)
         params = self._params
         if params is None:
             params = self._params = SimpleNamespace(**costmodel.parameter_row(self))
+        # Each vector row's dilation: its entry's, over the entry's rows.
+        # IEEE multiplication is elementwise, so a row costs as it would
+        # at that dilation alone.
+        vo = compiled.vector_offsets
+        dilation = np.repeat([d for _, d in slot], list(map(sub, vo[1:], vo)))
         memo: dict = {}  # this call's columns, reread by the counter columns
         v, s = compiled.vector, compiled.scalar
         vector_cycles = (
-            costmodel.vector_op_cycles(params, v, memory_dilation, memo)
-            if v.n
-            else _EMPTY_CYCLES
+            costmodel.vector_op_cycles(params, v, dilation, memo) if v.n else _EMPTY_CYCLES
         )
         scalar_cycles = costmodel.scalar_op_cycles(params, s, memo) if s.n else _EMPTY_CYCLES
         op_cycles = compiled.scatter_cycles(vector_cycles, scalar_cycles)
         if perfmon_active() is not None:
             records = self._counter_records(
-                compiled, memo, vector_cycles, scalar_cycles, memory_dilation
+                compiled, memo, vector_cycles, scalar_cycles, dilation
             )
-            for trace in traces:
-                for component, increments in records[slot[id(trace)]]:
+            for entry in entries:
+                for component, increments in records[slot[entry]]:
                     perfmon_record(component, increments)
         costed = [
             (cycles, self.clock.seconds(cycles))
@@ -249,8 +260,8 @@ class Processor:
         bounds = compiled.op_offsets
         reports = []
         handed = [False] * len(distinct)
-        for trace in traces:
-            k = slot[id(trace)]
+        for trace, entry in zip(traces, entries):
+            k = slot[entry]
             (cycles, seconds), totals = costed[k], compiled.totals[k]
             start, end = bounds[k], bounds[k + 1]
             # A repeated entry gets a copy, so no two reports share cycles.
@@ -278,11 +289,12 @@ class Processor:
         memo: dict,
         vector_cycles: np.ndarray,
         scalar_cycles: np.ndarray,
-        dilation: float,
+        dilation: np.ndarray,
     ) -> list[list[tuple[str, dict[str, float]]]]:
         """Each compiled trace's counter records, reduced over its segment.
 
-        ``memo`` holds the columns this call's costing computed.  A
+        ``memo`` holds the columns this call's costing computed, and
+        ``dilation`` each vector row's memory dilation.  A
         trace's records produce the same totals as recording each of its
         ops' per-op ``perfmon_counters*`` (modulo exactly-rounded vs
         sequential accumulation), with one record per component instead
@@ -344,6 +356,19 @@ class Processor:
     def time(self, trace: Trace, memory_dilation: float = 1.0) -> float:
         """Shorthand: wall-clock seconds for a trace."""
         return self.execute(trace, memory_dilation).seconds
+
+
+def _entry_dilations(memory_dilation: float | Sequence[float], n: int) -> Sequence[float]:
+    """One checked memory dilation per entry: ``memory_dilation`` itself
+    when it is a sequence of ``n``, else that one value ``n`` times."""
+    if not hasattr(memory_dilation, "__len__"):
+        costmodel.check_dilation(memory_dilation)
+        return [memory_dilation] * n
+    if len(memory_dilation) != n:
+        raise ValueError(f"{len(memory_dilation)} memory dilations for {n} traces")
+    for value in dict.fromkeys(memory_dilation):
+        costmodel.check_dilation(value)
+    return memory_dilation
 
 
 def _counter_rows(columns: list[tuple[str, dict[str, np.ndarray]]]) -> list[np.ndarray]:

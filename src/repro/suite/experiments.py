@@ -617,10 +617,10 @@ def sec2_architecture() -> Experiment:
               abs(full.ixs.bisection_bytes_per_s(16) - 128e9) < 1e6)
     # The three hardware float formats (probed through emulated arithmetic).
     for fmt in floatformats.ALL_FORMATS:
+        radix = floatformats.detect_radix(fmt)
         exp.check(
             f"{fmt.name}: probes detect radix {fmt.radix}, precision {fmt.precision}",
-            floatformats.detect_radix(fmt) == fmt.radix
-            and floatformats.detect_precision(fmt) == fmt.precision,
+            radix == fmt.radix and floatformats.detect_precision(fmt, radix) == fmt.precision,
         )
     exp.check(
         "Cray compatibility mode chops; IEEE and IBM modes round to nearest",

@@ -168,6 +168,10 @@ class TestCostModel:
         with pytest.raises(ValueError):
             costmodel.ensemble_degradation(node, cpus_per_job=8, jobs=8)
 
+    def test_ensemble_needs_a_job(self, node):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            costmodel.ensemble_degradation(node, jobs=0)
+
     def test_parallel_step_conserves_total_flops(self, node):
         """Imbalance affects wall time, never the accounted work."""
         one = costmodel.parallel_step(node, "T42L18", 1)

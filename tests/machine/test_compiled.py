@@ -50,21 +50,31 @@ class TestExactParity:
         for proc in ALL_MACHINES:
             assert_matches_oracle(proc.execute(trace, dilation), proc, trace, dilation)
 
-    @pytest.mark.parametrize("dilation", [1.0, 1.37])
+    @pytest.mark.parametrize(
+        "dilation", [1.0, 1.37, (1.0, 1.37, 2.5)], ids=["1.0", "1.37", "per-entry"]
+    )
     def test_execute_all_equals_each_execute(self, dilation):
         """One batched call over every registered trace, an empty trace
         and one trace object repeated and interleaved equals costing
         each entry alone: every report field, the per-op cycles, and
-        the profiled counters, hex for hex."""
+        the profiled counters, hex for hex.  A tuple of dilations is
+        cycled over the entries, one each, so the repeated trace is
+        listed at two dilations (twice at one of them)."""
         traces = [build_registered_trace(trace_id) for trace_id in sorted(TRACE_BUILDERS)]
         repeated = traces[5]
         batch = [repeated, Trace([], name="empty"), *traces[:8], repeated,
                  *traces[8:], repeated]
+        if isinstance(dilation, tuple):
+            dilation = [dilation[i % len(dilation)] for i in range(len(batch))]
+            assert {d for t, d in zip(batch, dilation) if t is repeated} == {1.0, 1.37}
+            dilations = dilation
+        else:
+            dilations = [dilation] * len(batch)
         for proc in ALL_MACHINES:
             with profile() as batched:
                 reports = proc.execute_all(batch, dilation)
             with profile() as alone:
-                expected = [proc.execute(trace, dilation) for trace in batch]
+                expected = [proc.execute(trace, d) for trace, d in zip(batch, dilations)]
             assert [_hex_report(r) for r in reports] == [_hex_report(r) for r in expected]
             assert _hex_counters(batched) == _hex_counters(alone), proc.name
             # No two entries share an op_cycles array, repeats included.
@@ -120,6 +130,8 @@ class TestExactParity:
                 with pytest.raises(ValueError, match="cannot shrink"):
                     proc.execute(trace, dilation)
                 with pytest.raises(ValueError, match="cannot shrink"):
+                    proc.execute_all([trace, trace], [1.0, dilation])
+                with pytest.raises(ValueError, match="cannot shrink"):
                     proc.per_op_cycles(trace, dilation)
                 with pytest.raises(ValueError, match="cannot shrink"):
                     cost_trace_grid(trace, grid, dilation)
@@ -127,6 +139,8 @@ class TestExactParity:
                     cost_suite_trace_grid(compiled, grid, dilation)
                 with pytest.raises(ValueError, match="cannot shrink"):
                     cost_suite_grid(grid, trace_ids=("hint",), memory_dilation=dilation)
+            with pytest.raises(ValueError, match="3 memory dilations for 2 traces"):
+                proc.execute_all([trace, trace], [1.0, 1.0, 1.0])
 
     def test_perfmon_counters_match_legacy_shape_and_totals(self):
         """Column-reduced counters equal per-op recording (the oracle).

@@ -1,16 +1,18 @@
 """Each builder call lowers its traces together, each distinct trace once.
 
 ``Processor.execute_all`` lowers a list of traces in one
-``compile_trace`` call and costs a trace object once however many
-entries hold it.  The node model costs all its CPUs in one such call
-and the serial trace in another, the CCM2 and MOM cost models hand
-every CPU with the same share one trace object, the scan builders cost
-all their points in one call, and PRODLOAD prices each test's job once.
-These tests pin the saving as counts of what the program calls, and pin
-that the reports and the perfmon counters match costing every CPU
-afresh, bit for bit.  A trace holds its ops as columns, so they also
-count the op objects a pass constructs: scaling, joining, lowering and
-costing a trace construct none.
+``compile_trace`` call and costs a trace object once per dilation
+however many entries hold it.  The node model costs every step of a
+scan in one such call, each step's CPUs at its contention dilation and
+its serial trace undilated; the CCM2 and MOM cost models hand every CPU
+with the same share one trace object and every step of a scan one
+serial trace, the scan builders cost all their points in one call, and
+PRODLOAD prices each test's job once.  These tests pin the saving as
+counts of what the program calls, and pin that the reports and the
+perfmon counters match costing every step and every CPU afresh, bit
+for bit.  A trace holds its ops as columns, so they also count the op
+objects a pass constructs: scaling, joining, lowering and costing a
+trace construct none.
 """
 
 import dataclasses
@@ -20,8 +22,9 @@ import pytest
 import repro.machine.processor as processor_module
 from repro.apps.ccm2 import costmodel as ccm2_cost
 from repro.apps.mom import costmodel as mom_cost
-from repro.kernels import linpack
+from repro.kernels import fftpack, linpack, vfft
 from repro.machine.compiled import compile_trace
+from repro.machine.node import Node
 from repro.machine.operations import ScalarOp, Trace, VectorOp
 from repro.machine.presets import sx4_node, sx4_processor
 from repro.perfmon.collector import profile
@@ -29,13 +32,23 @@ from repro.scheduler.prodload import run_prodload
 from repro.suite.runner import run_suite
 
 #: Lowerings (``compile_trace`` calls) one run_suite() pass makes; together
-#: they lower 431 traces, of 310 distinct.
-SUITE_LOWERINGS = 102
+#: they lower 411 traces, of 310 distinct.  Figure 8's 18 CCM2 steps,
+#: Table 6's two and Table 7's five MOM steps make one lowering each.
+SUITE_LOWERINGS = 46
 #: The ``VectorOp`` objects a warm run_suite() pass constructs (2,839
 #: when a trace was a list of ops): builders still describe most loops
-#: as ops, but scaling, joining and lowering a trace make none, and
-#: LINPACK's 999 elimination axpys go in as columns.
-SUITE_VECTOR_OPS = 990
+#: as ops, but scaling, joining and lowering a trace make none, LINPACK's
+#: 999 elimination axpys and VFFT's passes go in as columns, and a
+#: costing call builds each CCM2 resolution's phase traces once.
+SUITE_VECTOR_OPS = 348
+#: Figure 8's 18 points (3 resolutions x 6 CPU counts), then Table 6's
+#: 4-CPU T42 job alone and beside seven copies: (res, cpus, other CPUs).
+FIGURE8_AND_TABLE6 = [
+    *((res, cpus, 0) for res in ("T42L18", "T106L18", "T170L18")
+      for cpus in (1, 2, 4, 8, 16, 32)),
+    ("T42L18", 4, 0),
+    ("T42L18", 4, 28),
+]
 
 
 def _counting(monkeypatch, module, name: str) -> list:
@@ -144,9 +157,9 @@ class TestRunParallel:
         order = [a, b, a, a, b, a]
         with profile() as shared:
             shared_report = node.run_parallel(order, serial=b, regions=3.0)
-        # One lowering for the CPUs, each distinct trace once in CPU
-        # order, and one for the serial trace.
-        assert _ids(lowered) == [[id(a), id(b)], [id(b)]]
+        # One lowering: each distinct trace once in CPU order at the
+        # step's dilation, then the serial trace, b again, undilated.
+        assert _ids(lowered) == [[id(a), id(b), id(b)]]
         with profile() as fresh:
             fresh_report = node.run_parallel(
                 [_copy(t) for t in order], serial=_copy(b), regions=3.0
@@ -154,21 +167,56 @@ class TestRunParallel:
         assert _hex_fields(shared_report) == _hex_fields(fresh_report)
         assert _hex_counters(shared) == _hex_counters(fresh)
 
+    def test_steps_in_one_call_equal_one_call_per_step(self, monkeypatch, lowered):
+        node = sx4_node()
+        calls = _counting(monkeypatch, Node, "run_parallel_all")
+        with profile() as batched:
+            reports = ccm2_cost.parallel_steps(node, FIGURE8_AND_TABLE6)
+        assert len(lowered) == 1
+        ((_, steps),) = calls
+        assert len(steps) == len(reports) == 20
+        with profile() as one_by_one:
+            expected = [
+                node.run_parallel(
+                    step.cpu_traces, step.serial, step.regions,
+                    step.other_active_cpus, step.trace_name,
+                )
+                for step in steps
+            ]
+        assert len(lowered) == 21
+        assert [_hex_fields(r) for r in reports] == [_hex_fields(r) for r in expected]
+        assert _hex_counters(batched) == _hex_counters(one_by_one)
+
 
 class TestBuilders:
     def test_ccm2_step_lowers_one_trace_per_distinct_share(self, lowered):
         report = ccm2_cost.parallel_step(sx4_node(), "T170L18", 32)
-        # One lowering of the three distinct (spectral, grid) shares, and
-        # one of the serial trace.
-        assert [len(traces) for traces in lowered] == [3, 1]
+        # One lowering of the three distinct (spectral, grid) shares and
+        # the serial trace.
+        assert [len(traces) for traces in lowered] == [4]
         assert len(report.per_cpu_seconds) == 32
 
     def test_mom_step_lowers_one_trace_per_distinct_share(self, lowered):
         report = mom_cost.parallel_step(sx4_node(), cpus=32)
-        # One lowering of the two distinct row shares, and one of the
+        # One lowering of the two distinct row shares and the
         # diagnostics trace.
-        assert [len(traces) for traces in lowered] == [2, 1]
+        assert [len(traces) for traces in lowered] == [3]
         assert len(report.per_cpu_seconds) == 32
+
+    def test_figure8_builds_each_resolution_once_and_lowers_once(
+        self, monkeypatch, lowered
+    ):
+        built = _counting(monkeypatch, ccm2_cost, "step_trace")
+        curves = ccm2_cost.figure8_curves()
+        assert [len(points) for points in curves.values()] == [6, 6, 6]
+        assert len(built) == 3
+        assert len(lowered) == 1
+
+    def test_mom_scan_lowers_once(self, lowered):
+        table = mom_cost.speedup_table(sx4_node())
+        assert list(table) == [1, 4, 8, 16, 32]
+        # Each count's distinct row shares and one diagnostics trace.
+        assert [len(traces) for traces in lowered] == [1 + 2 + 2 + 2 + 2 + 1]
 
     def test_prodload_prices_seven_ccm2_steps(self, monkeypatch):
         steps = _counting(monkeypatch, ccm2_cost, "parallel_step")
@@ -185,7 +233,7 @@ class TestBuilders:
     def test_suite_pass_lowering_count(self, lowered):
         run_suite()
         assert len(lowered) == SUITE_LOWERINGS
-        assert sum(len(traces) for traces in lowered) == 431
+        assert sum(len(traces) for traces in lowered) == 411
 
     def test_suite_pass_vector_op_count(self, monkeypatch):
         run_suite()  # warm: first-call set-up is not part of a pass
@@ -211,3 +259,20 @@ class TestNoOpObjects:
         trace = linpack.build_trace(1000)
         assert len(trace) == 1001
         assert made == {"VectorOp": 1, "ScalarOp": 1}
+
+    def test_vfft_builds_only_its_bookkeeping_op(self, made):
+        trace = vfft.build_trace(64, 100)
+        assert made == {"VectorOp": 0, "ScalarOp": 1}
+        passes = fftpack.pass_structure(64)
+        # The rows are the ops the builder made one by one.
+        assert trace.ops == (
+            *(
+                VectorOp(
+                    f"vfft pass r{factor}", length=100, count=float(l1 * ido * factor),
+                    flops_per_element=fftpack.PASS_FLOPS_PER_POINT[factor],
+                    loads_per_element=1.0, stores_per_element=1.0,
+                )
+                for factor, l1, ido in passes
+            ),
+            ScalarOp("vfft pass bookkeeping", instructions=20.0, count=float(len(passes))),
+        )

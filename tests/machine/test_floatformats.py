@@ -180,7 +180,7 @@ class TestProbes:
 
     @pytest.mark.parametrize("fmt", ff.ALL_FORMATS, ids=lambda f: f.name)
     def test_precision_detected(self, fmt):
-        assert ff.detect_precision(fmt) == fmt.precision
+        assert ff.detect_precision(fmt, ff.detect_radix(fmt)) == fmt.precision
 
     def test_rounding_mode_detected(self):
         assert ff.rounds_to_nearest(ff.IEEE_DOUBLE)

@@ -209,6 +209,12 @@ class TestNode:
         with pytest.raises(ValueError):
             sx4_node().run_parallel([])
 
+    def test_negative_other_jobs_rejected(self):
+        """Fewer than no other CPUs would price less contention than a
+        job alone."""
+        with pytest.raises(ValueError, match="other_active_cpus cannot be negative"):
+            sx4_node().run_parallel([axpy_trace()] * 4, other_active_cpus=-2)
+
     def test_flops_aggregated_across_cpus(self):
         node = sx4_node()
         trace = axpy_trace(count=1)
