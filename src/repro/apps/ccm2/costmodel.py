@@ -27,8 +27,9 @@ scale worst), grid phases over latitude rows with a physics load-imbalance
 factor (day/night radiation), plus per-step synchronisation regions.
 :func:`parallel_steps` costs a list of ``(resolution, cpus, other CPUs)``
 points in one node-model call, building each resolution's phase traces
-once: Figure 8's 18 points are one call, and so is Table 6's job alone
-and loaded.  :func:`parallel_step` is its one-point call.
+once: Figure 8's 18 points are one call, so is Table 6's job alone and
+loaded, and so are PRODLOAD's 86 CCM2 runs.  :func:`parallel_step` is
+its one-point call.
 
 Calibration anchors: T170L18 on 32 CPUs sustains ≈24 Cray-equivalent
 Gflops (Figure 8); the one-year T42/T63 runs of Table 5; the 1.89%
@@ -271,10 +272,13 @@ def parallel_steps(
     the physics day/night imbalance.  CPUs with equal shares run one
     trace, so a step builds at most four: the busiest CPU's and one per
     ceiling/floor share pair among the rest.  Each resolution's phase
-    traces are built once per call, and its serial trace is one object
-    for all its steps.
+    traces are built once per call, its serial trace is one object for
+    all its steps, and its CPU traces are built once per ``(res, cpus)``:
+    points that repeat a CPU count share them, so the node model costs
+    them once per contention dilation.
     """
     costs: dict[Resolution, CCM2Cost] = {}
+    cpu_traces: dict[tuple[Resolution, int], list[Trace]] = {}
     steps = []
     for res, cpus, other_active_cpus in points:
         if isinstance(res, str):
@@ -282,22 +286,24 @@ def parallel_steps(
         if res not in costs:
             costs[res] = step_trace(res)
         cost = costs[res]
-        spec_shares = block_shares(res.trunc + 1, cpus)
-        grid_shares = block_shares(res.nlat, cpus)
-        imbalance = _physics_imbalance(cpus)
-        shares = [
-            (spec_shares[i], grid_shares[i] * (imbalance if i == 0 else 1.0))
-            for i in range(cpus)
-        ]
-        # One trace per distinct share, handed to every CPU with that
-        # share: the node model costs a shared trace once.
-        by_share = {
-            share: cost.spectral.scaled(share[0]) + cost.grid.scaled(share[1])
-            for share in dict.fromkeys(shares)
-        }
+        if (res, cpus) not in cpu_traces:
+            spec_shares = block_shares(res.trunc + 1, cpus)
+            grid_shares = block_shares(res.nlat, cpus)
+            imbalance = _physics_imbalance(cpus)
+            shares = [
+                (spec_shares[i], grid_shares[i] * (imbalance if i == 0 else 1.0))
+                for i in range(cpus)
+            ]
+            # One trace per distinct share, handed to every CPU with that
+            # share: the node model costs a shared trace once.
+            by_share = {
+                share: cost.spectral.scaled(share[0]) + cost.grid.scaled(share[1])
+                for share in dict.fromkeys(shares)
+            }
+            cpu_traces[res, cpus] = [by_share[share] for share in shares]
         steps.append(
             ParallelStep(
-                [by_share[share] for share in shares],
+                cpu_traces[res, cpus],
                 serial=cost.serial,
                 regions=REGIONS_PER_STEP,
                 other_active_cpus=other_active_cpus,

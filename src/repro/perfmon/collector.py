@@ -9,13 +9,12 @@ nested profiles stack correctly); every recording helper is a cheap
 no-op when none is active, which is what keeps the instrumented hot
 paths honest when profiling is off.
 
-A *tape* lets a caller that computes a value once and hands it to many
-consumers still count every consumer: :func:`tape` records the
-:func:`record` calls its block makes, in order, and :func:`replay`
-makes them again.  PRODLOAD prices a job once and replays it for every
-copy, and a job prices its T42 twins once.  Replaying call by call, in
-the order the calls were first made, keeps every counter total
-bit-identical to costing each consumer afresh.
+Counter totals are floating-point sums, so their bits depend on the
+order of the :func:`record` calls.
+:meth:`repro.machine.processor.Processor.execute_all` records every
+entry it is handed, in list order, even entries it costs once, so a
+caller that prices many identical runs lists each of them (PRODLOAD
+lists all of its CCM2 runs in one call) and the profile counts each.
 
 Two clocks coexist, deliberately:
 
@@ -48,11 +47,9 @@ __all__ = [
     "deactivate",
     "profile",
     "record",
-    "replay",
     "span",
     "SimSpanTracer",
     "sim_tracer",
-    "tape",
 ]
 
 HOST_CLOCK = "host"
@@ -118,10 +115,6 @@ class Profile:
     origin_s: float = 0.0
     #: indices of the currently-open host spans (the nesting stack).
     _open: list[int] = field(default_factory=list, repr=False)
-    #: the currently-open tapes, innermost last (see :func:`tape`).
-    _tapes: list[list[tuple[str, dict[str, float]]]] = field(
-        default_factory=list, init=False, repr=False
-    )
 
     def now_s(self) -> float:
         """Host seconds since this profile was activated."""
@@ -177,43 +170,6 @@ def record(component: str, increments: dict[str, float]) -> None:
     prof = _ACTIVE.get()
     if prof is not None and increments:
         prof.counters.add_many(component, increments)
-        if prof._tapes:
-            prof._tapes[-1].append((component, dict(increments)))
-
-
-@contextmanager
-def tape():
-    """Record the block's :func:`record` calls, in order, for :func:`replay`.
-
-    Yields the list of ``(component, increments)`` pairs the block
-    records into the active profile; the increments still land in the
-    profile as they are made.  A tape opened inside another extends the
-    outer one when it closes, so the outer tape holds every call its
-    block made.  With no active profile nothing is recorded and the
-    tape stays empty.
-    """
-    calls: list[tuple[str, dict[str, float]]] = []
-    prof = _ACTIVE.get()
-    if prof is None:
-        yield calls
-        return
-    prof._tapes.append(calls)
-    try:
-        yield calls
-    finally:
-        prof._tapes.pop()
-        if prof._tapes:
-            prof._tapes[-1].extend(calls)
-
-
-def replay(calls: list[tuple[str, dict[str, float]]]) -> None:
-    """Make a tape's :func:`record` calls again, one by one, in order.
-
-    A no-op with no active profile; inside an open tape the replayed
-    calls extend it, as live calls would.
-    """
-    for component, increments in calls:
-        record(component, increments)
 
 
 @contextmanager

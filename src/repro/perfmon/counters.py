@@ -26,7 +26,6 @@ from collections.abc import Iterator, Mapping
 __all__ = [
     "COMPONENT_COUNTERS",
     "declare_counters",
-    "declared_components",
     "CounterSet",
 ]
 
@@ -51,11 +50,6 @@ def declare_counters(component: str, names: tuple[str, ...]) -> None:
     existing = COMPONENT_COUNTERS.get(component, ())
     merged = tuple(dict.fromkeys(existing + tuple(names)))
     COMPONENT_COUNTERS[component] = merged
-
-
-def declared_components() -> tuple[str, ...]:
-    """Every component that has declared counters, in declaration order."""
-    return tuple(COMPONENT_COUNTERS)
 
 
 class CounterSet:

@@ -14,19 +14,20 @@ concurrent jobs fill the 32-CPU node, which is how test 3 is shaped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.apps.ccm2 import costmodel as ccm2_cost
 from repro.iosim.hippi import HippiChannel
 from repro.machine.node import Node
-from repro.perfmon.collector import replay as perfmon_replay
-from repro.perfmon.collector import tape as perfmon_tape
 from repro.units import GB
 
 __all__ = [
     "Component",
     "JobSpec",
+    "ccm2_components",
     "ccm2_component",
+    "ccm2_runs",
     "hippi_component",
     "prodload_job",
     "T106_CPUS",
@@ -41,6 +42,7 @@ __all__ = [
 T106_CPUS = 3
 T42_CPUS = 2
 HIPPI_CPUS = 1
+_JOB_CPUS = T106_CPUS + 2 * T42_CPUS + HIPPI_CPUS
 #: Bulk data the HIPPI component pushes (Mass-Storage-System staging).
 HIPPI_WORKLOAD_BYTES = 20 * GB
 
@@ -81,27 +83,37 @@ class JobSpec:
         """Duration if all components start immediately (no queueing)."""
         return max(c.duration_s for c in self.components)
 
-    def renamed(self, name: str) -> JobSpec:
-        """This job under another name.  Component names start with the
-        job's name, as :func:`prodload_job` makes them, and follow it."""
-        return JobSpec(
+
+def ccm2_components(
+    node: Node, runs: Iterable[tuple[str, str, float, int, int]]
+) -> list[Component]:
+    """One component per ``(name, res, days, cpus, other_active_cpus)``
+    run, each priced by the cost model at its CPU allocation: every run's
+    timestep in one :func:`~repro.apps.ccm2.costmodel.parallel_steps`
+    call, in list order."""
+    runs = list(runs)
+    for _, _, days, _, _ in runs:
+        if days <= 0:
+            raise ValueError(f"simulation length must be positive, got {days}")
+    steps = ccm2_cost.parallel_steps(
+        node, [(res, cpus, others) for _, res, _, cpus, others in runs]
+    )
+    return [
+        Component(
             name=name,
-            components=tuple(
-                replace(c, name=name + c.name[len(self.name):])
-                for c in self.components
-            ),
+            cpus=cpus,
+            duration_s=step.seconds * ccm2_cost.resolution(res).steps_for_days(days),
         )
+        for (name, res, days, cpus, _), step in zip(runs, steps)
+    ]
 
 
 def ccm2_component(
     node: Node, name: str, res: str, days: float, cpus: int, other_active_cpus: int = 0
 ) -> Component:
-    """A CCM2 run priced by the cost model at its CPU allocation."""
-    if days <= 0:
-        raise ValueError(f"simulation length must be positive, got {days}")
-    step = ccm2_cost.parallel_step(node, res, cpus, other_active_cpus=other_active_cpus)
-    steps = ccm2_cost.resolution(res).steps_for_days(days)
-    return Component(name=name, cpus=cpus, duration_s=step.seconds * steps)
+    """A CCM2 run priced by the cost model at its CPU allocation: the
+    one-run :func:`ccm2_components` call."""
+    return ccm2_components(node, [(name, res, days, cpus, other_active_cpus)])[0]
 
 
 def hippi_component(name: str = "hippi", channel: HippiChannel | None = None) -> Component:
@@ -111,8 +123,11 @@ def hippi_component(name: str = "hippi", channel: HippiChannel | None = None) ->
     return Component(name=name, cpus=HIPPI_CPUS, duration_s=duration)
 
 
-def prodload_job(node: Node, name: str, concurrent_jobs: int = 1) -> JobSpec:
-    """One PRODLOAD job: HIPPI + T106 3-day + two T42 20-day runs.
+def ccm2_runs(
+    node: Node, name: str, concurrent_jobs: int = 1
+) -> list[tuple[str, str, float, int, int]]:
+    """The CCM2 runs of PRODLOAD job ``name``, as :func:`ccm2_components`
+    takes them: the T106 3-day run, then the two T42 20-day runs.
 
     ``concurrent_jobs`` informs the CCM2 cost model how many sibling jobs
     share the node, so memory contention is priced (the effect Table 6
@@ -120,15 +135,20 @@ def prodload_job(node: Node, name: str, concurrent_jobs: int = 1) -> JobSpec:
     """
     if concurrent_jobs < 1:
         raise ValueError(f"need at least one job stream, got {concurrent_jobs}")
-    others = (concurrent_jobs - 1) * (T106_CPUS + 2 * T42_CPUS + HIPPI_CPUS)
-    others = min(others, node.cpu_count - (T106_CPUS + 2 * T42_CPUS + HIPPI_CPUS))
-    hippi = hippi_component(f"{name}/hippi")
-    t106 = ccm2_component(node, f"{name}/t106-3day", "T106L18", 3.0, T106_CPUS, others)
-    # The two T42 runs are twins: priced once, counted twice.
-    with perfmon_tape() as t42_counters:
-        t42 = ccm2_component(node, f"{name}/t42-20day-a", "T42L18", 20.0, T42_CPUS, others)
-    perfmon_replay(t42_counters)
-    return JobSpec(
-        name=name,
-        components=(hippi, t106, t42, replace(t42, name=f"{name}/t42-20day-b")),
-    )
+    if node.cpu_count < _JOB_CPUS:
+        raise ValueError(
+            f"a PRODLOAD job needs {_JOB_CPUS} CPUs, the node has {node.cpu_count}"
+        )
+    others = min((concurrent_jobs - 1) * _JOB_CPUS, node.cpu_count - _JOB_CPUS)
+    return [
+        (f"{name}/t106-3day", "T106L18", 3.0, T106_CPUS, others),
+        (f"{name}/t42-20day-a", "T42L18", 20.0, T42_CPUS, others),
+        (f"{name}/t42-20day-b", "T42L18", 20.0, T42_CPUS, others),
+    ]
+
+
+def prodload_job(node: Node, name: str, concurrent_jobs: int = 1) -> JobSpec:
+    """One PRODLOAD job: HIPPI + T106 3-day + two T42 20-day runs, the
+    CCM2 runs priced in one :func:`ccm2_components` call."""
+    ccm2 = ccm2_components(node, ccm2_runs(node, name, concurrent_jobs))
+    return JobSpec(name=name, components=(hippi_component(f"{name}/hippi"), *ccm2))

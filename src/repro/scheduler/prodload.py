@@ -19,21 +19,23 @@ cost-model durations, and release.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.events import Acquire, Release, Resource, Simulator
 from repro.machine.node import Node
 from repro.machine.presets import sx4_node
-from repro.perfmon.collector import replay as perfmon_replay
 from repro.perfmon.collector import sim_tracer
-from repro.perfmon.collector import tape as perfmon_tape
-from repro.scheduler.jobs import JobSpec, ccm2_component, prodload_job
+from repro.scheduler.jobs import JobSpec, ccm2_components, ccm2_runs, hippi_component
 
-__all__ = ["ProdloadResult", "run_prodload", "PAPER_TOTAL_SECONDS"]
+__all__ = ["ProdloadResult", "run_prodload", "JOBS_PER_SEQUENCE", "PAPER_TOTAL_SECONDS"]
 
 #: The paper's result: 93 minutes 28 seconds.
 PAPER_TOTAL_SECONDS = 93 * 60 + 28
+#: "One sequence of four jobs run one after another".
+JOBS_PER_SEQUENCE = 4
+#: Tests 1-3 and the job sequences each runs concurrently.
+_STREAMS = (("test1", 1), ("test2", 2), ("test3", 4))
 
 
 @dataclass
@@ -92,65 +94,48 @@ def _run_concurrent_sequences(
     return wall, records
 
 
-def _priced_once(price: Callable[[str], JobSpec], names: list[str]) -> list[JobSpec]:
-    """``price(names[0])``, then renamed copies of it for the other names.
-
-    Every job of a test is the same job spec, so it is priced once.
-    Under a :mod:`repro.perfmon` profile each copy replays the pricing's
-    counter records, so the profile still counts every job.
-    """
-    with perfmon_tape() as counters:
-        first = price(names[0])
-    copies = [first]
-    for name in names[1:]:
-        perfmon_replay(counters)
-        copies.append(first.renamed(name))
-    return copies
-
-
-def run_prodload(node: Node | None = None, jobs_per_sequence: int = 4) -> ProdloadResult:
+def run_prodload(node: Node | None = None) -> ProdloadResult:
     """Run all four PRODLOAD tests and report wall-clock times.
 
     Job durations are priced with the contention appropriate to each
-    test's concurrency (test 3's four streams see the most).
+    test's concurrency (test 3's four streams see the most).  Every CCM2
+    run of the benchmark is priced in one
+    :func:`~repro.scheduler.jobs.ccm2_components` call: each job of tests
+    1-3 in turn, in sequence-slot order, then test 4's two T170 runs.
     """
     node = node or sx4_node()
-    if jobs_per_sequence < 1:
-        raise ValueError(f"need at least one job per sequence, got {jobs_per_sequence}")
-    result = ProdloadResult()
-
-    for test_name, streams in (("test1", 1), ("test2", 2), ("test3", 4)):
-        jobs = _priced_once(
-            lambda name: prodload_job(node, name, concurrent_jobs=streams),
-            [
-                f"{test_name}/s{s}j{j}"
-                for s in range(streams)
-                for j in range(jobs_per_sequence)
-            ],
-        )
-        sequences = [
-            jobs[s * jobs_per_sequence : (s + 1) * jobs_per_sequence]
-            for s in range(streams)
-        ]
-        wall, records = _run_concurrent_sequences(sequences, node.cpu_count)
-        result.test_seconds[test_name] = wall
-        result.job_records.extend(records)
-
+    names = {
+        test: [f"{test}/s{s}j{j}" for s in range(streams) for j in range(JOBS_PER_SEQUENCE)]
+        for test, streams in _STREAMS
+    }
+    runs = [
+        run
+        for test, streams in _STREAMS
+        for name in names[test]
+        for run in ccm2_runs(node, name, concurrent_jobs=streams)
+    ]
     # Test 4: two concurrent 2-day T170 runs, half the node each.
     half = node.cpu_count // 2
-    t170 = _priced_once(
-        lambda name: JobSpec(
-            name=name,
-            components=(
-                ccm2_component(
-                    node, name, "T170L18", 2.0, half,
-                    other_active_cpus=node.cpu_count - half,
-                ),
-            ),
-        ),
-        [f"test4/t170-{k}" for k in range(2)],
+    runs += [
+        (f"test4/t170-{k}", "T170L18", 2.0, half, node.cpu_count - half) for k in range(2)
+    ]
+    ccm2 = iter(ccm2_components(node, runs))
+    result = ProdloadResult()
+    for test, streams in _STREAMS:
+        jobs = [
+            # Each job's T106 run and two T42 runs, as ccm2_runs lists them.
+            JobSpec(name, (hippi_component(f"{name}/hippi"), *islice(ccm2, 3)))
+            for name in names[test]
+        ]
+        sequences = [
+            jobs[s * JOBS_PER_SEQUENCE : (s + 1) * JOBS_PER_SEQUENCE] for s in range(streams)
+        ]
+        wall, records = _run_concurrent_sequences(sequences, node.cpu_count)
+        result.test_seconds[test] = wall
+        result.job_records.extend(records)
+    wall, records = _run_concurrent_sequences(
+        [[JobSpec(t170.name, (t170,))] for t170 in ccm2], node.cpu_count
     )
-    wall, records = _run_concurrent_sequences([[job] for job in t170], node.cpu_count)
     result.test_seconds["test4"] = wall
     result.job_records.extend(records)
     return result

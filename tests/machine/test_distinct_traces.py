@@ -6,13 +6,14 @@ however many entries hold it.  The node model costs every step of a
 scan in one such call, each step's CPUs at its contention dilation and
 its serial trace undilated; the CCM2 and MOM cost models hand every CPU
 with the same share one trace object and every step of a scan one
-serial trace, the scan builders cost all their points in one call, and
-PRODLOAD prices each test's job once.  These tests pin the saving as
-counts of what the program calls, and pin that the reports and the
-perfmon counters match costing every step and every CPU afresh, bit
-for bit.  A trace holds its ops as columns, so they also count the op
-objects a pass constructs: scaling, joining, lowering and costing a
-trace construct none.
+serial trace, CCM2 hands points that repeat a CPU count the same CPU
+traces, the scan builders cost all their points in one call, and
+PRODLOAD prices all of its CCM2 runs in one call.  These tests pin the
+saving as counts of what the program calls, and pin that the reports
+and the perfmon counters match costing every step and every CPU
+afresh, bit for bit.  A trace holds its ops as columns, so they also
+count the op objects a pass constructs: scaling, joining, lowering and
+costing a trace construct none.
 """
 
 import dataclasses
@@ -32,9 +33,10 @@ from repro.scheduler.prodload import run_prodload
 from repro.suite.runner import run_suite
 
 #: Lowerings (``compile_trace`` calls) one run_suite() pass makes; together
-#: they lower 411 traces, of 310 distinct.  Figure 8's 18 CCM2 steps,
-#: Table 6's two and Table 7's five MOM steps make one lowering each.
-SUITE_LOWERINGS = 46
+#: they lower 407 traces, of 310 distinct.  Figure 8's 18 CCM2 steps,
+#: Table 6's two, Table 7's five MOM steps and PRODLOAD's 86 CCM2 runs
+#: make one lowering each.
+SUITE_LOWERINGS = 40
 #: The ``VectorOp`` objects a warm run_suite() pass constructs (2,839
 #: when a trace was a list of ops): builders still describe most loops
 #: as ops, but scaling, joining and lowering a trace make none, LINPACK's
@@ -42,11 +44,13 @@ SUITE_LOWERINGS = 46
 #: costing call builds each CCM2 resolution's phase traces once.
 SUITE_VECTOR_OPS = 348
 #: Figure 8's 18 points (3 resolutions x 6 CPU counts), then Table 6's
-#: 4-CPU T42 job alone and beside seven copies: (res, cpus, other CPUs).
+#: 4-CPU T42 job alone and beside seven copies, twice, as PRODLOAD lists
+#: its identical runs: (res, cpus, other CPUs).
 FIGURE8_AND_TABLE6 = [
     *((res, cpus, 0) for res in ("T42L18", "T106L18", "T170L18")
       for cpus in (1, 2, 4, 8, 16, 32)),
     ("T42L18", 4, 0),
+    ("T42L18", 4, 28),
     ("T42L18", 4, 28),
 ]
 
@@ -174,7 +178,10 @@ class TestRunParallel:
             reports = ccm2_cost.parallel_steps(node, FIGURE8_AND_TABLE6)
         assert len(lowered) == 1
         ((_, steps),) = calls
-        assert len(steps) == len(reports) == 20
+        assert len(steps) == len(reports) == 21
+        # The repeated point costs the same CPU trace objects at the
+        # same dilation as the point before it.
+        assert steps[-1].cpu_traces is steps[-2].cpu_traces
         with profile() as one_by_one:
             expected = [
                 node.run_parallel(
@@ -183,7 +190,7 @@ class TestRunParallel:
                 )
                 for step in steps
             ]
-        assert len(lowered) == 21
+        assert len(lowered) == 22
         assert [_hex_fields(r) for r in reports] == [_hex_fields(r) for r in expected]
         assert _hex_counters(batched) == _hex_counters(one_by_one)
 
@@ -218,11 +225,15 @@ class TestBuilders:
         # Each count's distinct row shares and one diagnostics trace.
         assert [len(traces) for traces in lowered] == [1 + 2 + 2 + 2 + 2 + 1]
 
-    def test_prodload_prices_seven_ccm2_steps(self, monkeypatch):
-        steps = _counting(monkeypatch, ccm2_cost, "parallel_step")
+    def test_prodload_prices_every_ccm2_run_in_one_call(self, monkeypatch, lowered):
+        calls = _counting(monkeypatch, ccm2_cost, "parallel_steps")
         run_prodload()
-        # One job per test (a T106 and a T42 step each) and one T170 step.
-        assert len(steps) == 7
+        # 28 jobs of a T106 and two T42 runs each, then two T170 runs.
+        ((_, points),) = calls
+        assert len(points) == 28 * 3 + 2
+        # One lowering: each (res, cpus)'s CPU traces at each test's
+        # dilation, and each resolution's serial trace.
+        assert [len(traces) for traces in lowered] == [21]
 
     def test_prodload_copies_keep_every_job_name(self):
         names = {name for name, _, _ in run_prodload().job_records}
@@ -233,7 +244,7 @@ class TestBuilders:
     def test_suite_pass_lowering_count(self, lowered):
         run_suite()
         assert len(lowered) == SUITE_LOWERINGS
-        assert sum(len(traces) for traces in lowered) == 411
+        assert sum(len(traces) for traces in lowered) == 407
 
     def test_suite_pass_vector_op_count(self, monkeypatch):
         run_suite()  # warm: first-call set-up is not part of a pass

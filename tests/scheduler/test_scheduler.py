@@ -118,6 +118,8 @@ class TestJobs:
             jobs.ccm2_component(node, "x", "T42L18", days=0.0, cpus=2)
         with pytest.raises(ValueError):
             jobs.prodload_job(node, "j", concurrent_jobs=0)
+        with pytest.raises(ValueError, match="a PRODLOAD job needs 8 CPUs, the node has 4"):
+            jobs.prodload_job(sx4_node(cpus=4), "j")
 
 
 class TestProdload:
@@ -152,12 +154,8 @@ class TestProdload:
             assert end > start >= 0.0
 
     def test_no_cpu_oversubscription(self):
-        """The event engine enforces the 32-CPU pool; a job needing more
-        than the node must fail loudly."""
+        """A node smaller than one job is refused before any job is
+        priced, with a message that names the job."""
         node = sx4_node(cpus=4)
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="a PRODLOAD job needs 8 CPUs, the node has 4"):
             prodload.run_prodload(node)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            prodload.run_prodload(jobs_per_sequence=0)
